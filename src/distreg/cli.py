@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 
@@ -26,10 +27,10 @@ from .experiments import (
     make_experiment_preset,
     rate_study,
 )
-from .functionals import FunctionalSpec, conditional_functional
+from .functionals import FunctionalSpec, evaluate_functional
 from .measures import DiscreteDistribution, make_discrete
 from .ot import SlicedConfig, max_sliced_wp, sliced_wp, w1_cdf, wp_exact, wp_quantile
-from .regressor import Dataset, fit, predict_distribution
+from .regressor import Dataset, fit, predict_many
 from .synth import PRESETS, certify_class, make_preset
 from .weights import KernelScheme, KnnScheme, stone_diagnostics
 
@@ -48,7 +49,11 @@ def _fmt(x: float) -> str:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("DISTREG_SEED", "1"))
+    text = os.environ.get("DISTREG_SEED", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"DISTREG_SEED must be an integer, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +74,12 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
 
 def _parse_floats(path: str, row: list[str], line: int) -> list[float]:
     try:
-        return [float(v) for v in row]
+        vals = [float(v) for v in row]
     except ValueError as exc:
         raise DataError(f"{path}: line {line}: {exc}") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise DataError(f"{path}: line {line}: values must be finite")
+    return vals
 
 
 def read_distribution(path: str) -> DiscreteDistribution:
@@ -196,6 +204,7 @@ def cmd_predict(args) -> int:
     queries = read_queries(args.queries, ds.k)
     reg = fit(ds, _scheme_from_args(args, ds.n))
     spec = FunctionalSpec.parse(args.functional) if args.functional else None
+    preds = predict_many(reg, queries)
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
@@ -203,14 +212,13 @@ def cmd_predict(args) -> int:
             writer.writerow(
                 ["query"] + [f"y{i + 1}" for i in range(ds.d)] + ["weight"]
             )
-            for qid, q in enumerate(queries):
-                pred = predict_distribution(reg, q)
+            for qid, pred in enumerate(preds):
                 for atom, weight in zip(pred.atoms, pred.weights):
                     writer.writerow([qid] + [_fmt(a) for a in atom] + [_fmt(weight)])
         else:
             writer.writerow(["query", "value"])
-            for qid, q in enumerate(queries):
-                writer.writerow([qid, _fmt(conditional_functional(reg, spec, q))])
+            for qid, pred in enumerate(preds):
+                writer.writerow([qid, _fmt(evaluate_functional(pred, spec))])
     finally:
         if args.out:
             out.close()
@@ -445,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
     p.add_argument("--directions", type=int, default=256)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("predict", help="fit and predict conditional distributions")
@@ -487,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", required=True)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--replications", type=int, default=16)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_stone_check)
 
     p = sub.add_parser("certify", help="check a preset against its declared class")
@@ -498,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound-check", help="Monte-Carlo risk vs closed-form bound")
     p.add_argument("--preset", required=True)
     p.add_argument("--tilde-ck", type=float, dest="tilde_ck")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_bound_check)
 
@@ -509,6 +517,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # an omitted --seed is read from the environment here, inside the
+        # error handling, so a malformed DISTREG_SEED is a usage error
+        if getattr(args, "seed", 0) is None:
+            args.seed = _default_seed()
         return args.func(args)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -18,10 +18,10 @@ import numpy as np
 
 from ._rng import stream
 from .bounds import kernel_bound, knn_bound
-from .functionals import FunctionalSpec, beta_function, conditional_functional, evaluate_functional
+from .functionals import FunctionalSpec, beta_function, evaluate_functional
 from .measures import DiscreteDistribution, gaussian_law, uniform_law
 from .ot import w1_cdf, w1_vs_analytic, wp_quantile
-from .regressor import fit, predict_distribution
+from .regressor import fit, predict_many
 from .synth import make_preset
 from .weights import KernelScheme, KnnScheme
 
@@ -173,12 +173,10 @@ def _risk_replication(payload) -> float:
     model, scheme, n, test_points, seed, n_index, rep, p = payload
     ds = model.sample(n, seed=(seed, _TAG_TRAIN, n_index, rep))
     queries = stream(seed, _TAG_TEST, n_index, rep).random((test_points, model.k))
-    reg = fit(ds, scheme)
+    preds = predict_many(fit(ds, scheme), queries)
     errs = [
-        _prediction_error(
-            predict_distribution(reg, q), model.conditional_law(q), p
-        )
-        for q in queries
+        _prediction_error(pred, model.conditional_law(q), p)
+        for pred, q in zip(preds, queries)
     ]
     return float(np.mean(errs))
 
@@ -208,9 +206,11 @@ def _functional_replication(payload) -> float:
     model, scheme, n, test_points, seed, n_index, rep, spec = payload
     ds = model.sample(n, seed=(seed, _TAG_TRAIN, n_index, rep))
     queries = stream(seed, _TAG_TEST, n_index, rep).random((test_points, model.k))
-    reg = fit(ds, scheme)
+    preds = predict_many(fit(ds, scheme), queries)
     truth = _true_functional_fn(model, spec)
-    errs = [abs(conditional_functional(reg, spec, q) - truth(q)) for q in queries]
+    errs = [
+        abs(evaluate_functional(pred, spec) - truth(q)) for pred, q in zip(preds, queries)
+    ]
     return float(np.mean(errs))
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from math import exp, lgamma, log, log1p
 
 import numpy as np
-from scipy.integrate import quad
 
 from .measures import AnalyticDistribution1D, DiscreteDistribution, quantile_eval
 from .ot import ConvergenceError
@@ -216,6 +215,8 @@ def evaluate_functional(dist, spec: FunctionalSpec) -> float:
 
 
 def _evaluate_on_law(law: AnalyticDistribution1D, spec: FunctionalSpec) -> float:
+    from scipy.integrate import quad
+
     if spec.kind == "quantile":
         return float(law.quantile(spec.alpha))
     if spec.kind == "cte":

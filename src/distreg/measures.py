@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 # Construction tolerances.  Tiny negative weights are rounding noise and get
 # clamped; anything below NEG_TOL is treated as caller error.
@@ -46,6 +45,7 @@ class DiscreteDistribution:
             )
         if atoms.shape[0] == 0:
             raise ValueError("a distribution needs at least one atom")
+        _require_finite(atoms, weights)
         if np.any(weights < 0):
             raise ValueError("weights must be nonnegative")
         if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
@@ -136,6 +136,7 @@ def make_discrete(atoms, weights) -> DiscreteDistribution:
         raise ValueError(
             f"atom/weight length mismatch: {pts.shape[0]} vs {w.shape[0]}"
         )
+    _require_finite(pts, w)
     if np.any(w < NEG_TOL):
         raise ValueError(f"materially negative weight: min = {w.min():.3e}")
     w = np.where(w < 0.0, 0.0, w)
@@ -160,6 +161,13 @@ def make_discrete(atoms, weights) -> DiscreteDistribution:
             uniq, w = xs[order], w[order]
         pts = uniq[:, None]
     return DiscreteDistribution(pts, w)
+
+
+def _require_finite(atoms: np.ndarray, weights: np.ndarray) -> None:
+    if not np.all(np.isfinite(atoms)):
+        raise ValueError("atoms must be finite")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
 
 
 def dirac(point) -> DiscreteDistribution:
@@ -216,6 +224,8 @@ def dispersion(dist) -> float:
         c = np.clip(cum[:-1], 0.0, 1.0)
         return float(np.sum(np.diff(xs) * np.sqrt(c * (1.0 - c))))
     if isinstance(dist, AnalyticDistribution1D):
+        from scipy.integrate import quad
+
         lo, hi = dist.quad_bounds()
         f = dist.cdf
 
@@ -252,6 +262,8 @@ def gaussian_law(mu: float, sigma: float) -> AnalyticDistribution1D:
         return (np.asarray(z) - mu) * ndtr(s) + sigma * phi
 
     def moment_p(p):
+        from scipy.integrate import quad
+
         val, _ = quad(
             lambda z: abs(z) ** p * np.exp(-0.5 * ((z - mu) / sigma) ** 2)
             / (sigma * np.sqrt(2 * np.pi)),
@@ -292,6 +304,8 @@ def uniform_law(lo: float, hi: float) -> AnalyticDistribution1D:
         return ramp + np.maximum(z - hi, 0.0)
 
     def moment_p(p):
+        from scipy.integrate import quad
+
         val, _ = quad(lambda z: abs(z) ** p / width, lo, hi, limit=200)
         return val ** (1.0 / p)
 

@@ -16,7 +16,6 @@ from itertools import product
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._rng import stream
 from .bounds import ClassParams
@@ -77,6 +76,7 @@ class RadialPowerMap:
 @lru_cache(maxsize=1)
 def _std_gaussian_dispersion() -> float:
     """int sqrt(Phi (1 - Phi)) dz for the standard normal, tails cut at 8."""
+    from scipy.integrate import quad
     from scipy.special import ndtr
 
     val, _ = quad(

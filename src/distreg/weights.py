@@ -108,51 +108,135 @@ def _as_point(x, k: int) -> np.ndarray:
     return pt
 
 
+# Radii handed to the k-d tree are widened by this factor, so rounding in the
+# tree's distances can only add candidates; the exact tests below then decide.
+_RADIUS_SLACK = 1.0 + 1e-12
+
+
+@dataclass(frozen=True)
+class SparseWeights:
+    """Weights at one query point, stored on their support only.
+
+    ``indices`` are the ascending sample indices with positive weight.
+    ``mass`` holds the matching unnormalized kernel values, or is None when
+    every selected point carries the same weight 1/m.
+    """
+
+    indices: np.ndarray
+    mass: np.ndarray | None = None
+
+    @property
+    def values(self) -> np.ndarray:
+        if self.mass is None:
+            return np.full(self.indices.shape[0], 1.0 / self.indices.shape[0])
+        return self.mass / self.mass.sum()
+
+
+class NeighbourIndex:
+    """A k-d tree over a covariate sample (Bentley 1975), built once and
+    queried for the support of each weight vector.
+
+    The tree only proposes candidates; membership is decided by the same
+    numpy distances, comparisons and smallest-index tie rule as a full scan
+    over the sample, so the selected points are exactly those of the scan.
+    """
+
+    def __init__(self, covariates):
+        from scipy.spatial import cKDTree  # deferred: costs import time otherwise
+
+        self.points = _as_matrix(covariates)
+        # a tree answers a few dozen queries per fit, so the cheaper
+        # sliding-midpoint build beats a median-balanced one
+        self.tree = cKDTree(self.points, balanced_tree=False, compact_nodes=False)
+
+    @property
+    def n(self) -> int:
+        return self.points.shape[0]
+
+    def select(self, scheme, queries) -> list[SparseWeights]:
+        """Sparse weights of ``scheme`` at each row of ``queries`` (m, k)."""
+        qs = np.asarray(queries, dtype=float)
+        if qs.ndim != 2 or qs.shape[1] != self.points.shape[1]:
+            raise ValueError(
+                f"query points must have dimension {self.points.shape[1]}, "
+                f"got shape {qs.shape}"
+            )
+        if not np.all(np.isfinite(qs)):
+            raise ValueError("query points must be finite")
+        if isinstance(scheme, KnnScheme):
+            return self._nearest(scheme.kappa, qs)
+        if isinstance(scheme, KernelScheme):
+            if scheme.kind == "uniform":
+                return self._ball(scheme.bandwidth, qs)
+            return [self._boxed(scheme, q) for q in qs]
+        raise TypeError(f"unsupported scheme type: {type(scheme).__name__}")
+
+    def weight_vector(self, scheme, x) -> WeightVector:
+        """Dense weights at one query point."""
+        pt = _as_point(x, self.points.shape[1])
+        sparse = self.select(scheme, pt[None, :])[0]
+        values = np.zeros(self.n)
+        values[sparse.indices] = sparse.values
+        return WeightVector(values=values, x=pt, scheme=scheme.describe())
+
+    def _candidates(self, qs: np.ndarray, radii) -> list[np.ndarray]:
+        """Ascending indices within a slightly widened radius of each query."""
+        found = self.tree.query_ball_point(qs, radii * _RADIUS_SLACK, return_sorted=False)
+        return [np.sort(np.asarray(c, dtype=np.intp)) for c in found]
+
+    def _nearest(self, kappa: int, qs: np.ndarray) -> list[SparseWeights]:
+        if kappa > self.n:
+            raise ValueError(f"kappa = {kappa} exceeds sample size {self.n}")
+        radius, _ = self.tree.query(qs, k=[kappa])
+        out = []
+        for q, cand in zip(qs, self._candidates(qs, radius[:, 0])):
+            dists = np.linalg.norm(self.points[cand] - q[None, :], axis=1)
+            # candidates are in index order, so a stable sort realizes the
+            # smallest-index tie rule
+            nearest = cand[np.argsort(dists, kind="stable")[:kappa]]
+            out.append(SparseWeights(np.sort(nearest)))
+        return out
+
+    def _ball(self, h: float, qs: np.ndarray) -> list[SparseWeights]:
+        out = []
+        for q, cand in zip(qs, self._candidates(qs, h)):
+            inside = np.linalg.norm((q[None, :] - self.points[cand]) / h, axis=1) <= 1.0
+            out.append(self._or_uniform(cand[inside]))
+        return out
+
+    def _boxed(self, scheme: KernelScheme, q: np.ndarray) -> SparseWeights:
+        # the box constants are declared, not verified, so the kernel is
+        # evaluated on every point
+        scaled = (q[None, :] - self.points) / scheme.bandwidth
+        vals = np.asarray(scheme.kernel(scaled), dtype=float).reshape(-1)
+        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
+            raise ValueError("kernel returned negative or non-finite values")
+        support = np.flatnonzero(vals)
+        return self._or_uniform(support, vals[support])
+
+    def _or_uniform(self, indices: np.ndarray, mass=None) -> SparseWeights:
+        """The weights on ``indices``, or uniform 1/n when no point has mass."""
+        if indices.shape[0] == 0:
+            return SparseWeights(np.arange(self.n))
+        return SparseWeights(indices, mass)
+
+
 def kernel_weights(scheme: KernelScheme, covariates, x) -> WeightVector:
     """Kernel weights K((x - X_i)/h) normalized by their sum.
 
     When every kernel value vanishes the weights fall back to the uniform
     1/n vector, so the output is always a probability vector.
     """
-    xs = _as_matrix(covariates)
-    pt = _as_point(x, xs.shape[1])
-    scaled = (pt[None, :] - xs) / scheme.bandwidth
-    if scheme.kind == "uniform":
-        vals = (np.linalg.norm(scaled, axis=1) <= 1.0).astype(float)
-    else:
-        vals = np.asarray(scheme.kernel(scaled), dtype=float).reshape(-1)
-        if np.any(vals < 0):
-            raise ValueError("kernel returned negative values")
-    total = vals.sum()
-    n = xs.shape[0]
-    if total > 0:
-        values = vals / total
-    else:
-        values = np.full(n, 1.0 / n)
-    return WeightVector(values=values, x=pt, scheme=scheme.describe())
+    return NeighbourIndex(covariates).weight_vector(scheme, x)
 
 
 def knn_weights(scheme: KnnScheme, covariates, x) -> WeightVector:
     """Weight 1/kappa on each of the kappa nearest covariates, 0 elsewhere."""
-    xs = _as_matrix(covariates)
-    pt = _as_point(x, xs.shape[1])
-    n = xs.shape[0]
-    if scheme.kappa > n:
-        raise ValueError(f"kappa = {scheme.kappa} exceeds sample size {n}")
-    dists = np.linalg.norm(xs - pt[None, :], axis=1)
-    # Stable sort realizes the smallest-index tie rule.
-    order = np.argsort(dists, kind="stable")[: scheme.kappa]
-    values = np.zeros(n)
-    values[order] = 1.0 / scheme.kappa
-    return WeightVector(values=values, x=pt, scheme=scheme.describe())
+    return NeighbourIndex(covariates).weight_vector(scheme, x)
 
 
 def evaluate_weights(scheme, covariates, x) -> WeightVector:
-    if isinstance(scheme, KernelScheme):
-        return kernel_weights(scheme, covariates, x)
-    if isinstance(scheme, KnnScheme):
-        return knn_weights(scheme, covariates, x)
-    raise TypeError(f"unsupported scheme type: {type(scheme).__name__}")
+    return NeighbourIndex(covariates).weight_vector(scheme, x)
 
 
 @dataclass(frozen=True)
@@ -197,12 +281,13 @@ def stone_diagnostics(
         far_vals = np.empty(replications)
         for rep in range(replications):
             ds = model.sample(n, seed=(seed, _STONE_TAG, n_idx, rep, 0))
+            index = NeighbourIndex(ds.covariates)
             rng = stream(seed, _STONE_TAG, n_idx, rep, 1)
             queries = rng.random((test_points, model.k))
             maxes = np.empty(test_points)
             fars = np.empty(test_points)
             for t, q in enumerate(queries):
-                wv = evaluate_weights(scheme, ds.covariates, q)
+                wv = index.weight_vector(scheme, q)
                 maxes[t] = wv.values.max()
                 far = np.linalg.norm(ds.covariates - q[None, :], axis=1) > eps
                 fars[t] = float(wv.values[far].sum())

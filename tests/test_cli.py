@@ -63,6 +63,22 @@ class TestDistanceCommand:
         err = capsys.readouterr().err
         assert "line 3" in err
 
+    @pytest.mark.parametrize(
+        "name, text, line",
+        [
+            ("nan-atom", "y1,weight\n0.0,0.5\nnan,0.5\n", 3),
+            ("nan-weight", "y1,weight\n0.0,0.5\n1.0,0.5\n2.0,nan\n", 4),
+            ("inf-atom", "y1,weight\n0.0,0.5\ninf,0.5\n", 3),
+        ],
+    )
+    def test_non_finite_values_are_data_errors(self, tmp_path, capsys, name, text, line):
+        bad = write(tmp_path / f"{name}.csv", text)
+        good = write(tmp_path / "good.csv", "y1,weight\n0.25,0.5\n0.75,0.5\n")
+        assert main(["distance", bad, good]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"line {line}" in captured.err
+
     def test_sliced_prints_stderr_column(self, tmp_path, capsys):
         a = dist_csv(tmp_path / "a.csv", make_discrete([[0.0, 0.0]], [1.0]))
         b = dist_csv(tmp_path / "b.csv", make_discrete([[1.0, 0.0]], [1.0]))
@@ -140,6 +156,18 @@ class TestPredictCommand:
                  "--scheme", "kernel", "--bandwidth", "0.25", "--out", out]
             )
         assert open(out1).read() == open(out2).read()
+
+    def test_nan_covariate_is_a_data_error(self, tmp_path, capsys):
+        train = write(tmp_path / "train.csv", "x1,y1\n0.1,0\nnan,10\n0.9,100\n")
+        queries = write(tmp_path / "q.csv", "x1\n0.15\n")
+        rc = main(
+            ["predict", "--train", train, "--queries", queries,
+             "--scheme", "knn", "--kappa", "2"]
+        )
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 3" in captured.err
 
     def test_kappa_exceeding_n(self, tmp_path, capsys):
         train = write(tmp_path / "train.csv", "x1,y1\n0.1,0\n")
@@ -251,6 +279,16 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_malformed_env_seed_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DISTREG_SEED", "abc")
+        a = dist_csv(tmp_path / "a.csv", make_discrete([[0.0, 0.0]], [1.0]))
+        b = dist_csv(tmp_path / "b.csv", make_discrete([[1.0, 0.0]], [1.0]))
+        argv = ["distance", a, b, "--method", "sliced", "--directions", "8"]
+        assert main(argv) == 2
+        assert "DISTREG_SEED" in capsys.readouterr().err
+        # an explicit --seed does not read the environment
+        assert main(argv + ["--seed", "3"]) == 0
 
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DISTREG_SEED", "99")

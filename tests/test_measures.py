@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from distreg import (
     AnalyticDistribution1D,
+    DiscreteDistribution,
     cdf_eval,
     dirac,
     dispersion,
@@ -70,6 +71,24 @@ class TestMakeDiscrete:
         d = make_discrete([0.0, 1.0], [0.5, 0.5])
         with pytest.raises(ValueError):
             d.atoms[0, 0] = 5.0
+
+    def test_nan_atom_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            make_discrete([0.0, np.nan], [0.5, 0.5])
+
+    def test_nan_weight_rejected_not_dropped(self):
+        with pytest.raises(ValueError, match="finite"):
+            make_discrete([0.0, 1.0, 2.0], [0.5, 0.5, np.nan])
+
+    def test_inf_atom_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            make_discrete([[0.0, 0.0], [np.inf, 1.0]], [0.5, 0.5])
+
+    def test_direct_construction_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteDistribution(np.array([[0.0], [np.inf]]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([np.nan, 1.0]))
 
 
 class TestCdfQuantile:

@@ -59,6 +59,12 @@ class TestFit:
         with pytest.raises(ValueError):
             Dataset(np.empty((0, 1)), np.empty((0, 1)))
 
+    def test_dataset_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset([[0.0], [np.nan]], [[1.0], [2.0]])
+        with pytest.raises(ValueError, match="finite"):
+            Dataset([[0.0], [0.5]], [[1.0], [np.inf]])
+
 
 class TestPredict:
     def test_binary_responses_collapse_to_two_atoms(self):
