@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -46,6 +47,22 @@ class DataError(Exception):
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: nan and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _finite_floats(text: str) -> list[float]:
+    """argparse type for a comma-separated list of finite floats."""
+    return [_finite_float(v) for v in text.split(",")]
 
 
 def _default_seed() -> int:
@@ -267,20 +284,7 @@ def _plan_from_config(cfg: dict[str, str], seed: int) -> ExperimentPlan:
                 overrides[key] = int(cfg[key])
         if "tolerance" in cfg:
             overrides["tolerance"] = float(cfg["tolerance"])
-        if not overrides:
-            return plan
-        return ExperimentPlan(
-            model=plan.model,
-            family=plan.family,
-            schedule=plan.schedule,
-            n_grid=overrides.get("n_grid", plan.n_grid),
-            replications=overrides.get("replications", plan.replications),
-            test_points=overrides.get("test_points", plan.test_points),
-            seed=plan.seed,
-            p=plan.p,
-            target_exponent=plan.target_exponent,
-            tolerance=overrides.get("tolerance", plan.tolerance),
-        )
+        return dataclasses.replace(plan, **overrides)
     required = ("model", "schedule", "n_grid")
     missing = [key for key in required if key not in cfg]
     if missing:
@@ -335,7 +339,6 @@ def cmd_bounds(args) -> int:
         dim=args.dim,
     )
     ns = [int(v) for v in args.n.split(",")]
-    values = [float(v) for v in args.param.split(",")]
     if args.family == "knn" and args.dim >= 2 and args.tilde_ck is None:
         raise ValueError("--tilde-ck is required for knn bounds with dim >= 2")
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
@@ -345,14 +348,14 @@ def cmd_bounds(args) -> int:
             ck = args.ck if args.ck is not None else float(args.dim) ** (args.dim / 2.0)
             writer.writerow(["n", "bandwidth", "bound", "covering_const"])
             for n in ns:
-                for h in values:
+                for h in args.param:
                     writer.writerow(
                         [n, _fmt(h), _fmt(kernel_bound(params, n, h, args.ck)), _fmt(ck)]
                     )
         else:
             writer.writerow(["n", "kappa", "bound"])
             for n in ns:
-                for kappa in values:
+                for kappa in args.param:
                     writer.writerow(
                         [
                             n,
@@ -446,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="Wasserstein distance between two measures")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--order", type=float, default=1.0)
+    p.add_argument("--order", type=_finite_float, default=1.0)
     p.add_argument(
         "--method",
         choices=["auto", "quantile", "cdf", "exact", "sliced", "max-sliced"],
@@ -461,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True)
     p.add_argument("--scheme", choices=["knn", "kernel"], required=True)
     p.add_argument("--kappa", type=int)
-    p.add_argument("--bandwidth", type=float)
+    p.add_argument("--bandwidth", type=_finite_float)
     p.add_argument("--functional")
     p.add_argument("--out")
     p.set_defaults(func=cmd_predict)
@@ -474,14 +477,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="tabulate closed-form risk bounds")
     p.add_argument("--family", choices=["kernel", "knn"], required=True)
-    p.add_argument("--holder", type=float, required=True)
-    p.add_argument("--lipschitz", type=float, required=True)
-    p.add_argument("--dispersion", type=float, required=True)
+    p.add_argument("--holder", type=_finite_float, required=True)
+    p.add_argument("--lipschitz", type=_finite_float, required=True)
+    p.add_argument("--dispersion", type=_finite_float, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--n", required=True, help="comma-separated sample sizes")
-    p.add_argument("--param", required=True, help="comma-separated h or kappa values")
-    p.add_argument("--tilde-ck", type=float, dest="tilde_ck")
-    p.add_argument("--ck", type=float)
+    p.add_argument(
+        "--param", required=True, type=_finite_floats,
+        help="comma-separated h or kappa values",
+    )
+    p.add_argument("--tilde-ck", type=_finite_float, dest="tilde_ck")
+    p.add_argument("--ck", type=_finite_float)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)
 
@@ -490,10 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["knn", "kernel"], required=True)
     p.add_argument("--kappa", type=int)
     p.add_argument("--kappa-schedule", help="COEF:EXP for kappa(n)")
-    p.add_argument("--bandwidth", type=float)
+    p.add_argument("--bandwidth", type=_finite_float)
     p.add_argument("--bandwidth-schedule", help="COEF:EXP for h(n)")
     p.add_argument("--n-grid", required=True)
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--eps", type=_finite_float, default=0.1)
     p.add_argument("--replications", type=int, default=16)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_stone_check)
@@ -505,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound-check", help="Monte-Carlo risk vs closed-form bound")
     p.add_argument("--preset", required=True)
-    p.add_argument("--tilde-ck", type=float, dest="tilde_ck")
+    p.add_argument("--tilde-ck", type=_finite_float, dest="tilde_ck")
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_bound_check)

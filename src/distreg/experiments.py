@@ -169,11 +169,18 @@ def _prediction_error(pred: DiscreteDistribution, law, p: float) -> float:
     return w1_vs_analytic(pred, law)
 
 
-def _risk_replication(payload) -> float:
-    model, scheme, n, test_points, seed, n_index, rep, p = payload
+def _fit_and_predict(model, scheme, n, test_points, seed, n_index, rep):
+    """One replication's fresh training sample, fit and predictions at fresh
+    test covariates; returns the covariates and the predictions."""
     ds = model.sample(n, seed=(seed, _TAG_TRAIN, n_index, rep))
     queries = stream(seed, _TAG_TEST, n_index, rep).random((test_points, model.k))
-    preds = predict_many(fit(ds, scheme), queries)
+    return queries, predict_many(fit(ds, scheme), queries)
+
+
+def _risk_replication(payload) -> float:
+    *setting, p = payload
+    model = setting[0]
+    queries, preds = _fit_and_predict(*setting)
     errs = [
         _prediction_error(pred, model.conditional_law(q), p)
         for pred, q in zip(preds, queries)
@@ -203,11 +210,9 @@ def _true_functional_fn(model, spec: FunctionalSpec):
 
 
 def _functional_replication(payload) -> float:
-    model, scheme, n, test_points, seed, n_index, rep, spec = payload
-    ds = model.sample(n, seed=(seed, _TAG_TRAIN, n_index, rep))
-    queries = stream(seed, _TAG_TEST, n_index, rep).random((test_points, model.k))
-    preds = predict_many(fit(ds, scheme), queries)
-    truth = _true_functional_fn(model, spec)
+    *setting, spec = payload
+    queries, preds = _fit_and_predict(*setting)
+    truth = _true_functional_fn(setting[0], spec)
     errs = [
         abs(evaluate_functional(pred, spec) - truth(q)) for pred, q in zip(preds, queries)
     ]
@@ -225,6 +230,28 @@ def _aggregate(values: np.ndarray) -> tuple[float, float]:
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(values.shape[0]))
     return mean, se
+
+
+def _grid_study(
+    worker, model, grid, replications, test_points, seed, extra, workers
+) -> list[tuple[float, float]]:
+    """Run ``worker`` on every replication at every ``(n_index, n, scheme)``
+    of ``grid`` and reduce each grid point's values to (mean, stderr)."""
+    payloads = [
+        (model, scheme, n, test_points, seed, n_index, rep, extra)
+        for n_index, n, scheme in grid
+        for rep in range(replications)
+    ]
+    flat = np.array(_run_payloads(worker, payloads, workers))
+    return [_aggregate(chunk) for chunk in flat.reshape(len(grid), replications)]
+
+
+def _plan_study(plan: ExperimentPlan, worker, extra, workers: int):
+    grid = [(n_index, n, plan.scheme_at(n)) for n_index, n in enumerate(plan.n_grid)]
+    return _grid_study(
+        worker, plan.model, grid, plan.replications, plan.test_points, plan.seed,
+        extra, workers,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -249,31 +276,18 @@ def risk_estimate(
     prediction and the exact conditional law over the test points, and the
     mean and standard error over replications are returned.
     """
-    payloads = [
-        (model, scheme, n, test_points, seed, n_index, rep, p)
-        for rep in range(replications)
-    ]
-    vals = np.array(_run_payloads(_risk_replication, payloads, workers))
-    return _aggregate(vals)
+    grid = [(n_index, n, scheme)]
+    return _grid_study(
+        _risk_replication, model, grid, replications, test_points, seed, p, workers
+    )[0]
 
 
 def _risk_curve(plan: ExperimentPlan, workers: int) -> list[RiskPoint]:
-    payloads = []
-    for n_index, n in enumerate(plan.n_grid):
-        scheme = plan.scheme_at(n)
-        for rep in range(plan.replications):
-            payloads.append(
-                (plan.model, scheme, n, plan.test_points, plan.seed, n_index, rep, plan.p)
-            )
-    flat = _run_payloads(_risk_replication, payloads, workers)
-    points = []
-    for n_index, n in enumerate(plan.n_grid):
-        chunk = np.array(
-            flat[n_index * plan.replications : (n_index + 1) * plan.replications]
-        )
-        mean, se = _aggregate(chunk)
-        points.append(RiskPoint(n=n, param=float(plan.schedule(n)), mean=mean, stderr=se))
-    return points
+    stats = _plan_study(plan, _risk_replication, plan.p, workers)
+    return [
+        RiskPoint(n=n, param=float(plan.schedule(n)), mean=mean, stderr=se)
+        for n, (mean, se) in zip(plan.n_grid, stats)
+    ]
 
 
 def fit_loglog_slope(ns, means) -> tuple[float, float]:
@@ -390,22 +404,11 @@ def functional_study(
     plan: ExperimentPlan, spec: FunctionalSpec, workers: int = 1
 ) -> list[FunctionalPoint]:
     """Mean absolute plug-in error of a functional along the n grid."""
-    payloads = []
-    for n_index, n in enumerate(plan.n_grid):
-        scheme = plan.scheme_at(n)
-        for rep in range(plan.replications):
-            payloads.append(
-                (plan.model, scheme, n, plan.test_points, plan.seed, n_index, rep, spec)
-            )
-    flat = _run_payloads(_functional_replication, payloads, workers)
-    points = []
-    for n_index, n in enumerate(plan.n_grid):
-        chunk = np.array(
-            flat[n_index * plan.replications : (n_index + 1) * plan.replications]
-        )
-        mean, se = _aggregate(chunk)
-        points.append(FunctionalPoint(n=n, mean_abs_error=mean, stderr=se))
-    return points
+    stats = _plan_study(plan, _functional_replication, spec, workers)
+    return [
+        FunctionalPoint(n=n, mean_abs_error=mean, stderr=se)
+        for n, (mean, se) in zip(plan.n_grid, stats)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +484,3 @@ def make_experiment_preset(name: str, seed: int = 1) -> ExperimentPlan:
         ) from None
     cfg["model"] = make_preset(cfg["model"])
     return ExperimentPlan(seed=seed, **cfg)
-
-
-EXPERIMENT_PRESET_NAMES = (
-    "binary-k1-kernel",
-    "binary-k2-knn",
-    "binary-k1-knn",
-    "binary-k1-knn-fixed",
-    "gaussian-k1-kernel",
-    "uniform-k1-knn",
-)

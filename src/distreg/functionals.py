@@ -2,23 +2,18 @@
 
 Each functional is evaluated exactly on discrete measures through the
 quantile representation, and numerically on analytic laws.  The probability
-weighted moment relies on a regularized incomplete beta function evaluated
-by continued fractions.
+weighted moment relies on scipy's regularized incomplete beta function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, lgamma, log, log1p
+from math import exp, lgamma
 
 import numpy as np
 
 from .measures import AnalyticDistribution1D, DiscreteDistribution, quantile_eval
-from .ot import ConvergenceError
 from .regressor import FittedRegressor, predict_distribution
-
-BETA_TOL = 1e-10
-BETA_MAX_ITER = 300
 
 
 @dataclass(frozen=True)
@@ -70,68 +65,17 @@ class FunctionalSpec:
 
 
 # ---------------------------------------------------------------------------
-# Incomplete beta via continued fractions
+# Incomplete beta
 
 
-def _beta_continued_fraction(a, b, x, tol, max_iter):
-    # Modified Lentz evaluation of the standard continued fraction.
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        coef = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        coef = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < tol:
-            return h
-    raise ConvergenceError(
-        f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
-    )
+def regularized_incomplete_beta(a: float, b: float, x):
+    """I_x(a, b) for a, b > 0, with x clamped to [0, 1]; x may be an array."""
+    from scipy.special import betainc
 
-
-def regularized_incomplete_beta(
-    a: float, b: float, x: float, tol: float = BETA_TOL, max_iter: int = BETA_MAX_ITER
-) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1].
-
-    Uses the continued fraction directly when x is below the symmetry point
-    (a + 1)/(a + b + 2) and the reflection I_x(a, b) = 1 - I_{1-x}(b, a)
-    otherwise, which keeps the fraction well conditioned.
-    """
     if a <= 0 or b <= 0:
         raise ValueError("incomplete beta needs a, b > 0")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        a * log(x) + b * log1p(-x) - (lgamma(a) + lgamma(b) - lgamma(a + b))
-    )
-    if x < (a + 1.0) / (a + b + 2.0):
-        return exp(ln_front) * _beta_continued_fraction(a, b, x, tol, max_iter) / a
-    return 1.0 - exp(ln_front) * _beta_continued_fraction(b, a, 1.0 - x, tol, max_iter) / b
+    out = betainc(a, b, np.clip(x, 0.0, 1.0))
+    return float(out) if out.ndim == 0 else out
 
 
 def beta_function(a: float, b: float) -> float:
@@ -179,10 +123,7 @@ def pwm(dist: DiscreteDistribution, p: float, q: float) -> float:
     if dist.dim != 1:
         raise ValueError("pwm requires dim = 1")
     full = beta_function(p + 1.0, q + 1.0)
-    reg = np.array(
-        [regularized_incomplete_beta(p + 1.0, q + 1.0, c) for c in dist.cum_weights]
-    )
-    upper = full * reg
+    upper = full * regularized_incomplete_beta(p + 1.0, q + 1.0, dist.cum_weights)
     lower = np.concatenate(([0.0], upper[:-1]))
     return float(np.sum(dist.xs * (upper - lower)))
 

@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from ._rng import stream
-from .measures import AnalyticDistribution1D, DiscreteDistribution
+from .measures import AnalyticDistribution1D, DiscreteDistribution, cdf_eval
 
 SIZE_GUARD = 1_000_000
 _STREAM_TAG = 71  # domain tag for direction sampling
@@ -57,8 +57,8 @@ class SlicedConfig:
     refine_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("order p must be >= 1")
+        if not 1.0 <= self.p < np.inf:
+            raise ValueError("order p must be finite and >= 1")
         if self.num_directions < 1:
             raise ValueError("num_directions must be >= 1")
         if self.refine_tol <= 0:
@@ -89,15 +89,9 @@ def w1_cdf(a: DiscreteDistribution, b: DiscreteDistribution) -> float:
     """
     _require_pair_dim1(a, b)
     grid = np.sort(np.concatenate((a.xs, b.xs)))
-    fa = _step_cdf(a, grid[:-1])
-    fb = _step_cdf(b, grid[:-1])
+    fa = cdf_eval(a, grid[:-1])
+    fb = cdf_eval(b, grid[:-1])
     return float(np.sum(np.diff(grid) * np.abs(fa - fb)))
-
-
-def _step_cdf(dist: DiscreteDistribution, z: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(dist.xs, z, side="right")
-    padded = np.concatenate(([0.0], dist.cum_weights))
-    return padded[idx]
 
 
 def wp_quantile(a: DiscreteDistribution, b: DiscreteDistribution, p: float) -> float:
@@ -108,8 +102,8 @@ def wp_quantile(a: DiscreteDistribution, b: DiscreteDistribution, p: float) -> f
     integral of |Fa^{-1} - Fb^{-1}|^p is evaluated exactly.
     """
     _require_pair_dim1(a, b)
-    if p < 1:
-        raise ValueError("order p must be >= 1")
+    if not 1.0 <= p < np.inf:
+        raise ValueError("order p must be finite and >= 1")
     power = _quantile_power(a.xs, a.cum_weights, b.xs, b.cum_weights, p)
     return float(power ** (1.0 / p))
 
@@ -190,8 +184,8 @@ def wp_exact(
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if p < 1:
-        raise ValueError("order p must be >= 1")
+    if not 1.0 <= p < np.inf:
+        raise ValueError("order p must be finite and >= 1")
     m, n = a.support_size, b.support_size
     if m * n > SIZE_GUARD:
         raise ValueError(f"support product {m * n} exceeds guard {SIZE_GUARD}")

@@ -58,8 +58,8 @@ class KernelScheme:
     box_constants: tuple[float, float, float, float] | None = None  # m1, m2, r1, r2
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0.0 < self.bandwidth < np.inf:
+            raise ValueError("bandwidth must be positive and finite")
         if self.kind == "uniform":
             return
         if self.kind != "boxed":

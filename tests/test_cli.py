@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import distreg
 from distreg import make_discrete
 from distreg.cli import main, read_distribution, write_distribution
 
@@ -257,6 +261,60 @@ class TestBoundsCommand:
         lines = capsys.readouterr().out.strip().splitlines()[1:]
         vals = [float(line.split(",")[2]) for line in lines]
         assert vals == sorted(vals, reverse=True)
+
+
+BOUNDS = ["bounds", "--family", "kernel", "--holder", "1", "--lipschitz", "1",
+          "--dim", "1", "--n", "100"]
+
+
+class TestNonFiniteFlags:
+    # "V" marks where the non-finite value goes; "--flag=V" keeps argparse
+    # from reading "-inf" as an option
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distance", "A", "B", "--method", "quantile", "--order=V"],
+            ["distance", "A2", "B2", "--method", "sliced", "--seed", "1", "--order=V"],
+            ["predict", "--train", "T", "--queries", "Q", "--scheme", "kernel",
+             "--bandwidth=V"],
+            BOUNDS + ["--param", "0.1", "--dispersion=V"],
+            BOUNDS + ["--dispersion", "1", "--param=0.1,V"],
+            ["stone-check", "--model", "binary-k1", "--family", "kernel",
+             "--n-grid", "64", "--bandwidth=V"],
+        ],
+        ids=["quantile-order", "sliced-order", "bandwidth", "dispersion", "param",
+             "stone-bandwidth"],
+    )
+    def test_non_finite_flag_is_a_usage_error(self, tmp_path, capsys, argv, value):
+        files = {
+            "A": write(tmp_path / "a.csv", "y1,weight\n0,1\n"),
+            "B": write(tmp_path / "b.csv", "y1,weight\n1,1\n"),
+            "A2": write(tmp_path / "a2.csv", "y1,y2,weight\n0,0,0.5\n1,1,0.5\n"),
+            "B2": write(tmp_path / "b2.csv", "y1,y2,weight\n0,1,0.5\n1,0,0.5\n"),
+            "T": write(tmp_path / "t.csv", "x1,y1\n0.1,0\n0.9,1\n"),
+            "Q": write(tmp_path / "q.csv", "x1\n0.5\n"),
+        }
+        argv = [files.get(a, a.replace("V", value)) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
+    def test_nan_order_with_exact_method_exits_promptly(self, tmp_path):
+        a = write(tmp_path / "a.csv", "y1,y2,weight\n0,0,0.5\n1,1,0.5\n")
+        b = write(tmp_path / "b.csv", "y1,y2,weight\n0,1,0.5\n1,0,0.5\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(distreg.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-m", "distreg.cli", "distance", a, b,
+             "--method", "exact", "--order", "nan"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert out.returncode == 2
+        assert out.stdout == ""
 
 
 class TestOtherCommands:

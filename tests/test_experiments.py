@@ -107,6 +107,17 @@ class TestDeterminism:
         plan = tiny_plan()
         assert rate_study(plan, workers=1) == rate_study(plan, workers=2)
 
+    def test_functional_study_parallel_equals_serial(self):
+        plan = tiny_plan(model_name="gaussian-k1", n_grid=(128, 256), replications=4)
+        spec = FunctionalSpec.parse("pwm:1:2")
+        assert functional_study(plan, spec, workers=1) == functional_study(
+            plan, spec, workers=2
+        )
+
+    def test_bound_vs_risk_parallel_equals_serial(self):
+        plan = tiny_plan(n_grid=(128, 256), replications=4, test_points=4)
+        assert bound_vs_risk(plan, workers=1) == bound_vs_risk(plan, workers=2)
+
     def test_same_plan_same_report(self):
         plan = tiny_plan()
         r1, r2 = rate_study(plan), rate_study(plan)

@@ -47,11 +47,28 @@ class TestIncompleteBeta:
             rhs = 1.0 - regularized_incomplete_beta(3.0, 2.0, 1.0 - x)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_iteration_cap_raises(self):
-        from distreg import ConvergenceError
+    def test_clamps_x_and_accepts_arrays(self):
+        assert regularized_incomplete_beta(2.0, 3.0, -0.5) == 0.0
+        assert regularized_incomplete_beta(2.0, 3.0, 1.5) == 1.0
+        xs = np.array([-1.0, 0.25, 0.5, 2.0])
+        out = regularized_incomplete_beta(2.0, 3.0, xs)
+        assert out.shape == xs.shape
+        assert out[0] == 0.0 and out[-1] == 1.0
+        assert out[1] == regularized_incomplete_beta(2.0, 3.0, 0.25)
 
-        with pytest.raises(ConvergenceError):
-            regularized_incomplete_beta(2.0, 3.0, 0.4, tol=1e-30, max_iter=2)
+    def test_matches_quadrature_of_beta_density(self):
+        # independent of betainc: integrate u^(a-1) (1-u)^(b-1) / B(a, b)
+        from scipy.integrate import quad
+
+        for a, b in ((1.0, 1.0), (2.0, 3.0), (2.5, 1.5), (4.0, 2.0)):
+            for x in (0.1, 0.5, 0.9):
+                val, _ = quad(
+                    lambda u: u ** (a - 1) * (1 - u) ** (b - 1), 0.0, x, epsabs=1e-14
+                )
+                ref = val / beta_fn(a, b)
+                assert regularized_incomplete_beta(a, b, x) == pytest.approx(
+                    ref, rel=1e-10, abs=1e-14
+                )
 
 
 class TestQuantileFunctional:
@@ -140,6 +157,21 @@ class TestPwm:
             upper = full * betainc(p + 1, q + 1, g.cum_weights)
             lower = np.concatenate(([0.0], upper[:-1]))
             oracle = float(np.sum(g.xs * (upper - lower)))
+            assert pwm(g, p, q) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+    def test_matches_segmentwise_quadrature(self, rng):
+        # independent of the incomplete beta: integrate Q(u) u^p (1-u)^q
+        # over each cumulative-weight segment, where Q is constant
+        from scipy.integrate import quad
+
+        for _ in range(10):
+            g = random_discrete(rng, max_support=6)
+            p, q = float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 3.0))
+            lo = np.concatenate(([0.0], g.cum_weights[:-1]))
+            oracle = sum(
+                x * quad(lambda u: u**p * (1 - u) ** q, a, b, epsabs=1e-14)[0]
+                for x, a, b in zip(g.xs, lo, g.cum_weights)
+            )
             assert pwm(g, p, q) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
     def test_lipschitz_in_w1(self, rng):

@@ -162,7 +162,8 @@ class TestPredictMany:
 def test_import_leaves_scipy_integrate_and_spatial_unloaded():
     code = (
         "import sys, distreg.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.spatial') if m in sys.modules])"
+        "mods = ('scipy.integrate', 'scipy.spatial', 'scipy.special', 'scipy.optimize'); "
+        "print([m for m in mods if m in sys.modules])"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(distreg.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

@@ -81,6 +81,18 @@ class TestWpQuantile:
             wp_quantile(dirac(0.0), dirac(1.0), 0.5)
 
 
+@pytest.mark.parametrize("p", [float("nan"), float("inf")])
+def test_non_finite_order_rejected(p):
+    a = make_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+    b = make_discrete([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
+    with pytest.raises(ValueError, match="finite"):
+        wp_quantile(dirac(0.0), dirac(1.0), p)
+    with pytest.raises(ValueError, match="finite"):
+        wp_exact(a, b, p)
+    with pytest.raises(ValueError, match="finite"):
+        SlicedConfig(p=p)
+
+
 class TestWpExact:
     def test_single_pair_euclidean(self):
         a = make_discrete([[0.0, 0.0]], [1.0])

@@ -51,6 +51,11 @@ class TestKernelWeights:
         with pytest.raises(ValueError):
             KernelScheme(bandwidth=0.0)
 
+    @pytest.mark.parametrize("h", [float("nan"), float("inf")])
+    def test_non_finite_bandwidth(self, h):
+        with pytest.raises(ValueError, match="finite"):
+            KernelScheme(bandwidth=h)
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),
