@@ -49,15 +49,20 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _finite(text: str, name: str = "value") -> float:
+    """Parse a float; malformed text, nan and infinities raise ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {text!r}")
+    return value
+
+
 def _finite_float(text: str) -> float:
     """argparse type for float flags: nan and infinities are usage errors."""
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
+        return _finite(text)
+    except ValueError as exc:  # argparse would replace the message
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _finite_floats(text: str) -> list[float]:
@@ -263,9 +268,9 @@ def _parse_schedule(text: str):
     parts = text.split(":")
     try:
         if parts[0] == "h":
-            return "kernel", BandwidthPowerSchedule(float(parts[1]), float(parts[2]))
+            return "kernel", BandwidthPowerSchedule(_finite(parts[1]), _finite(parts[2]))
         if parts[0] == "kappa":
-            return "knn", NeighborPowerSchedule(float(parts[1]), float(parts[2]))
+            return "knn", NeighborPowerSchedule(_finite(parts[1]), _finite(parts[2]))
         if parts[0] == "kappa-fixed":
             return "knn", FixedNeighborSchedule(int(parts[1]))
     except (IndexError, ValueError) as exc:
@@ -283,7 +288,7 @@ def _plan_from_config(cfg: dict[str, str], seed: int) -> ExperimentPlan:
             if key in cfg:
                 overrides[key] = int(cfg[key])
         if "tolerance" in cfg:
-            overrides["tolerance"] = float(cfg["tolerance"])
+            overrides["tolerance"] = _finite(cfg["tolerance"], "tolerance")
         return dataclasses.replace(plan, **overrides)
     required = ("model", "schedule", "n_grid")
     missing = [key for key in required if key not in cfg]
@@ -298,9 +303,9 @@ def _plan_from_config(cfg: dict[str, str], seed: int) -> ExperimentPlan:
         replications=int(cfg.get("replications", "16")),
         test_points=int(cfg.get("test_points", "16")),
         seed=int(cfg.get("seed", seed)),
-        p=float(cfg.get("order", "1")),
-        target_exponent=float(cfg["target"]) if "target" in cfg else None,
-        tolerance=float(cfg.get("tolerance", "0.08")),
+        p=_finite(cfg.get("order", "1"), "order"),
+        target_exponent=_finite(cfg["target"], "target") if "target" in cfg else None,
+        tolerance=_finite(cfg.get("tolerance", "0.08"), "tolerance"),
     )
 
 
@@ -341,6 +346,8 @@ def cmd_bounds(args) -> int:
     ns = [int(v) for v in args.n.split(",")]
     if args.family == "knn" and args.dim >= 2 and args.tilde_ck is None:
         raise ValueError("--tilde-ck is required for knn bounds with dim >= 2")
+    if args.family == "knn" and not all(kappa.is_integer() for kappa in args.param):
+        raise ValueError(f"knn --param must list whole neighbour counts, got {args.param}")
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out)

@@ -154,11 +154,7 @@ def make_discrete(atoms, weights) -> DiscreteDistribution:
     if pts.shape[1] == 1:
         xs = pts[:, 0]
         uniq, inverse = np.unique(xs, return_inverse=True)
-        if uniq.shape[0] < xs.shape[0]:
-            w = np.bincount(inverse, weights=w, minlength=uniq.shape[0])
-        else:
-            order = np.argsort(xs, kind="stable")
-            uniq, w = xs[order], w[order]
+        w = np.bincount(inverse, weights=w)
         pts = uniq[:, None]
     return DiscreteDistribution(pts, w)
 

@@ -212,33 +212,55 @@ def _transport_simplex(cost, supply, demand, max_iter: int | None = None):
     b[-1] += m * eps
 
     cells, masses = _northwest_corner(a, b)
-    mass_of = dict(zip(cells, masses))
+    # The basis is a spanning tree over row nodes 0..m-1 and column nodes
+    # m..m+n-1, updated in place; a cell (i, j) is keyed by i * n + j, which
+    # orders cells as the (i, j) tuples do.
+    basis = [i * n + j for i, j in cells]
+    mass_of = dict(zip(basis, masses))
+    adj: list[set[int]] = [set() for _ in range(m + n)]
+    for i, j in cells:
+        adj[i].add(m + j)
+        adj[m + j].add(i)
+    costs = cost.ravel().tolist()
     tol = 1e-11 * (1.0 + float(np.max(cost)))
 
     for _ in range(max_iter):
-        u, v = _tree_duals(cells, cost, m, n)
-        reduced = cost - u[:, None] - v[None, :]
-        for (i, j) in cells:
-            reduced[i, j] = 0.0
-        flat = int(np.argmin(reduced))
-        if reduced.flat[flat] >= -tol:
+        parent, depth, dual = _basis_tree(adj, costs, m, n)
+        reduced = cost - dual[:m, None] - dual[None, m:]
+        reduced.flat[basis] = 0.0
+        enter = int(np.argmin(reduced))
+        if reduced.flat[enter] >= -tol:
             break
-        enter = (flat // n, flat % n)
-        cycle = _pivot_cycle(cells, enter, m, n)
-        minus = cycle[1::2]
-        theta_idx = min(range(len(minus)), key=lambda t: (mass_of[minus[t]], minus[t]))
-        leave = minus[theta_idx]
+        # The entering cell closes a cycle with the tree path from its column
+        # to its row, found by walking the deeper end up until the ends meet;
+        # cells at even positions (from ``enter``) gain mass, odd ones lose it.
+        col, row = m + enter % n, enter // n
+        up_col, up_row = [], []
+        while col != row:
+            if depth[col] >= depth[row]:
+                up_col.append(_tree_edge(col, parent[col], m, n))
+                col = parent[col]
+            else:
+                up_row.append(_tree_edge(row, parent[row], m, n))
+                row = parent[row]
+        cycle = [enter] + up_col + up_row[::-1]
+        leave = min(cycle[1::2], key=lambda cell: (mass_of[cell], cell))
         theta = mass_of[leave]
         mass_of[enter] = theta
         for t, cell in enumerate(cycle[1:], start=1):
             mass_of[cell] += theta if t % 2 == 0 else -theta
         del mass_of[leave]
-        cells = [enter if c == leave else c for c in cells]
+        basis[basis.index(leave)] = enter
+        for cell, update in ((leave, set.remove), (enter, set.add)):
+            i, j = divmod(cell, n)
+            update(adj[i], m + j)
+            update(adj[m + j], i)
     else:
         raise ConvergenceError("transportation simplex failed to converge")
 
     # Re-solve the flow on the final basis with the unperturbed marginals so
     # the plan matches the inputs exactly.
+    cells = [divmod(cell, n) for cell in basis]
     exact = _tree_flow(cells, np.asarray(supply, float), np.asarray(demand, float))
     return cells, exact
 
@@ -267,60 +289,31 @@ def _northwest_corner(a, b):
     return cells, masses
 
 
-def _tree_duals(cells, cost, m, n):
-    rows_of = [[] for _ in range(m)]
-    cols_of = [[] for _ in range(n)]
-    for (i, j) in cells:
-        rows_of[i].append(j)
-        cols_of[j].append(i)
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
-    u[0] = 0.0
-    queue = deque([("r", 0)])
-    while queue:
-        kind, idx = queue.popleft()
-        if kind == "r":
-            for j in rows_of[idx]:
-                if np.isnan(v[j]):
-                    v[j] = cost[idx, j] - u[idx]
-                    queue.append(("c", j))
-        else:
-            for i in cols_of[idx]:
-                if np.isnan(u[i]):
-                    u[i] = cost[i, idx] - v[idx]
-                    queue.append(("r", i))
-    return u, v
+def _tree_edge(node, other, m, n):
+    """Flat index of the cell joining a row node and a column node."""
+    return node * n + other - m if node < m else other * n + node - m
 
 
-def _pivot_cycle(cells, enter, m, n):
-    """Unique basis cycle created by the entering cell, as a signed cell list.
+def _basis_tree(adj, costs, m, n):
+    """Parents, depths and duals of the basis tree rooted at row 0.
 
-    Cells at even positions (starting with ``enter``) gain mass, odd
-    positions lose mass.
+    Each dual is fixed along the unique tree path from the root (u_0 = 0,
+    u_i + v_j = c_ij on every basis cell), so its value does not depend on
+    the order in which nodes are visited.
     """
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for cell in cells:
-        i, j = cell
-        adj.setdefault(i, []).append((m + j, cell))
-        adj.setdefault(m + j, []).append((i, cell))
-    start, goal = enter[0], m + enter[1]
-    parent: dict[int, tuple[int, tuple[int, int]]] = {start: (-1, enter)}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node == goal:
-            break
-        for nxt, cell in adj.get(node, ()):
-            if nxt not in parent:
-                parent[nxt] = (node, cell)
-                queue.append(nxt)
-    path = []
-    node = goal
-    while node != start:
-        prev, cell = parent[node]
-        path.append(cell)
-        node = prev
-    return [enter] + path
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    dual = [0.0] * (m + n)
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        for other in adj[node]:
+            if other != parent[node]:
+                parent[other] = node
+                depth[other] = depth[node] + 1
+                dual[other] = costs[_tree_edge(node, other, m, n)] - dual[node]
+                stack.append(other)
+    return parent, depth, np.array(dual)
 
 
 def _tree_flow(cells, supply, demand):

@@ -226,6 +226,29 @@ class TestRatesCommand:
         cfg = write(tmp_path / "r.cfg", "model=binary-k1\n")
         assert main(["rates", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "preset=binary-k1-kernel\ntolerance=V\n",
+            "model=binary-k1\nschedule=kappa-fixed:5\nn_grid=128\ntolerance=V\n",
+            "model=binary-k1\nschedule=kappa-fixed:5\nn_grid=128\norder=V\n",
+            "model=binary-k1\nschedule=kappa-fixed:5\nn_grid=128\ntarget=V\n",
+            "model=binary-k1\nschedule=kappa:V:0.5\nn_grid=128\n",
+            "model=binary-k1\nschedule=h:1:V\nn_grid=128\n",
+        ],
+        ids=["preset-tolerance", "tolerance", "order", "target", "kappa-schedule",
+             "bandwidth-schedule"],
+    )
+    def test_non_finite_config_float_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, lines, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = write(tmp_path / "r.cfg", lines.replace("V", value))
+        assert main(["rates", "--config", cfg]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("rates.*"))
+
 
 class TestBoundsCommand:
     def test_kernel_echoes_covering_constant(self, capsys):
@@ -251,6 +274,16 @@ class TestBoundsCommand:
              "--tilde-ck", "4"]
         )
         assert rc == 0
+
+    def test_fractional_kappa_is_a_usage_error(self, capsys):
+        rc = main(
+            ["bounds", "--family", "knn", "--holder", "1", "--lipschitz", "1",
+             "--dispersion", "1", "--dim", "1", "--n", "100", "--param", "3,2.5"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "whole neighbour counts" in captured.err
 
     def test_bound_decreases_in_n_at_fixed_param(self, capsys):
         main(

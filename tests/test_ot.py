@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance
@@ -18,6 +20,7 @@ from distreg import (
     wp_quantile,
 )
 from distreg.measures import AnalyticDistribution1D
+from distreg.ot import _northwest_corner, _tree_flow
 
 from conftest import random_discrete
 
@@ -165,6 +168,127 @@ class TestWpExact:
         big = make_discrete(np.arange(5.0), np.full(5, 0.2))
         with pytest.raises(ValueError, match="brute force"):
             wp_bruteforce(big, big, 1.0)
+
+
+# Reference transportation simplex: a pivot loop that rebuilds the basis
+# graph twice per pivot, once for the duals and once for the cycle.
+# ``wp_exact`` updates one basis tree in place and must reproduce these plans
+# bit for bit.
+
+
+def reference_duals(cells, cost, m, n):
+    rows_of = [[] for _ in range(m)]
+    cols_of = [[] for _ in range(n)]
+    for (i, j) in cells:
+        rows_of[i].append(j)
+        cols_of[j].append(i)
+    u = np.full(m, np.nan)
+    v = np.full(n, np.nan)
+    u[0] = 0.0
+    queue = deque([("r", 0)])
+    while queue:
+        kind, idx = queue.popleft()
+        if kind == "r":
+            for j in rows_of[idx]:
+                if np.isnan(v[j]):
+                    v[j] = cost[idx, j] - u[idx]
+                    queue.append(("c", j))
+        else:
+            for i in cols_of[idx]:
+                if np.isnan(u[i]):
+                    u[i] = cost[i, idx] - v[idx]
+                    queue.append(("r", i))
+    return u, v
+
+
+def reference_cycle(cells, enter, m):
+    adj = {}
+    for cell in cells:
+        i, j = cell
+        adj.setdefault(i, []).append((m + j, cell))
+        adj.setdefault(m + j, []).append((i, cell))
+    start, goal = enter[0], m + enter[1]
+    parent = {start: (-1, enter)}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        if node == goal:
+            break
+        for nxt, cell in adj.get(node, ()):
+            if nxt not in parent:
+                parent[nxt] = (node, cell)
+                queue.append(nxt)
+    path = []
+    node = goal
+    while node != start:
+        prev, cell = parent[node]
+        path.append(cell)
+        node = prev
+    return [enter] + path
+
+
+def reference_exact(a, b, p):
+    cost = np.linalg.norm(a.atoms[:, None, :] - b.atoms[None, :, :], axis=2) ** p
+    m, n = cost.shape
+    eps = 1e-11 / m
+    supply = a.weights + eps
+    demand = b.weights.copy()
+    demand[-1] += m * eps
+    cells, masses = _northwest_corner(supply, demand)
+    mass_of = dict(zip(cells, masses))
+    tol = 1e-11 * (1.0 + float(np.max(cost)))
+    for _ in range(2000 + 60 * m * n):
+        u, v = reference_duals(cells, cost, m, n)
+        reduced = cost - u[:, None] - v[None, :]
+        for (i, j) in cells:
+            reduced[i, j] = 0.0
+        flat = int(np.argmin(reduced))
+        if reduced.flat[flat] >= -tol:
+            break
+        enter = (flat // n, flat % n)
+        cycle = reference_cycle(cells, enter, m)
+        minus = cycle[1::2]
+        leave = minus[min(range(len(minus)), key=lambda t: (mass_of[minus[t]], minus[t]))]
+        theta = mass_of[leave]
+        mass_of[enter] = theta
+        for t, cell in enumerate(cycle[1:], start=1):
+            mass_of[cell] += theta if t % 2 == 0 else -theta
+        del mass_of[leave]
+        cells = [enter if c == leave else c for c in cells]
+    else:
+        raise AssertionError("reference simplex failed to converge")
+    masses = np.maximum(_tree_flow(cells, a.weights, b.weights), 0.0)
+    src = np.array([c[0] for c in cells], dtype=int)
+    tgt = np.array([c[1] for c in cells], dtype=int)
+    total = float(np.sum(masses * cost[src, tgt]))
+    return float(total ** (1.0 / p)), src, tgt, masses, total
+
+
+def reference_instance(rng, dim, ties, uniform):
+    def measure():
+        m = int(rng.integers(1, 26))
+        atoms = rng.normal(size=(m, dim))
+        if ties:
+            atoms = np.round(2.0 * atoms) / 2.0
+        w = np.ones(m) if uniform else rng.random(m) + 0.05
+        return make_discrete(atoms, w / w.sum())
+
+    return measure(), measure()
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_exact_matches_reference_pivot_loop(dim, p):
+    rng = np.random.default_rng([dim, int(2 * p)])
+    for k in range(20):
+        a, b = reference_instance(rng, dim, ties=k % 2 == 0, uniform=k % 4 < 2)
+        dist, plan = wp_exact(a, b, p)
+        ref_dist, src, tgt, masses, total = reference_exact(a, b, p)
+        assert dist == ref_dist
+        assert plan.cost == total
+        assert np.array_equal(plan.sources, src)
+        assert np.array_equal(plan.targets, tgt)
+        assert np.array_equal(plan.masses, masses)
 
 
 class TestMetricAxioms:
