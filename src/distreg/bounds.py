@@ -69,12 +69,7 @@ def pointwise_risk_bound(model: FittedRegressor, true_model, x) -> BoundReport:
     """
     wv = weights_at(model, x)
     xq = np.atleast_1d(np.asarray(x, dtype=float))
-    if hasattr(true_model, "w1_many_to"):
-        gaps = true_model.w1_many_to(model.dataset.covariates, xq)
-    else:
-        gaps = np.array(
-            [true_model.exact_w1_to(xi, xq) for xi in model.dataset.covariates]
-        )
+    gaps = true_model.w1_many_to(model.dataset.covariates, xq)
     approx = float(wv.values @ gaps)
     m_x = true_model.dispersion_at(xq)
     est = float(m_x * np.sqrt(np.sum(wv.values**2)))

@@ -23,6 +23,7 @@ from .experiments import (
     ExperimentPlan,
     FixedNeighborSchedule,
     NeighborPowerSchedule,
+    _fmt,
     bound_rows_csv,
     bound_vs_risk,
     make_experiment_preset,
@@ -43,10 +44,6 @@ EXIT_DATA = 3
 
 class DataError(Exception):
     """Malformed input file; reported with the offending line."""
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _finite(text: str, name: str = "value") -> float:
@@ -278,7 +275,20 @@ def _parse_schedule(text: str):
     raise ValueError(f"unknown schedule form {text!r}")
 
 
+# keys a preset config may set; a spelled-out study also takes the rest
+_PRESET_KEYS = {"preset", "n_grid", "replications", "test_points", "seed", "tolerance",
+                "out_prefix"}
+_STUDY_KEYS = _PRESET_KEYS - {"preset"} | {"model", "schedule", "order", "target"}
+
+
 def _plan_from_config(cfg: dict[str, str], seed: int) -> ExperimentPlan:
+    allowed = _PRESET_KEYS if "preset" in cfg else _STUDY_KEYS
+    rejected = sorted(set(cfg) - allowed)
+    if rejected:
+        raise ValueError(
+            f"unknown or ignored rates config key(s) {', '.join(rejected)}; "
+            f"this config takes {', '.join(sorted(allowed))}"
+        )
     if "preset" in cfg:
         plan = make_experiment_preset(cfg["preset"], seed=int(cfg.get("seed", seed)))
         overrides = {}

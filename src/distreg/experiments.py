@@ -18,8 +18,8 @@ import numpy as np
 
 from ._rng import stream
 from .bounds import kernel_bound, knn_bound
-from .functionals import FunctionalSpec, beta_function, evaluate_functional
-from .measures import DiscreteDistribution, gaussian_law, uniform_law
+from .functionals import FunctionalSpec, evaluate_functional
+from .measures import DiscreteDistribution
 from .ot import w1_cdf, w1_vs_analytic, wp_quantile
 from .regressor import fit, predict_many
 from .synth import make_preset
@@ -84,8 +84,14 @@ class ExperimentPlan:
         grid = tuple(int(n) for n in self.n_grid)
         if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be strictly increasing with >= 2 points")
+        if grid[0] < 1:
+            raise ValueError(f"sample sizes must be >= 1, got {grid[0]}")
         if self.replications < 2:
             raise ValueError("need at least 2 replications")
+        if self.test_points < 1:
+            raise ValueError(f"need at least 1 test point, got {self.test_points}")
+        if not self.tolerance >= 0:
+            raise ValueError(f"tolerance must be nonnegative, got {self.tolerance}")
         if self.family not in ("kernel", "knn"):
             raise ValueError(f"unknown scheme family {self.family!r}")
         for n in grid:
@@ -150,7 +156,8 @@ class RateReport:
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+    """17 significant digits, so a double round-trips through CSV."""
+    return f"{float(x):.17g}"
 
 
 # ---------------------------------------------------------------------------
@@ -188,35 +195,12 @@ def _risk_replication(payload) -> float:
     return float(np.mean(errs))
 
 
-def _true_functional_fn(model, spec: FunctionalSpec):
-    """Closed-form truth where the model allows it, plug-in otherwise."""
-    if hasattr(model, "true_functional"):
-        return lambda x: model.true_functional(spec, x)
-    if getattr(model, "kind", None) in ("gaussian_location", "uniform_location"):
-        if model.kind == "gaussian_location":
-            centered = gaussian_law(0.0, model.sigma)
-        else:
-            centered = uniform_law(-model.width / 2.0, model.width / 2.0)
-        base = evaluate_functional(centered, spec)
-        coef = beta_function(spec.p + 1, spec.q + 1) if spec.kind == "pwm" else 1.0
-        profile = model.param_profile
-
-        def truth(x):
-            m = float(profile(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-            return coef * m + base
-
-        return truth
-    return lambda x: evaluate_functional(model.conditional_law(x), spec)
-
-
 def _functional_replication(payload) -> float:
     *setting, spec = payload
+    model = setting[0]
     queries, preds = _fit_and_predict(*setting)
-    truth = _true_functional_fn(setting[0], spec)
-    errs = [
-        abs(evaluate_functional(pred, spec) - truth(q)) for pred, q in zip(preds, queries)
-    ]
-    return float(np.mean(errs))
+    estimates = np.array([evaluate_functional(pred, spec) for pred in preds])
+    return float(np.mean(np.abs(estimates - model.true_functional(spec, queries))))
 
 
 def _run_payloads(worker, payloads, workers: int):

@@ -5,7 +5,8 @@ either a two-point (binary) law, a Gaussian or uniform location family, or
 an independent Gaussian pair.  Parameter maps are built from affine or
 radial-power profiles so every smoothness constant is available in closed
 form, and each model exposes its exact pairwise W1 distance, making risk
-evaluation free of discretization error.
+evaluation free of discretization error, and the true value of each
+plug-in functional (``true_functional``).
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ import numpy as np
 
 from ._rng import stream
 from .bounds import ClassParams
+from .functionals import FunctionalSpec, beta_function, evaluate_functional
 from .measures import (
     AnalyticDistribution1D,
     DiscreteDistribution,
     gaussian_law,
-    make_discrete,
     uniform_law,
 )
 from .regressor import Dataset
@@ -101,6 +102,14 @@ def _check_cube(x, k: int) -> np.ndarray:
 class _ModelBase:
     """Shared sampling plumbing; concrete models define the response draw."""
 
+    @property
+    def k(self) -> int:
+        return self.params.dim
+
+    @property
+    def d(self) -> int:
+        return 1
+
     def _covariates(self, n: int, seed) -> tuple[np.ndarray, np.random.Generator]:
         if n < 1:
             raise ValueError("sample size must be >= 1")
@@ -122,6 +131,26 @@ class _ModelBase:
         return float(self.dispersion_profile(_check_cube(x, self.k)[None, :])[0])
 
 
+class _LocationModel(_ModelBase):
+    """Y = mean(x) + noise from a fixed centred law, so the quantile, CTE
+    and PWM of the conditional law are affine in mean(x)."""
+
+    def param_profile(self, xs: np.ndarray) -> np.ndarray:
+        return np.asarray(self.mean(xs), dtype=float)
+
+    def w1_gap(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # W1 of a pure location shift is the shift size.
+        return np.abs(a - b)
+
+    def true_functional(self, spec: FunctionalSpec, queries) -> np.ndarray:
+        """Closed-form functional of the conditional law at each query row:
+        the centred law's value plus the shift, scaled by B(p + 1, q + 1)
+        for a PWM."""
+        base = evaluate_functional(self.centred_law(), spec)
+        coef = beta_function(spec.p + 1, spec.q + 1) if spec.kind == "pwm" else 1.0
+        return coef * self.param_profile(queries) + base
+
+
 @dataclass(frozen=True)
 class BinaryModel(_ModelBase):
     """Two-point responses in {0, high_value} with covariate-dependent odds."""
@@ -130,7 +159,6 @@ class BinaryModel(_ModelBase):
     high_value: float
     prob: Callable[[np.ndarray], np.ndarray]
     params: ClassParams
-    kind: str = "binary"
 
     def __post_init__(self):
         if self.high_value <= 0:
@@ -139,14 +167,6 @@ class BinaryModel(_ModelBase):
             raise ValueError(
                 "high_value must not exceed 4x the declared dispersion ceiling"
             )
-
-    @property
-    def k(self) -> int:
-        return self.params.dim
-
-    @property
-    def d(self) -> int:
-        return 1
 
     def param_profile(self, xs: np.ndarray) -> np.ndarray:
         p = np.asarray(self.prob(xs), dtype=float)
@@ -169,37 +189,30 @@ class BinaryModel(_ModelBase):
 
     def conditional_law(self, x) -> DiscreteDistribution:
         p = float(self.param_profile(_check_cube(x, self.k)[None, :])[0])
-        return make_discrete([[0.0], [self.high_value]], [1.0 - p, p])
+        # the support stays {0, high_value}, with a zero-weight atom at p in {0, 1}
+        return DiscreteDistribution(
+            np.array([[0.0], [self.high_value]]), np.array([1.0 - p, p])
+        )
+
+    def true_functional(self, spec: FunctionalSpec, queries) -> np.ndarray:
+        """Plug-in functional of the exact two-point law at each query row."""
+        return np.array(
+            [evaluate_functional(self.conditional_law(q), spec) for q in queries]
+        )
 
 
 @dataclass(frozen=True)
-class GaussianLocationModel(_ModelBase):
+class GaussianLocationModel(_LocationModel):
     """Y = mean(x) + sigma * Z with standard normal Z."""
 
     name: str
     mean: Callable[[np.ndarray], np.ndarray]
     sigma: float
     params: ClassParams
-    kind: str = "gaussian_location"
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-
-    @property
-    def k(self) -> int:
-        return self.params.dim
-
-    @property
-    def d(self) -> int:
-        return 1
-
-    def param_profile(self, xs: np.ndarray) -> np.ndarray:
-        return np.asarray(self.mean(xs), dtype=float)
-
-    def w1_gap(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # W1 of a pure location shift is the shift size.
-        return np.abs(a - b)
 
     def dispersion_profile(self, xs: np.ndarray) -> np.ndarray:
         xs = np.atleast_2d(xs)
@@ -210,38 +223,26 @@ class GaussianLocationModel(_ModelBase):
         ys = self.param_profile(xs) + self.sigma * rng.standard_normal(n)
         return Dataset(xs, ys)
 
+    def centred_law(self) -> AnalyticDistribution1D:
+        return gaussian_law(0.0, self.sigma)
+
     def conditional_law(self, x) -> AnalyticDistribution1D:
         m = float(self.param_profile(_check_cube(x, self.k)[None, :])[0])
         return gaussian_law(m, self.sigma)
 
 
 @dataclass(frozen=True)
-class UniformLocationModel(_ModelBase):
+class UniformLocationModel(_LocationModel):
     """Y uniform on [mean(x) - width/2, mean(x) + width/2]."""
 
     name: str
     mean: Callable[[np.ndarray], np.ndarray]
     width: float
     params: ClassParams
-    kind: str = "uniform_location"
 
     def __post_init__(self):
         if self.width <= 0:
             raise ValueError("width must be positive")
-
-    @property
-    def k(self) -> int:
-        return self.params.dim
-
-    @property
-    def d(self) -> int:
-        return 1
-
-    def param_profile(self, xs: np.ndarray) -> np.ndarray:
-        return np.asarray(self.mean(xs), dtype=float)
-
-    def w1_gap(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.abs(a - b)
 
     def dispersion_profile(self, xs: np.ndarray) -> np.ndarray:
         xs = np.atleast_2d(xs)
@@ -251,6 +252,9 @@ class UniformLocationModel(_ModelBase):
         xs, rng = self._covariates(n, seed)
         ys = self.param_profile(xs) + self.width * (rng.random(n) - 0.5)
         return Dataset(xs, ys)
+
+    def centred_law(self) -> AnalyticDistribution1D:
+        return uniform_law(-self.width / 2.0, self.width / 2.0)
 
     def conditional_law(self, x) -> AnalyticDistribution1D:
         m = float(self.param_profile(_check_cube(x, self.k)[None, :])[0])
@@ -270,7 +274,6 @@ class IndependentGaussianPair(_ModelBase):
     mean_second: Callable[[np.ndarray], np.ndarray]
     sigma: float
     dim_x: int
-    kind: str = "gaussian_pair"
     params: ClassParams | None = None
 
     def __post_init__(self):
@@ -302,9 +305,9 @@ class IndependentGaussianPair(_ModelBase):
     def exact_w1_to(self, x, x_other):
         raise ValueError("exact W1 is not available for paired responses")
 
-    def true_functional(self, spec, x) -> float:
+    def true_functional(self, spec: FunctionalSpec, queries) -> np.ndarray:
         if spec.kind == "cov":
-            return 0.0
+            return np.zeros(len(queries))
         raise ValueError(f"no closed-form value for {spec.kind!r} on paired responses")
 
 

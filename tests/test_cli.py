@@ -250,6 +250,65 @@ class TestRatesCommand:
         assert not list(tmp_path.glob("rates.*"))
 
 
+    @pytest.mark.parametrize(
+        "lines,key",
+        [
+            ("preset=binary-k1-kernel\norder=2\n", "order"),
+            ("preset=binary-k1-kernel\ntarget=-0.5\n", "target"),
+            ("preset=binary-k1-kernel\nmodel=binary-k2\n", "model"),
+            ("preset=binary-k1-kernel\nschedule=h:1:-0.5\n", "schedule"),
+            ("preset=binary-k1-kernel\nreplicatons=3\n", "replicatons"),
+            ("model=binary-k1\nschedule=kappa-fixed:5\nn_grid=128,256\n"
+             "replicatons=3\n", "replicatons"),
+            ("model=binary-k1\nschedule=kappa-fixed:5\nn_grid=128,256\n"
+             "Tolerance=0.1\n", "Tolerance"),
+        ],
+        ids=["preset-order", "preset-target", "preset-model", "preset-schedule",
+             "preset-misspelt", "study-misspelt", "study-wrong-case"],
+    )
+    def test_unknown_or_ignored_config_key_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, lines, key
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = write(tmp_path / "r.cfg", lines)
+        assert main(["rates", "--config", cfg, "--dry-run"]) == 2
+        assert key in capsys.readouterr().err
+        assert main(["rates", "--config", cfg]) == 2
+        assert not list(tmp_path.glob("rates.*"))
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "preset=binary-k1-kernel\ntest_points=0\n",
+            "preset=binary-k1-kernel\ntolerance=-1\n",
+            "preset=binary-k1-kernel\nn_grid=0,128\n",
+            "model=binary-k1\nschedule=kappa-fixed:5\nn_grid=128,256\ntest_points=0\n",
+            "model=binary-k1\nschedule=kappa-fixed:5\nn_grid=128,256\ntolerance=-1\n",
+        ],
+        ids=["preset-test-points", "preset-tolerance", "preset-zero-n",
+             "study-test-points", "study-tolerance"],
+    )
+    def test_out_of_range_plan_value_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, lines
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = write(tmp_path / "r.cfg", lines)
+        assert main(["rates", "--config", cfg]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("rates.*"))
+
+    def test_every_documented_preset_override_is_accepted(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path / "r.cfg",
+            "preset=binary-k1-kernel\nn_grid=128,256\nreplications=3\n"
+            "test_points=4\nseed=2\ntolerance=0.5\n"
+            f"out_prefix={tmp_path / 'rates'}\n",
+        )
+        assert main(["rates", "--config", cfg, "--dry-run"]) == 0
+        out = capsys.readouterr().out
+        assert "n_grid=128,256" in out and "tolerance=0.5" in out
+
+
 class TestBoundsCommand:
     def test_kernel_echoes_covering_constant(self, capsys):
         rc = main(

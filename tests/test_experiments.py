@@ -43,6 +43,14 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             tiny_plan(n_grid=(256, 128))
 
+    @pytest.mark.parametrize("family", ["kernel", "knn"])
+    def test_sample_sizes_positive(self, family):
+        # checked before the schedule, which fails on n <= 0 in other ways
+        schedule = NeighborPowerSchedule(1.0, 0.5) if family == "knn" else None
+        for grid in ((0, 128), (-4, 128)):
+            with pytest.raises(ValueError, match="sample sizes"):
+                tiny_plan(family=family, schedule=schedule, n_grid=grid)
+
     def test_needs_replications(self):
         with pytest.raises(ValueError):
             tiny_plan(replications=1)
@@ -50,6 +58,19 @@ class TestPlanValidation:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             tiny_plan(family="forest")
+
+    @pytest.mark.parametrize("test_points", [0, -3])
+    def test_needs_test_points(self, test_points):
+        with pytest.raises(ValueError, match="test point"):
+            tiny_plan(test_points=test_points)
+
+    @pytest.mark.parametrize("tolerance", [-1.0, -1e-12, float("nan")])
+    def test_tolerance_nonnegative(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            tiny_plan(tolerance=tolerance)
+
+    def test_zero_tolerance_allowed(self):
+        assert tiny_plan(tolerance=0.0, test_points=1).tolerance == 0.0
 
     def test_scheme_at(self):
         plan = tiny_plan(family="knn", schedule=NeighborPowerSchedule(1.0, 0.5))

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import distreg
@@ -157,6 +157,47 @@ class TestPredictMany:
             # c copies of 1/kappa summed against c / kappa: c rounding steps
             rtol = 64 * np.finfo(float).eps
             assert np.allclose(pred.weights, ref.weights, rtol=rtol, atol=0)
+
+
+
+def sorted_rows(pred):
+    """Atoms and weights in lexicographic atom order."""
+    order = np.lexsort(pred.atoms.T[::-1])
+    return pred.atoms[order], pred.weights[order]
+
+
+class TestPermutationInvariance:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 60),
+        k=st.integers(1, 2),
+        d=st.integers(1, 2),
+    )
+    def test_permuting_the_sample_leaves_predictions_unchanged(self, seed, n, k, d):
+        rng = np.random.default_rng(seed)
+        xs = rng.random((n, k))
+        queries = rng.random((5, k))
+        # ties at the kappa-th distance go to the smallest index, so only a
+        # sample with distinct distances may be reordered freely
+        dists = np.linalg.norm(xs[None, :, :] - queries[:, None, :], axis=2)
+        assume(all(np.unique(row).size == n for row in dists))
+        if d == 1:
+            # few distinct responses, so predictions merge tied atoms
+            ys = rng.integers(0, 4, size=(n, 1)) / 2.0
+        else:
+            ys = rng.normal(size=(n, 2))
+        perm = rng.permutation(n)
+        kappa = int(rng.integers(1, n + 1))
+        h = float(rng.uniform(0.05, 0.6))
+        for scheme in (KnnScheme(kappa=kappa), KernelScheme(bandwidth=h)):
+            preds = predict_many(fit(Dataset(xs, ys), scheme), queries)
+            moved = predict_many(fit(Dataset(xs[perm], ys[perm]), scheme), queries)
+            for pred, other in zip(preds, moved):
+                atoms, weights = sorted_rows(pred)
+                other_atoms, other_weights = sorted_rows(other)
+                assert np.array_equal(atoms, other_atoms)
+                assert np.array_equal(weights, other_weights)
 
 
 def test_import_leaves_scipy_integrate_and_spatial_unloaded():

@@ -3,15 +3,36 @@ import pytest
 from scipy.integrate import quad
 
 from distreg import ClassParams, dispersion, make_preset, wp_quantile
+from distreg.functionals import (
+    FunctionalSpec,
+    evaluate_functional,
+    pwm,
+    quantile_functional,
+    tail_expectation,
+)
 from distreg.measures import make_discrete
+from distreg.ot import w1_cdf
 from distreg.synth import (
     PRESETS,
     AffineMap,
     BinaryModel,
     GaussianLocationModel,
     RadialPowerMap,
+    UniformLocationModel,
     certify_class,
 )
+
+SCALAR_SPECS = ["quantile:0.1", "quantile:0.5", "cte:0.9", "cte:0.25", "pwm:1:2",
+                "pwm:0.5:1.5"]
+
+
+def binary_const(p):
+    return BinaryModel(
+        name="const",
+        high_value=2.0,
+        prob=AffineMap(p, (0.0,)),
+        params=ClassParams(holder=1.0, lipschitz=1.0, dispersion=1.0, dim=1),
+    )
 
 
 class TestSampling:
@@ -53,12 +74,7 @@ class TestSampling:
 
 class TestConditionalLaw:
     def test_binary_two_point_law(self):
-        model = BinaryModel(
-            name="const",
-            high_value=2.0,
-            prob=AffineMap(0.3, (0.0,)),
-            params=ClassParams(holder=1.0, lipschitz=1.0, dispersion=1.0, dim=1),
-        )
+        model = binary_const(0.3)
         law = model.conditional_law(np.array([0.5]))
         assert list(law.xs) == [0.0, 2.0]
         assert list(law.weights) == pytest.approx([0.7, 0.3])
@@ -80,6 +96,92 @@ class TestConditionalLaw:
         model = make_preset("binary-k1")
         with pytest.raises(ValueError, match="cube"):
             model.conditional_law(np.array([1.5]))
+
+
+class TestBinaryLaw:
+    @pytest.mark.parametrize("x", [0.0, 0.1, 0.37, 0.5, 0.999, 1.0])
+    @pytest.mark.parametrize("name", ["binary-k1", "binary-k2"])
+    def test_bit_identical_to_make_discrete(self, name, x):
+        model = make_preset(name)
+        q = np.full(model.k, x)
+        p = float(model.param_profile(q[None, :])[0])
+        law = model.conditional_law(q)
+        ref = make_discrete([[0.0], [model.high_value]], [1.0 - p, p])
+        assert np.array_equal(law.atoms, ref.atoms)
+        assert np.array_equal(law.weights, ref.weights)
+        assert np.array_equal(law.cum_weights, ref.cum_weights)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_certain_outcome_matches_make_discrete(self, p):
+        # make_discrete drops the zero-weight atom; the direct law keeps it,
+        # which moves sums by rounding only
+        law = binary_const(p).conditional_law(np.array([0.5]))
+        ref = make_discrete([[0.0], [2.0]], [1.0 - p, p])
+        assert law.support_size == 2 and ref.support_size == 1
+        other = make_discrete([[0.5], [1.5], [3.0]], [0.2, 0.5, 0.3])
+        assert w1_cdf(law, ref) == 0.0
+        assert w1_cdf(law, other) == pytest.approx(w1_cdf(ref, other), abs=1e-12)
+        for alpha in (1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-9):
+            assert quantile_functional(law, alpha) == quantile_functional(ref, alpha)
+            assert tail_expectation(law, alpha) == pytest.approx(
+                tail_expectation(ref, alpha), abs=1e-12
+            )
+        for pq in ((1.0, 2.0), (0.5, 1.5), (0.0, 0.0)):
+            assert pwm(law, *pq) == pytest.approx(pwm(ref, *pq), abs=1e-12)
+
+
+class TestTrueFunctional:
+    @pytest.mark.parametrize("text", SCALAR_SPECS)
+    @pytest.mark.parametrize(
+        "model",
+        [
+            make_preset("gaussian-k1"),
+            make_preset("uniform-k1"),
+            GaussianLocationModel(
+                name="g2",
+                mean=AffineMap(-0.3, (0.5, 0.7)),
+                sigma=1.3,
+                params=ClassParams(holder=1.0, lipschitz=1.0, dispersion=1.0, dim=2),
+            ),
+            UniformLocationModel(
+                name="u-rough",
+                mean=RadialPowerMap(
+                    offset=0.2, scale=-0.6, center=(0.4,), exponent=0.5
+                ),
+                width=0.3,
+                params=ClassParams(holder=0.5, lipschitz=1.0, dispersion=1.0, dim=1),
+            ),
+        ],
+        ids=["gaussian-k1", "uniform-k1", "gaussian-k2", "uniform-radial"],
+    )
+    def test_location_closed_form_matches_plug_in(self, model, text):
+        # the plug-in on each exact conditional law is the independent oracle
+        spec = FunctionalSpec.parse(text)
+        queries = np.random.default_rng(3).random((6, model.k))
+        truth = model.true_functional(spec, queries)
+        oracle = [evaluate_functional(model.conditional_law(q), spec) for q in queries]
+        assert truth.shape == (6,)
+        assert np.allclose(truth, oracle, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("text", SCALAR_SPECS)
+    def test_binary_is_plug_in_on_exact_law(self, text):
+        model = make_preset("binary-k2")
+        spec = FunctionalSpec.parse(text)
+        queries = np.random.default_rng(4).random((5, 2))
+        expected = [evaluate_functional(model.conditional_law(q), spec) for q in queries]
+        assert model.true_functional(spec, queries).tolist() == expected
+
+    def test_scalar_models_reject_covariance(self):
+        for name in ("binary-k1", "gaussian-k1", "uniform-k1"):
+            with pytest.raises(ValueError):
+                make_preset(name).true_functional(FunctionalSpec(kind="cov"), [[0.5]])
+
+    def test_pair_covariance_is_zero(self):
+        model = make_preset("gaussian-pair-k1")
+        values = model.true_functional(FunctionalSpec(kind="cov"), np.full((4, 1), 0.5))
+        assert np.array_equal(values, np.zeros(4))
+        with pytest.raises(ValueError, match="paired"):
+            model.true_functional(FunctionalSpec.parse("cte:0.9"), [[0.5]])
 
 
 class TestExactW1:
