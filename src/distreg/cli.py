@@ -358,28 +358,28 @@ def cmd_bounds(args) -> int:
         raise ValueError("--tilde-ck is required for knn bounds with dim >= 2")
     if args.family == "knn" and not all(kappa.is_integer() for kappa in args.param):
         raise ValueError(f"knn --param must list whole neighbour counts, got {args.param}")
+    # every row is computed before anything is written, so a bad (n, param)
+    # pair leaves no partial table behind
+    if args.family == "kernel":
+        ck = args.ck if args.ck is not None else float(args.dim) ** (args.dim / 2.0)
+        header = ["n", "bandwidth", "bound", "covering_const"]
+        rows = [
+            [n, _fmt(h), _fmt(kernel_bound(params, n, h, args.ck)), _fmt(ck)]
+            for n in ns
+            for h in args.param
+        ]
+    else:
+        header = ["n", "kappa", "bound"]
+        rows = [
+            [n, int(kappa), _fmt(knn_bound(params, n, int(kappa), args.tilde_ck))]
+            for n in ns
+            for kappa in args.param
+        ]
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
-        if args.family == "kernel":
-            ck = args.ck if args.ck is not None else float(args.dim) ** (args.dim / 2.0)
-            writer.writerow(["n", "bandwidth", "bound", "covering_const"])
-            for n in ns:
-                for h in args.param:
-                    writer.writerow(
-                        [n, _fmt(h), _fmt(kernel_bound(params, n, h, args.ck)), _fmt(ck)]
-                    )
-        else:
-            writer.writerow(["n", "kappa", "bound"])
-            for n in ns:
-                for kappa in args.param:
-                    writer.writerow(
-                        [
-                            n,
-                            int(kappa),
-                            _fmt(knn_bound(params, n, int(kappa), args.tilde_ck)),
-                        ]
-                    )
+        writer.writerow(header)
+        writer.writerows(rows)
     finally:
         if args.out:
             out.close()

@@ -19,8 +19,8 @@ import numpy as np
 from ._rng import stream
 from .bounds import kernel_bound, knn_bound
 from .functionals import FunctionalSpec, evaluate_functional
-from .measures import DiscreteDistribution
-from .ot import w1_cdf, w1_vs_analytic, wp_quantile
+from .measures import DiscreteDistribution, MeasureBatch
+from .ot import w1_cdf, w1_cdf_batch, w1_vs_analytic, w1_vs_analytic_batch, wp_quantile
 from .regressor import fit, predict_many
 from .synth import make_preset
 from .weights import KernelScheme, KnnScheme
@@ -188,11 +188,16 @@ def _risk_replication(payload) -> float:
     *setting, p = payload
     model = setting[0]
     queries, preds = _fit_and_predict(*setting)
-    errs = [
-        _prediction_error(pred, model.conditional_law(q), p)
-        for pred, q in zip(preds, queries)
-    ]
-    return float(np.mean(errs))
+    if p != 1.0:  # no preset uses it: one pair at a time
+        errs = [
+            _prediction_error(pred, model.conditional_law(q), p)
+            for pred, q in zip(preds, queries)
+        ]
+        return float(np.mean(errs))
+    laws = model.conditional_laws(queries)
+    if isinstance(laws, MeasureBatch):
+        return float(np.mean(w1_cdf_batch(preds, laws)))
+    return float(np.mean(w1_vs_analytic_batch(preds, *laws)))
 
 
 def _functional_replication(payload) -> float:

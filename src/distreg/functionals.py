@@ -7,8 +7,8 @@ weighted moment relies on scipy's regularized incomplete beta function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import exp, lgamma
 
 import numpy as np
 
@@ -35,8 +35,17 @@ class FunctionalSpec:
             if self.alpha is None or not 0.0 < self.alpha < 1.0:
                 raise ValueError(f"{self.kind} needs alpha in (0, 1)")
         elif self.kind == "pwm":
-            if self.p is None or self.q is None or self.p <= 0 or self.q <= 0:
-                raise ValueError("pwm needs orders p > 0 and q > 0")
+            if self.p is None or self.q is None or not (
+                0.0 < self.p < math.inf and 0.0 < self.q < math.inf
+            ):
+                raise ValueError(
+                    f"pwm needs finite orders p > 0 and q > 0, got {self.p}, {self.q}"
+                )
+            if not beta_function(self.p + 1.0, self.q + 1.0) > 0.0:
+                raise ValueError(
+                    f"pwm orders p = {self.p:g}, q = {self.q:g} are too large: "
+                    "B(p + 1, q + 1) underflows to 0"
+                )
         elif self.kind != "cov":
             raise ValueError(f"unknown functional kind: {self.kind!r}")
 
@@ -79,7 +88,10 @@ def regularized_incomplete_beta(a: float, b: float, x):
 
 
 def beta_function(a: float, b: float) -> float:
-    return exp(lgamma(a) + lgamma(b) - lgamma(a + b))
+    """B(a, b) for a, b > 0, accurate for large arguments too."""
+    from scipy.special import beta
+
+    return float(beta(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +130,8 @@ def pwm(dist: DiscreteDistribution, p: float, q: float) -> float:
     difference.  Zero orders are allowed here (p = q = 0 recovers the mean);
     the CLI-facing FunctionalSpec keeps the strict p, q > 0 contract.
     """
-    if p < 0 or q < 0:
-        raise ValueError("pwm needs orders p >= 0 and q >= 0")
+    if not (0.0 <= p < math.inf and 0.0 <= q < math.inf):
+        raise ValueError("pwm needs finite orders p >= 0 and q >= 0")
     if dist.dim != 1:
         raise ValueError("pwm requires dim = 1")
     full = beta_function(p + 1.0, q + 1.0)

@@ -83,6 +83,117 @@ class DiscreteDistribution:
         return self.weights @ self.atoms
 
 
+def _unchecked(atoms, weights, cum_weights) -> DiscreteDistribution:
+    """A DiscreteDistribution from read-only arrays that already satisfy
+    every check of ``__post_init__``, built without running them again."""
+    dist = object.__new__(DiscreteDistribution)
+    object.__setattr__(dist, "atoms", atoms)
+    object.__setattr__(dist, "weights", weights)
+    object.__setattr__(dist, "cum_weights", cum_weights)
+    return dist
+
+
+def _row_blocks(offsets: np.ndarray):
+    """Rows of a ragged flat array grouped by size: for each size m, the
+    rows of that size and the (rows, m) block of flat positions they hold."""
+    sizes = np.diff(offsets)
+    for m in np.unique(sizes):
+        rows = np.flatnonzero(sizes == m)
+        yield rows, offsets[rows, None] + np.arange(m)
+
+
+def _row_cumsum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Cumulative sum within each row, bit-identical to np.cumsum per row."""
+    out = np.empty_like(values)
+    for _, pos in _row_blocks(offsets):
+        out[pos] = np.cumsum(values[pos], axis=1)
+    return out
+
+
+def _row_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sum of each row, bit-identical to np.sum per row: rows of one size are
+    summed as one contiguous 2-d block, which numpy sums pairwise per row
+    exactly as it sums a 1-d array of that size."""
+    out = np.zeros(offsets.shape[0] - 1)
+    for rows, pos in _row_blocks(offsets):
+        out[rows] = values[pos].sum(axis=1)
+    return out
+
+
+@dataclass(frozen=True)
+class MeasureBatch:
+    """A ragged batch of finitely supported measures on R^d, stored flat.
+
+    Row i has the atoms ``atoms[offsets[i]:offsets[i + 1]]`` (shape (m_i, d))
+    with the matching ``weights``; ``cum_weights`` holds the cumulative
+    weights within each row, its last entry set to exactly 1.  The batch is
+    validated once, under the rules of :class:`DiscreteDistribution` with
+    positive weights: every row is nonempty, finite and sums to 1, and 1-d
+    rows are strictly increasing.  ``batch[i]`` is row i as a
+    DiscreteDistribution (views of the flat arrays, not checked again).
+    """
+
+    atoms: np.ndarray
+    weights: np.ndarray
+    offsets: np.ndarray
+    cum_weights: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        atoms = np.asarray(self.atoms, dtype=float)
+        if atoms.ndim == 1:
+            atoms = atoms[:, None]
+        weights = np.asarray(self.weights, dtype=float).reshape(-1)
+        offsets = np.asarray(self.offsets, dtype=np.intp).reshape(-1)
+        if atoms.ndim != 2 or atoms.shape[0] != weights.shape[0]:
+            raise ValueError(
+                f"atom/weight length mismatch: {atoms.shape} vs {weights.shape}"
+            )
+        sizes = np.diff(offsets)
+        if offsets.shape[0] == 0 or offsets[0] != 0 or offsets[-1] != weights.shape[0]:
+            raise ValueError("offsets must run from 0 to the number of atoms")
+        if np.any(sizes < 1):
+            raise ValueError("every row needs at least one atom")
+        _require_finite(atoms, weights)
+        if np.any(weights <= 0):
+            raise ValueError("batch weights must be positive")
+        cum = _row_cumsum(weights, offsets)
+        last = offsets[1:] - 1
+        if np.any(np.abs(cum[last] - 1.0) > WEIGHT_SUM_TOL):
+            raise ValueError("the weights of each row must sum to 1")
+        cum[last] = 1.0
+        if atoms.shape[1] == 1:
+            steps = np.diff(atoms[:, 0])
+            steps[last[:-1]] = 1.0  # a step across a row boundary may go down
+            if np.any(steps <= 0):
+                raise ValueError("1-d rows must be strictly increasing")
+        for arr in (atoms, weights, offsets, cum):
+            arr.setflags(write=False)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "cum_weights", cum)
+
+    @property
+    def dim(self) -> int:
+        return self.atoms.shape[1]
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The row of each atom."""
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+
+    def __len__(self) -> int:
+        return self.offsets.shape[0] - 1
+
+    def __getitem__(self, i) -> DiscreteDistribution:
+        i = range(len(self))[i]
+        rows = slice(self.offsets[i], self.offsets[i + 1])
+        return _unchecked(self.atoms[rows], self.weights[rows], self.cum_weights[rows])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
 @dataclass(frozen=True)
 class AnalyticDistribution1D:
     """Law on R given by its CDF and generalized-inverse quantile function.
@@ -156,7 +267,12 @@ def make_discrete(atoms, weights) -> DiscreteDistribution:
         uniq, inverse = np.unique(xs, return_inverse=True)
         w = np.bincount(inverse, weights=w)
         pts = uniq[:, None]
-    return DiscreteDistribution(pts, w)
+    # the checks above are those of DiscreteDistribution, so skip its own
+    cum = np.cumsum(w)
+    cum[-1] = 1.0
+    for arr in (pts, w, cum):
+        arr.setflags(write=False)
+    return _unchecked(pts, w, cum)
 
 
 def _require_finite(atoms: np.ndarray, weights: np.ndarray) -> None:

@@ -16,7 +16,13 @@ from itertools import combinations
 import numpy as np
 
 from ._rng import stream
-from .measures import AnalyticDistribution1D, DiscreteDistribution, cdf_eval
+from .measures import (
+    AnalyticDistribution1D,
+    DiscreteDistribution,
+    MeasureBatch,
+    _row_sums,
+    cdf_eval,
+)
 
 SIZE_GUARD = 1_000_000
 _STREAM_TAG = 71  # domain tag for direction sampling
@@ -94,6 +100,39 @@ def w1_cdf(a: DiscreteDistribution, b: DiscreteDistribution) -> float:
     return float(np.sum(np.diff(grid) * np.abs(fa - fb)))
 
 
+def w1_cdf_batch(a: MeasureBatch, b: MeasureBatch) -> np.ndarray:
+    """:func:`w1_cdf` between row i of ``a`` and row i of ``b``, each row
+    bit-identical to the call on that pair.
+
+    One stable sort by (row, atom) merges every pair of supports; each
+    measure's CDF at a merged point is the cumulative weight of its last
+    atom at or before that point in the row.  Between tied points the
+    segment length is zero, so the tie order does not matter.
+    """
+    _require_pair_dim1(a, b)
+    if len(a) != len(b):
+        raise ValueError(f"row count mismatch: {len(a)} vs {len(b)}")
+    na = a.weights.shape[0]
+    points = np.concatenate((a.atoms[:, 0], b.atoms[:, 0]))
+    order = np.lexsort((points, np.concatenate((a.rows, b.rows))))
+    grid = points[order]
+    offsets = a.offsets + b.offsets  # rows of the merged support
+    row_start = np.repeat(offsets[:-1], np.diff(offsets))
+    pos = np.arange(order.shape[0])
+
+    def cdf_on_grid(mine: np.ndarray, cum: np.ndarray, shift: int) -> np.ndarray:
+        last = np.maximum.accumulate(np.where(mine, pos, -1))
+        at = np.where(last >= row_start, order[last] - shift + 1, 0)
+        return np.concatenate(([0.0], cum))[at]
+
+    fa = cdf_on_grid(order < na, a.cum_weights, 0)
+    fb = cdf_on_grid(order >= na, b.cum_weights, na)
+    terms = np.diff(grid) * np.abs(fa[:-1] - fb[:-1])
+    # drop the step from each row's last point to the next row's first
+    terms = np.delete(terms, offsets[1:-1] - 1)
+    return _row_sums(terms, offsets - np.arange(offsets.shape[0]))
+
+
 def wp_quantile(a: DiscreteDistribution, b: DiscreteDistribution, p: float) -> float:
     """Order-p distance via the quantile-function representation.
 
@@ -148,6 +187,42 @@ def w1_vs_analytic(
     # upper tail: int (1 - F) above the largest atom equals E[(Y - z)+]
     total += float(g_at[-1]) - float(xs[-1]) + law.mean
     return total
+
+
+def w1_vs_analytic_batch(
+    dist: MeasureBatch, law: AnalyticDistribution1D, shifts
+) -> np.ndarray:
+    """:func:`w1_vs_analytic` between row i of ``dist`` and ``law`` shifted
+    by ``shifts[i]``, the law of Y + shifts[i] for Y ~ law.
+
+    The shifted law's integrated CDF is z -> G(z - s) and its quantile
+    u -> Q(u) + s, so the per-row arithmetic is that of the single call,
+    and for the closed forms of :func:`gaussian_law` it is the same to the
+    bit as against ``gaussian_law(s, sigma)``.  Needs the law's closed-form
+    ``integrated_cdf``.
+    """
+    if dist.dim != 1:
+        raise ValueError("discrete measures must be one-dimensional")
+    if law.integrated_cdf is None:
+        raise ValueError("the batch form needs a law with a closed-form integrated CDF")
+    shifts = np.asarray(shifts, dtype=float).reshape(-1)
+    if shifts.shape[0] != len(dist):
+        raise ValueError(f"need one shift per row: {shifts.shape[0]} vs {len(dist)}")
+    gc = law.integrated_cdf
+    xs, cum, offsets = dist.atoms[:, 0], dist.cum_weights, dist.offsets
+    at_shift = shifts[dist.rows]
+    g_at = np.asarray(gc(xs - at_shift), dtype=float)
+    first, last = offsets[:-1], offsets[1:] - 1
+    # the segments between consecutive atoms of a row start at every atom
+    # but the last of its row
+    j = np.delete(np.arange(xs.shape[0]), last)
+    c, s = cum[j], at_shift[j]
+    zstar = np.clip(np.asarray(law.quantile(c), dtype=float) + s, xs[j], xs[j + 1])
+    g_star = np.asarray(gc(zstar - s), dtype=float)
+    below = c * (zstar - xs[j]) - (g_star - g_at[j])
+    above = (g_at[j + 1] - g_star) - c * (xs[j + 1] - zstar)
+    total = g_at[first] + _row_sums(below + above, offsets - np.arange(offsets.shape[0]))
+    return total + ((g_at[last] - xs[last]) + (law.mean + shifts))
 
 
 def _numeric_integrated_cdf(law: AnalyticDistribution1D, eps: float):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import DiscreteDistribution, make_discrete
+from .measures import DiscreteDistribution, MeasureBatch
 from .weights import KernelScheme, KnnScheme, NeighbourIndex, WeightVector
 
 
@@ -98,25 +98,65 @@ def weights_at(model: FittedRegressor, x) -> WeightVector:
     return model.index.weight_vector(model.scheme, x)
 
 
-def predict_many(model: FittedRegressor, queries) -> list[DiscreteDistribution]:
+def predict_many(model: FittedRegressor, queries) -> MeasureBatch:
     """Weighted empirical distribution of the responses at each row of
-    ``queries`` (shape (m, k)).
+    ``queries`` (shape (m, k)), as one batch whose row i is the prediction
+    at query i.
 
     Only observations with positive weight enter a prediction, so its
     support size is the number of observations the scheme uses at that
-    query point.
+    query point.  Equal weights put count / m on each distinct 1-d
+    response; otherwise a row is, bit for bit, what :func:`make_discrete`
+    builds from the selected responses and their weights.
     """
-    preds = []
-    for w in model.index.select(model.scheme, queries):
-        if model.groups is None or w.mass is not None:
-            preds.append(make_discrete(model.dataset.responses[w.indices], w.values))
-            continue
-        # equal weights: each distinct response weighs its count over m
-        ranks, counts = np.unique(model.groups[w.indices], return_counts=True)
-        preds.append(
-            DiscreteDistribution(model.levels[ranks, None], counts / w.indices.shape[0])
-        )
-    return preds
+    selected = model.index.select(model.scheme, queries)
+    sizes = np.array([w.indices.shape[0] for w in selected], dtype=np.intp)
+    # equal weights are a count over m; kernel masses, normalized per
+    # query, are a share of each point over 1
+    share, denom = None, sizes.astype(float)
+    weighted = [i for i, w in enumerate(selected) if w.mass is not None]
+    if weighted:
+        share, ends = np.ones(sizes.sum()), np.cumsum(sizes)
+        for i in weighted:
+            share[ends[i] - sizes[i]:ends[i]] = selected[i].values
+            denom[i] = 1.0
+    idx = np.concatenate([w.indices for w in selected] + [np.empty(0, np.intp)])
+    # the flat arrays are as large as every selection together, so each is
+    # dropped, or overwritten in place, once it is used up
+    del selected
+    if model.groups is None:
+        atoms = model.dataset.responses[idx]
+        weights = (1.0 if share is None else share) / np.repeat(denom, sizes)
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+    else:
+        # one key per (query, distinct response), row * width + rank:
+        # sorted keys put the batch in row order with each row's responses
+        # ascending
+        width = model.levels.shape[0]
+        keys = np.repeat(np.arange(sizes.shape[0]) * width, sizes)
+        keys += model.groups[idx]
+        del idx
+        if share is None:
+            # np.unique with counts, sorting in place instead of on a copy
+            keys.sort()
+            new = np.ones(keys.shape[0], dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=new[1:])
+            first = np.flatnonzero(new)
+            sums = np.diff(first, append=keys.shape[0])
+            keys = keys[first]
+            del new, first
+        else:
+            keys, inverse = np.unique(keys, return_inverse=True)
+            sums = np.bincount(inverse, weights=share)
+        offsets = np.searchsorted(keys, np.arange(sizes.shape[0] + 1) * width)
+        atoms = model.levels[keys % width]
+        del keys
+        weights = sums / np.repeat(denom, np.diff(offsets))
+    keep = weights > 0  # a kernel mass may underflow once normalized
+    if not keep.all():
+        offsets = np.concatenate(([0], np.cumsum(keep)))[offsets]
+        atoms, weights = atoms[keep], weights[keep]
+    return MeasureBatch(atoms, weights, offsets)
 
 
 def predict_distribution(model: FittedRegressor, x) -> DiscreteDistribution:

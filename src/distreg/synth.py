@@ -24,6 +24,7 @@ from .functionals import FunctionalSpec, beta_function, evaluate_functional
 from .measures import (
     AnalyticDistribution1D,
     DiscreteDistribution,
+    MeasureBatch,
     gaussian_law,
     uniform_law,
 )
@@ -90,13 +91,20 @@ def _std_gaussian_dispersion() -> float:
     return float(val)
 
 
+def _check_cube_rows(xs, k: int) -> np.ndarray:
+    """Query points as the rows of an (m, k) array inside the unit cube."""
+    pts = np.asarray(xs, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != k:
+        raise ValueError(f"query points must have shape (m, {k}), got {pts.shape}")
+    outside = np.any((pts < 0.0) | (pts > 1.0), axis=1)
+    if np.any(outside):
+        raise ValueError(f"query point {pts[outside][0]} lies outside the unit cube")
+    return pts
+
+
 def _check_cube(x, k: int) -> np.ndarray:
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if pt.shape != (k,):
-        raise ValueError(f"query point must have dimension {k}")
-    if np.any(pt < 0.0) or np.any(pt > 1.0):
-        raise ValueError(f"query point {pt} lies outside the unit cube")
-    return pt
+    """One query point of dimension k inside the unit cube."""
+    return _check_cube_rows(np.atleast_1d(np.asarray(x, dtype=float))[None, :], k)[0]
 
 
 class _ModelBase:
@@ -141,6 +149,11 @@ class _LocationModel(_ModelBase):
     def w1_gap(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # W1 of a pure location shift is the shift size.
         return np.abs(a - b)
+
+    def conditional_laws(self, queries) -> tuple[AnalyticDistribution1D, np.ndarray]:
+        """The conditional laws at the rows of ``queries`` as one location
+        family: the centred law and the shift mean(x) of each row."""
+        return self.centred_law(), self.param_profile(_check_cube_rows(queries, self.k))
 
     def true_functional(self, spec: FunctionalSpec, queries) -> np.ndarray:
         """Closed-form functional of the conditional law at each query row:
@@ -194,10 +207,20 @@ class BinaryModel(_ModelBase):
             np.array([[0.0], [self.high_value]]), np.array([1.0 - p, p])
         )
 
+    def conditional_laws(self, queries) -> MeasureBatch:
+        """The exact two-point laws at the rows of ``queries`` as one batch;
+        an atom of zero weight (p in {0, 1}) is left out."""
+        p = self.param_profile(_check_cube_rows(queries, self.k))
+        weights = np.column_stack((1.0 - p, p)).reshape(-1)
+        keep = weights > 0
+        offsets = np.concatenate(([0], np.cumsum(keep.reshape(-1, 2).sum(axis=1))))
+        atoms = np.tile([0.0, self.high_value], p.shape[0])
+        return MeasureBatch(atoms[keep], weights[keep], offsets)
+
     def true_functional(self, spec: FunctionalSpec, queries) -> np.ndarray:
         """Plug-in functional of the exact two-point law at each query row."""
         return np.array(
-            [evaluate_functional(self.conditional_law(q), spec) for q in queries]
+            [evaluate_functional(law, spec) for law in self.conditional_laws(queries)]
         )
 
 
@@ -302,6 +325,9 @@ class IndependentGaussianPair(_ModelBase):
     def conditional_law(self, x):
         raise ValueError("paired responses have no scalar conditional law")
 
+    def conditional_laws(self, queries):
+        raise ValueError("paired responses have no scalar conditional law")
+
     def exact_w1_to(self, x, x_other):
         raise ValueError("exact W1 is not available for paired responses")
 
@@ -344,10 +370,13 @@ def certify_class(model, resolution: int = 64, chunk: int = 256) -> Certificatio
     params = model.params
     if params is None:
         raise ValueError("model declares no smoothness class")
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution}")
+    # checked before the grid is built, which a huge resolution would not survive
+    if (resolution + 1) ** params.dim > 500_000:
+        raise ValueError("certification grid too large; lower the resolution")
     axis = np.linspace(0.0, 1.0, resolution + 1)
     grid = np.array(list(product(axis, repeat=params.dim)))
-    if grid.shape[0] > 500_000:
-        raise ValueError("certification grid too large; lower the resolution")
     prof = model.param_profile(grid)
     max_ratio = 0.0
     for start in range(0, grid.shape[0], chunk):

@@ -1,11 +1,15 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import distreg
 from distreg import make_discrete
@@ -23,6 +27,32 @@ def dist_csv(path, dist):
     with open(path, "w", newline="") as handle:
         write_distribution(dist, handle)
     return str(path)
+
+
+@st.composite
+def line_measure(draw):
+    """A measure on the line with 1-8 atoms, on a half grid (ties) or not."""
+    m = draw(st.integers(1, 8))
+    atom = st.one_of(
+        st.integers(-4, 4).map(lambda v: v / 2.0),
+        st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+    )
+    atoms = draw(st.lists(atom, min_size=m, max_size=m))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
+    return make_discrete(atoms, weights / weights.sum())
+
+
+def cli_distance(a, b, *args) -> float:
+    """What ``distreg distance`` prints for two measures, as a float."""
+    with tempfile.TemporaryDirectory() as tmp:
+        files = [
+            dist_csv(os.path.join(tmp, f"{name}.csv"), d)
+            for name, d in (("a", a), ("b", b))
+        ]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["distance", *files, *args]) == 0
+    return float(out.getvalue())
 
 
 class TestDistributionIO:
@@ -59,6 +89,15 @@ class TestDistanceCommand:
         main(["distance", a, b, "--method", "cdf"])
         v2 = float(capsys.readouterr().out)
         assert abs(v1 - v2) <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=line_measure(), b=line_measure(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    def test_every_route_agrees_where_it_applies(self, a, b, p):
+        # on the line: quantile and exact at any order, cdf at order 1
+        routes = ("quantile", "exact", "cdf") if p == 1.0 else ("quantile", "exact")
+        values = [cli_distance(a, b, "--method", r, "--order", repr(p)) for r in routes]
+        for value in values[1:]:
+            assert value == pytest.approx(values[0], rel=1e-9, abs=1e-11)
 
     def test_malformed_weight_column(self, tmp_path, capsys):
         a = write(tmp_path / "a.csv", "y1,weight\n0,1\n")
@@ -172,6 +211,34 @@ class TestPredictCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "line 3" in captured.err
+
+    @pytest.mark.parametrize(
+        "spec", ["pwm:nan:1", "pwm:inf:1", "pwm:1:nan", "pwm:1e308:1"]
+    )
+    def test_bad_pwm_order_is_a_usage_error(self, tmp_path, capsys, spec):
+        train = write(tmp_path / "train.csv", "x1,y1\n0.1,0\n0.2,10\n0.9,100\n")
+        queries = write(tmp_path / "q.csv", "x1\n0.15\n")
+        rc = main(
+            ["predict", "--train", train, "--queries", queries,
+             "--scheme", "knn", "--kappa", "2", "--functional", spec]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "pwm" in captured.err
+
+    def test_large_pwm_order_prints_the_correct_value(self, tmp_path, capsys):
+        # u^p (1 - u) puts all weight next to u = 1, so the PWM is the top
+        # atom times B(p + 1, 2) = 1 / ((p + 1)(p + 2))
+        train = write(tmp_path / "train.csv", "x1,y1\n0.1,0\n0.2,10\n0.9,100\n")
+        queries = write(tmp_path / "q.csv", "x1\n0.15\n")
+        rc = main(
+            ["predict", "--train", train, "--queries", queries,
+             "--scheme", "knn", "--kappa", "2", "--functional", "pwm:1e15:1"]
+        )
+        assert rc == 0
+        value = float(capsys.readouterr().out.strip().splitlines()[1].split(",")[1])
+        assert value == pytest.approx(10.0 / ((1e15 + 1) * (1e15 + 2)), rel=1e-9, abs=0)
 
     def test_kappa_exceeding_n(self, tmp_path, capsys):
         train = write(tmp_path / "train.csv", "x1,y1\n0.1,0\n")
@@ -344,6 +411,19 @@ class TestBoundsCommand:
         assert captured.out == ""
         assert "whole neighbour counts" in captured.err
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_bad_pair_writes_nothing(self, tmp_path, capsys, to_file):
+        # the good pairs come first, so a streaming writer would have begun
+        out = tmp_path / "bounds.csv"
+        argv = ["bounds", "--family", "kernel", "--holder", "1", "--lipschitz", "1",
+                "--dispersion", "1", "--dim", "1", "--n", "100,0", "--param", "0.1"]
+        rc = main(argv + (["--out", str(out)] if to_file else []))
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n >= 1" in captured.err
+        assert not out.exists()
+
     def test_bound_decreases_in_n_at_fixed_param(self, capsys):
         main(
             ["bounds", "--family", "knn", "--holder", "1", "--lipschitz", "1",
@@ -424,6 +504,14 @@ class TestOtherCommands:
     def test_certify(self, capsys):
         assert main(["certify", "--model", "binary-k1", "--resolution", "32"]) == 0
         assert "passes=True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("resolution", ["0", "-1"])
+    def test_certify_needs_a_grid(self, capsys, resolution):
+        rc = main(["certify", "--model", "binary-k1", "--resolution", resolution])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "resolution must be >= 1" in captured.err
 
     def test_unknown_command_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from distreg import (
     AnalyticDistribution1D,
     DiscreteDistribution,
+    MeasureBatch,
     cdf_eval,
     dirac,
     dispersion,
@@ -89,6 +90,81 @@ class TestMakeDiscrete:
             DiscreteDistribution(np.array([[0.0], [np.inf]]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="finite"):
             DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([np.nan, 1.0]))
+
+
+    def test_equals_direct_construction(self, rng):
+        # make_discrete skips the checks of __post_init__, not its results
+        for dim in (1, 2):
+            for _ in range(50):
+                m = int(rng.integers(1, 9))
+                atoms = rng.integers(0, 4, size=(m, dim)) / 2.0
+                w = rng.random(m) * (rng.random(m) > 0.2) + 1e-3
+                d = make_discrete(atoms, w / w.sum())
+                ref = DiscreteDistribution(d.atoms, d.weights)
+                for name in ("atoms", "weights", "cum_weights"):
+                    got = getattr(d, name)
+                    assert np.array_equal(got, getattr(ref, name))
+                    assert not got.flags.writeable
+
+
+class TestMeasureBatch:
+    def batch(self):
+        return MeasureBatch(
+            [0.0, 1.0, -3.0, 0.5, 2.0], [0.25, 0.75, 1.0, 0.5, 0.5], [0, 2, 3, 5]
+        )
+
+    def test_rows_are_the_measures_built_one_by_one(self):
+        batch = self.batch()
+        assert len(batch) == 3 and batch.dim == 1
+        rows = [([0.0, 1.0], [0.25, 0.75]), ([-3.0], [1.0]), ([0.5, 2.0], [0.5, 0.5])]
+        for got, (atoms, weights) in zip(batch, rows):
+            ref = DiscreteDistribution(np.array(atoms)[:, None], weights)
+            assert np.array_equal(got.atoms, ref.atoms)
+            assert np.array_equal(got.weights, ref.weights)
+            assert np.array_equal(got.cum_weights, ref.cum_weights)
+        assert np.array_equal(batch[-1].xs, [0.5, 2.0])
+        assert batch.rows.tolist() == [0, 0, 1, 2, 2]
+        with pytest.raises(IndexError):
+            batch[3]
+        with pytest.raises(ValueError):
+            batch[0].weights[0] = 0.5
+
+    def test_row_cumulative_weights_end_at_one(self):
+        w = np.full(10, 0.1)
+        batch = MeasureBatch(np.arange(10.0), w, [0, 10])
+        assert batch.cum_weights[-1] == 1.0
+        assert np.array_equal(batch.cum_weights[:-1], np.cumsum(w)[:-1])
+
+    def test_two_dimensional_rows_keep_their_order(self):
+        atoms = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+        batch = MeasureBatch(atoms, [0.5, 0.5, 1.0], [0, 2, 3])
+        assert batch.dim == 2
+        assert np.array_equal(batch[0].atoms, [[1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "atoms, weights, offsets, match",
+        [
+            ([0.0, np.nan], [0.5, 0.5], [0, 2], "finite"),
+            ([0.0, 1.0], [np.inf, 0.5], [0, 2], "finite"),
+            ([0.0, 1.0], [1.0, 0.0], [0, 2], "positive"),
+            ([0.0, 1.0], [1.5, -0.5], [0, 2], "positive"),
+            ([0.0, 1.0], [0.5, 0.6], [0, 2], "sum to 1"),
+            ([0.0, 1.0], [0.5, 0.5], [0, 1, 2], "sum to 1"),
+            ([1.0, 0.0], [0.5, 0.5], [0, 2], "increasing"),
+            ([1.0, 1.0], [0.5, 0.5], [0, 2], "increasing"),
+            ([0.0, 1.0], [0.5, 0.5], [0, 2, 2], "at least one atom"),
+            ([0.0, 1.0], [0.5, 0.5], [0, 1], "offsets"),
+            ([0.0, 1.0], [0.5, 0.5], [1, 2], "offsets"),
+            ([0.0, 1.0], [1.0], [0, 1], "mismatch"),
+        ],
+    )
+    def test_rejects_invalid_rows(self, atoms, weights, offsets, match):
+        with pytest.raises(ValueError, match=match):
+            MeasureBatch(atoms, weights, offsets)
+
+    def test_rows_may_decrease_across_a_boundary(self):
+        batch = MeasureBatch([1.0, 0.0], [1.0, 1.0], [0, 1, 2])
+        assert batch[1].xs.tolist() == [0.0]
 
 
 class TestCdfQuantile:
