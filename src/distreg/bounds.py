@@ -13,7 +13,6 @@ from math import ceil
 import numpy as np
 
 from .regressor import FittedRegressor, weights_at
-from .weights import WeightVector
 
 
 @dataclass(frozen=True)
@@ -53,10 +52,10 @@ class BoundReport:
         return self.approximation + self.estimation
 
 
-def effective_sample_size(w) -> float:
-    """1 / sum(W_i^2); equals kappa for nearest-neighbor weights."""
-    values = w.values if isinstance(w, WeightVector) else np.asarray(w, dtype=float)
-    return float(1.0 / np.sum(values**2))
+def effective_sample_size(values) -> float:
+    """1 / sum(W_i^2) of a weight array; equals kappa for nearest-neighbor
+    weights."""
+    return float(1.0 / np.sum(np.asarray(values, dtype=float) ** 2))
 
 
 def pointwise_risk_bound(model: FittedRegressor, true_model, x) -> BoundReport:
@@ -67,14 +66,14 @@ def pointwise_risk_bound(model: FittedRegressor, true_model, x) -> BoundReport:
     model's closed-form pairwise distance; estimation = M(x) * sqrt(sum W^2)
     with M(x) the dispersion of the true conditional law at x.
     """
-    wv = weights_at(model, x)
+    w = weights_at(model, x)
     xq = np.atleast_1d(np.asarray(x, dtype=float))
-    gaps = true_model.w1_many_to(model.dataset.covariates, xq)
-    approx = float(wv.values @ gaps)
-    m_x = true_model.dispersion_at(xq)
-    est = float(m_x * np.sqrt(np.sum(wv.values**2)))
+    values = w.values
+    gaps = true_model.w1_many_to(model.dataset.covariates[w.indices], xq)
+    approx = float(values @ gaps)
+    est = float(true_model.dispersion_at(xq) * np.sqrt(np.sum(values**2)))
     return BoundReport(
-        approximation=approx, estimation=est, x=xq, scheme=wv.scheme
+        approximation=approx, estimation=est, x=xq, scheme=model.scheme.describe()
     )
 
 

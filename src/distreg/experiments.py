@@ -46,23 +46,31 @@ class BandwidthPowerSchedule:
 
 @dataclass(frozen=True)
 class NeighborPowerSchedule:
-    """kappa(n) = ceil(coef * n^exponent), clamped to [1, n]."""
+    """kappa(n) = ceil(coef * n^exponent), capped at n."""
 
     coef: float = 1.0
     exponent: float = 0.5
 
+    def __post_init__(self):
+        if not 0 < self.coef < np.inf:
+            raise ValueError(f"kappa coefficient must be positive and finite, got {self.coef}")
+
     def __call__(self, n: int) -> int:
-        return max(1, min(n, int(np.ceil(self.coef * float(n) ** self.exponent))))
+        return min(n, int(np.ceil(self.coef * float(n) ** self.exponent)))
 
 
 @dataclass(frozen=True)
 class FixedNeighborSchedule:
-    """kappa(n) = const; deliberately not a consistent schedule."""
+    """kappa(n) = const, capped at n; deliberately not a consistent schedule."""
 
     kappa: int = 5
 
+    def __post_init__(self):
+        if self.kappa < 1:
+            raise ValueError(f"kappa must be >= 1, got {self.kappa}")
+
     def __call__(self, n: int) -> int:
-        return max(1, min(n, self.kappa))
+        return min(n, self.kappa)
 
 
 @dataclass(frozen=True)

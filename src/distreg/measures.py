@@ -37,8 +37,10 @@ class DiscreteDistribution:
     cum_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
-        weights = np.asarray(self.weights, dtype=float).reshape(-1)
+        # copies, so the caller keeps its arrays writable and cannot change
+        # the measure through them
+        atoms = np.atleast_2d(np.array(self.atoms, dtype=float))
+        weights = np.array(self.weights, dtype=float).reshape(-1)
         if atoms.shape[0] != weights.shape[0]:
             raise ValueError(
                 f"atom/weight length mismatch: {atoms.shape[0]} vs {weights.shape[0]}"
@@ -131,6 +133,11 @@ class MeasureBatch:
     positive weights: every row is nonempty, finite and sums to 1, and 1-d
     rows are strictly increasing.  ``batch[i]`` is row i as a
     DiscreteDistribution (views of the flat arrays, not checked again).
+
+    Unlike a DiscreteDistribution, a batch takes over the arrays it is
+    given without copying them, so the caller must not write to them
+    afterwards: its builders hand over fresh flat arrays, and a copy would
+    double the peak memory of a large prediction.
     """
 
     atoms: np.ndarray

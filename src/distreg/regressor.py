@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import DiscreteDistribution, MeasureBatch
-from .weights import KernelScheme, KnnScheme, NeighbourIndex, WeightVector
+from .weights import KernelScheme, KnnScheme, NeighbourIndex, SparseWeights, _as_row
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,9 @@ def fit(dataset: Dataset, scheme) -> FittedRegressor:
     )
 
 
-def weights_at(model: FittedRegressor, x) -> WeightVector:
-    return model.index.weight_vector(model.scheme, x)
+def weights_at(model: FittedRegressor, x) -> SparseWeights:
+    """The fitted scheme's weights at one query point x."""
+    return model.index.select(model.scheme, _as_row(x))[0]
 
 
 def predict_many(model: FittedRegressor, queries) -> MeasureBatch:
@@ -161,10 +162,10 @@ def predict_many(model: FittedRegressor, queries) -> MeasureBatch:
 
 def predict_distribution(model: FittedRegressor, x) -> DiscreteDistribution:
     """Weighted empirical distribution of the responses at one point x."""
-    return predict_many(model, np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0]
+    return predict_many(model, _as_row(x))[0]
 
 
 def predict_mean(model: FittedRegressor, x) -> np.ndarray:
     """Local-average point prediction: the mean of the predicted distribution."""
-    wv = weights_at(model, x)
-    return wv.values @ model.dataset.responses
+    w = weights_at(model, x)
+    return w.values @ model.dataset.responses[w.indices]

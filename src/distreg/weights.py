@@ -19,31 +19,6 @@ _STONE_TAG = 83
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """Probability weights produced by a scheme at a query point."""
-
-    values: np.ndarray
-    x: np.ndarray
-    scheme: str
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if np.any(values < 0):
-            raise ValueError("weights must be nonnegative")
-        total = values.sum()
-        if total <= 0:
-            raise ValueError("weights must have positive total")
-        values = values / total
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class KernelScheme:
     """Bandwidth-h kernel weights; default kernel is the closed unit ball.
 
@@ -101,11 +76,9 @@ def _as_matrix(covariates) -> np.ndarray:
     return arr
 
 
-def _as_point(x, k: int) -> np.ndarray:
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if pt.shape != (k,):
-        raise ValueError(f"query point must have dimension {k}, got shape {pt.shape}")
-    return pt
+def _as_row(x) -> np.ndarray:
+    """One query point as a one-row array of queries."""
+    return np.atleast_1d(np.asarray(x, dtype=float))[None, :]
 
 
 # Radii handed to the k-d tree are widened by this factor, so rounding in the
@@ -117,9 +90,11 @@ _RADIUS_SLACK = 1.0 + 1e-12
 class SparseWeights:
     """Weights at one query point, stored on their support only.
 
-    ``indices`` are the ascending sample indices with positive weight.
-    ``mass`` holds the matching unnormalized kernel values, or is None when
-    every selected point carries the same weight 1/m.
+    ``indices`` are the ascending sample indices with positive weight; every
+    other sample point has weight 0.  ``mass`` holds the matching
+    unnormalized kernel values, or is None when every selected point carries
+    the same weight 1/m.  ``values`` are the normalized weights on
+    ``indices``.
     """
 
     indices: np.ndarray
@@ -171,14 +146,6 @@ class NeighbourIndex:
             return [self._boxed(scheme, q) for q in qs]
         raise TypeError(f"unsupported scheme type: {type(scheme).__name__}")
 
-    def weight_vector(self, scheme, x) -> WeightVector:
-        """Dense weights at one query point."""
-        pt = _as_point(x, self.points.shape[1])
-        sparse = self.select(scheme, pt[None, :])[0]
-        values = np.zeros(self.n)
-        values[sparse.indices] = sparse.values
-        return WeightVector(values=values, x=pt, scheme=scheme.describe())
-
     def _candidates(self, qs: np.ndarray, radii) -> list[np.ndarray]:
         """Ascending indices within a slightly widened radius of each query."""
         found = self.tree.query_ball_point(qs, radii * _RADIUS_SLACK, return_sorted=False)
@@ -221,22 +188,23 @@ class NeighbourIndex:
         return SparseWeights(indices, mass)
 
 
-def kernel_weights(scheme: KernelScheme, covariates, x) -> WeightVector:
+def evaluate_weights(scheme, covariates, x) -> SparseWeights:
+    """Weights of ``scheme`` at one query point x over the covariate sample."""
+    return NeighbourIndex(covariates).select(scheme, _as_row(x))[0]
+
+
+def kernel_weights(scheme: KernelScheme, covariates, x) -> SparseWeights:
     """Kernel weights K((x - X_i)/h) normalized by their sum.
 
-    When every kernel value vanishes the weights fall back to the uniform
-    1/n vector, so the output is always a probability vector.
+    When every kernel value vanishes the weights fall back to uniform 1/n on
+    the whole sample, so the output is always a probability vector.
     """
-    return NeighbourIndex(covariates).weight_vector(scheme, x)
+    return evaluate_weights(scheme, covariates, x)
 
 
-def knn_weights(scheme: KnnScheme, covariates, x) -> WeightVector:
-    """Weight 1/kappa on each of the kappa nearest covariates, 0 elsewhere."""
-    return NeighbourIndex(covariates).weight_vector(scheme, x)
-
-
-def evaluate_weights(scheme, covariates, x) -> WeightVector:
-    return NeighbourIndex(covariates).weight_vector(scheme, x)
+def knn_weights(scheme: KnnScheme, covariates, x) -> SparseWeights:
+    """Weight 1/kappa on each of the kappa nearest covariates."""
+    return evaluate_weights(scheme, covariates, x)
 
 
 @dataclass(frozen=True)
@@ -266,8 +234,10 @@ def stone_diagnostics(
     universally consistent; the remaining (bounded-operator) condition is
     not estimable from samples and is not diagnosed.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if test_points < 1:
+        raise ValueError(f"need at least 1 test point, got {test_points}")
     n_grid = [int(n) for n in n_grid]
     if not n_grid:
         raise ValueError("n_grid must be nonempty")
@@ -281,18 +251,17 @@ def stone_diagnostics(
         far_vals = np.empty(replications)
         for rep in range(replications):
             ds = model.sample(n, seed=(seed, _STONE_TAG, n_idx, rep, 0))
-            index = NeighbourIndex(ds.covariates)
             rng = stream(seed, _STONE_TAG, n_idx, rep, 1)
             queries = rng.random((test_points, model.k))
-            maxes = np.empty(test_points)
-            fars = np.empty(test_points)
-            for t, q in enumerate(queries):
-                wv = index.weight_vector(scheme, q)
-                maxes[t] = wv.values.max()
-                far = np.linalg.norm(ds.covariates - q[None, :], axis=1) > eps
-                fars[t] = float(wv.values[far].sum())
-            max_vals[rep] = maxes.mean()
-            far_vals[rep] = fars.mean()
+            selected = NeighbourIndex(ds.covariates).select(scheme, queries)
+            maxes, fars = [], []
+            for q, w in zip(queries, selected):
+                values = w.values
+                far = np.linalg.norm(ds.covariates[w.indices] - q[None, :], axis=1) > eps
+                maxes.append(values.max())
+                fars.append(values[far].sum())
+            max_vals[rep] = np.mean(maxes)
+            far_vals[rep] = np.mean(fars)
         rows.append(
             DiagnosticsRow(
                 n=n,

@@ -25,8 +25,8 @@ def params_k(k, holder=1.0, lipschitz=1.0, dispersion=1.0):
 class TestEffectiveSampleSize:
     def test_knn_equals_kappa(self, rng):
         xs = rng.random((40, 2))
-        wv = knn_weights(KnnScheme(kappa=7), xs, rng.random(2))
-        assert effective_sample_size(wv) == pytest.approx(7.0, rel=1e-12)
+        w = knn_weights(KnnScheme(kappa=7), xs, rng.random(2))
+        assert effective_sample_size(w.values) == pytest.approx(7.0, rel=1e-12)
 
     def test_uniform_weights(self):
         assert effective_sample_size(np.full(25, 1 / 25)) == pytest.approx(25.0)
@@ -98,8 +98,8 @@ class TestKnnBound:
         params = params_k(1, dispersion=1.3)
         xs = rng.random((50, 1))
         kappa = 9
-        wv = knn_weights(KnnScheme(kappa=kappa), xs, rng.random(1))
-        est_term = params.dispersion * effective_sample_size(wv) ** -0.5
+        w = knn_weights(KnnScheme(kappa=kappa), xs, rng.random(1))
+        est_term = params.dispersion * effective_sample_size(w.values) ** -0.5
         full = knn_bound(params, 50, kappa)
         bias = params.lipschitz * np.sqrt(8.0) * np.sqrt(kappa / 50)
         assert full - bias == pytest.approx(est_term, rel=1e-12)
@@ -173,10 +173,11 @@ class TestPointwiseRiskBound:
         reg = fit(ds, KernelScheme(bandwidth=0.15))
         x = np.array([0.4])
         report = pointwise_risk_bound(reg, model, x)
-        wv = weights_at(reg, x)
+        w = weights_at(reg, x)
         p_all = model.param_profile(ds.covariates)
         p_x = model.param_profile(x[None, :])[0]
-        oracle = float(wv.values @ (2.0 * np.abs(p_all - p_x)))
+        # points absent from w.indices have weight 0
+        oracle = float(w.values @ (2.0 * np.abs(p_all[w.indices] - p_x)))
         assert report.approximation == pytest.approx(oracle, rel=1e-12)
 
     def test_bound_dominates_conditional_risk(self):

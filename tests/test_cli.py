@@ -364,6 +364,20 @@ class TestRatesCommand:
         assert "error:" in capsys.readouterr().err
         assert not list(tmp_path.glob("rates.*"))
 
+    @pytest.mark.parametrize("schedule", ["kappa-fixed:0", "kappa-fixed:-4", "kappa:0:0.5"])
+    def test_neighbor_count_below_one_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, schedule
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = write(
+            tmp_path / "r.cfg", f"model=binary-k1\nschedule={schedule}\nn_grid=128,256\n"
+        )
+        assert main(["rates", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+        assert not list(tmp_path.glob("rates.*"))
+
     def test_every_documented_preset_override_is_accepted(self, tmp_path, capsys):
         cfg = write(
             tmp_path / "r.cfg",
@@ -500,6 +514,22 @@ class TestOtherCommands:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("n,max_weight")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--kappa", "0"], ["--kappa", "-4"], ["--kappa-schedule", "0:0.5"],
+         ["--kappa-schedule=-1:0.5"]],
+        ids=["kappa-0", "kappa-negative", "schedule-coef-0", "schedule-coef-negative"],
+    )
+    def test_stone_check_neighbor_count_below_one(self, capsys, flags):
+        rc = main(
+            ["stone-check", "--model", "binary-k1", "--family", "knn", *flags,
+             "--n-grid", "64,256", "--replications", "2", "--seed", "2"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
 
     def test_certify(self, capsys):
         assert main(["certify", "--model", "binary-k1", "--resolution", "32"]) == 0

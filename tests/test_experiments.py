@@ -72,6 +72,22 @@ class TestPlanValidation:
     def test_zero_tolerance_allowed(self):
         assert tiny_plan(tolerance=0.0, test_points=1).tolerance == 0.0
 
+    @pytest.mark.parametrize("kappa", [0, -4])
+    def test_fixed_neighbor_count_below_one_rejected(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be >= 1"):
+            FixedNeighborSchedule(kappa)
+
+    @pytest.mark.parametrize("coef", [0.0, -1.0, float("nan"), float("inf")])
+    def test_neighbor_power_coefficient_must_be_positive(self, coef):
+        with pytest.raises(ValueError, match="coefficient"):
+            NeighborPowerSchedule(coef, 0.5)
+
+    def test_neighbor_count_underflow_is_not_clamped_to_one(self):
+        # 1e-300 * n^-50 underflows to 0, so ceil gives 0 neighbours, which
+        # the plan rejects
+        with pytest.raises(ValueError, match="nonpositive"):
+            tiny_plan(family="knn", schedule=NeighborPowerSchedule(1e-300, -50.0))
+
     def test_scheme_at(self):
         plan = tiny_plan(family="knn", schedule=NeighborPowerSchedule(1.0, 0.5))
         assert plan.scheme_at(256) == KnnScheme(kappa=16)

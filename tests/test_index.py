@@ -2,7 +2,10 @@
 
 The scans below are the selection rules the index replaces: a stable
 argsort of every distance for k-NN, and the closed unit-ball test on every
-point for the uniform kernel.  They stay here as the oracle.
+point for the uniform kernel.  They stay here as the oracle, also for the
+consumers of the sparse weights (``stone_diagnostics`` and
+``pointwise_risk_bound``), checked against the scan scattered into dense
+length-n weights.
 """
 
 import os
@@ -15,9 +18,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import distreg
-from distreg import Dataset, KernelScheme, KnnScheme, fit, make_discrete
+from distreg import Dataset, KernelScheme, KnnScheme, fit, make_discrete, pointwise_risk_bound
+from distreg._rng import stream
 from distreg.regressor import predict_distribution, predict_many
-from distreg.weights import NeighbourIndex, evaluate_weights
+from distreg.synth import make_preset
+from distreg.weights import _STONE_TAG, NeighbourIndex, evaluate_weights, stone_diagnostics
 
 
 def scan_knn(xs, q, kappa):
@@ -83,16 +88,16 @@ class TestSelectionMatchesScan:
             assert np.array_equal(wk.indices, scan_knn(xs, q, kappa))
             assert np.array_equal(wb.indices, scan_ball(xs, q, h))
 
-    def test_dense_weights_are_the_scan_scattered(self, rng):
+    def test_point_weights_are_the_scan(self, rng):
         xs = rng.integers(0, 5, size=(30, 2)) / 4.0
         q = np.array([0.5, 0.5])
         for scheme, idx in (
             (KnnScheme(kappa=7), scan_knn(xs, q, 7)),
             (KernelScheme(bandwidth=0.5), scan_ball(xs, q, 0.5)),
         ):
-            expected = np.zeros(30)
-            expected[idx] = 1.0 / idx.shape[0]
-            assert np.array_equal(evaluate_weights(scheme, xs, q).values, expected)
+            w = evaluate_weights(scheme, xs, q)
+            assert np.array_equal(w.indices, idx)
+            assert np.array_equal(w.values, np.full(idx.shape[0], 1.0 / idx.shape[0]))
 
     def test_empty_ball_falls_back_to_uniform(self):
         xs = np.array([[0.5], [0.9], [0.95]])
@@ -119,6 +124,100 @@ class TestSelectionMatchesScan:
             index.select(KnnScheme(kappa=1), [[0.0]])
         with pytest.raises(ValueError, match="finite"):
             index.select(KnnScheme(kappa=1), [[0.0, np.nan]])
+
+
+def dense_weights(xs, q, scheme):
+    """The scan's selection scattered into a length-n vector and normalized,
+    as the weights were computed before they were kept sparse."""
+    if isinstance(scheme, KnnScheme):
+        idx = scan_knn(xs, q, scheme.kappa)
+    else:
+        idx = scan_ball(xs, q, scheme.bandwidth)
+    values = np.zeros(xs.shape[0])
+    values[idx] = 1.0 / idx.shape[0]
+    return values / values.sum()
+
+
+def dense_stone_row(scheme, model, n_idx, n, eps, replications, seed, test_points):
+    """One row of stone_diagnostics from dense weights over all n points."""
+    max_vals, far_vals = np.empty(replications), np.empty(replications)
+    for rep in range(replications):
+        xs = model.sample(n, seed=(seed, _STONE_TAG, n_idx, rep, 0)).covariates
+        queries = stream(seed, _STONE_TAG, n_idx, rep, 1).random((test_points, model.k))
+        maxes, fars = [], []
+        for q in queries:
+            values = dense_weights(xs, q, scheme)
+            maxes.append(values.max())
+            fars.append(values[np.linalg.norm(xs - q[None, :], axis=1) > eps].sum())
+        max_vals[rep], far_vals[rep] = np.mean(maxes), np.mean(fars)
+    root = np.sqrt(replications)
+    return (max_vals.mean(), max_vals.std(ddof=1) / root,
+            far_vals.mean(), far_vals.std(ddof=1) / root)
+
+
+@st.composite
+def weight_scheme(draw, n):
+    """k-NN, a unit ball, or a ball so small that it is empty (uniform 1/n)."""
+    kind = draw(st.sampled_from(["knn", "ball", "empty-ball"]))
+    if kind == "knn":
+        return KnnScheme(kappa=draw(st.integers(1, n)))
+    if kind == "ball":
+        return KernelScheme(bandwidth=draw(st.floats(0.02, 0.6)))
+    return KernelScheme(bandwidth=1e-9)
+
+
+def close(value, oracle, abs_tol=0.0):
+    return abs(value - oracle) <= max(1e-12 * abs(oracle), abs_tol)
+
+
+class TestSparseConsumersMatchDenseWeights:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        name=st.sampled_from(["binary-k1", "binary-k2"]),
+        n_grid=st.lists(st.integers(1, 60), min_size=1, max_size=2, unique=True),
+        eps=st.floats(0.01, 0.5),
+        replications=st.integers(2, 3),
+        test_points=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_stone_diagnostics(self, seed, name, n_grid, eps, replications, test_points, data):
+        model = make_preset(name)
+        scheme = data.draw(weight_scheme(min(n_grid)))
+        rows = stone_diagnostics(
+            scheme, model, n_grid, eps=eps, replications=replications, seed=seed,
+            test_points=test_points,
+        )
+        for n_idx, (n, row) in enumerate(zip(n_grid, rows)):
+            max_w, max_se, far_w, far_se = dense_stone_row(
+                scheme, model, n_idx, n, eps, replications, seed, test_points
+            )
+            assert row.n == n
+            assert close(row.max_weight, max_w)
+            assert close(row.far_weight, far_w)
+            # standard errors of (nearly) constant columns are rounding noise
+            assert close(row.max_weight_se, max_se, abs_tol=1e-15)
+            assert close(row.far_weight_se, far_se, abs_tol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        name=st.sampled_from(["binary-k1", "binary-k2", "gaussian-k1"]),
+        n=st.integers(1, 80),
+        data=st.data(),
+    )
+    def test_pointwise_risk_bound(self, seed, name, n, data):
+        model = make_preset(name)
+        ds = model.sample(n, seed=seed)
+        scheme = data.draw(weight_scheme(n))
+        x = np.random.default_rng(seed).random(model.k)
+        report = pointwise_risk_bound(fit(ds, scheme), model, x)
+        values = dense_weights(ds.covariates, x, scheme)
+        approx = float(values @ model.w1_many_to(ds.covariates, x))
+        est = float(model.dispersion_at(x) * np.sqrt(np.sum(values**2)))
+        assert close(report.approximation, approx, abs_tol=1e-15)
+        assert close(report.estimation, est)
+        assert report.scheme == scheme.describe()
 
 
 class TestPredictMany:

@@ -91,6 +91,18 @@ class TestMakeDiscrete:
         with pytest.raises(ValueError, match="finite"):
             DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([np.nan, 1.0]))
 
+    def test_direct_construction_leaves_caller_atoms_writable(self):
+        atoms = np.array([[0.0], [1.0]])
+        DiscreteDistribution(atoms, np.array([0.5, 0.5]))
+        assert atoms.flags.writeable
+        atoms[0, 0] = -1.0  # must not raise
+
+    def test_direct_construction_does_not_track_caller_weights(self):
+        w = np.array([0.5, 0.5])
+        d = DiscreteDistribution(np.array([[0.0], [1.0]]), w)
+        w[0] = 0.9
+        assert list(d.weights) == [0.5, 0.5]
+        assert list(d.cum_weights) == [0.5, 1.0]
 
     def test_equals_direct_construction(self, rng):
         # make_discrete skips the checks of __post_init__, not its results

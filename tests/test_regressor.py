@@ -74,8 +74,8 @@ class TestPredict:
         x = np.array([0.5])
         pred = predict_distribution(reg, x)
         assert pred.support_size <= 2
-        wv = weights_at(reg, x)
-        p_hat = float(wv.values[ds.responses[:, 0] == 2.0].sum())
+        w = weights_at(reg, x)
+        p_hat = float(w.values[ds.responses[w.indices, 0] == 2.0].sum())
         if pred.support_size == 2:
             assert pred.weights[1] == pytest.approx(p_hat, abs=1e-12)
 
@@ -83,10 +83,11 @@ class TestPredict:
         ds = small_dataset(rng, n=30, k=2, d=2)
         reg = fit(ds, KernelScheme(bandwidth=0.6))
         x = rng.random(2)
-        wv = weights_at(reg, x)
-        oracle = np.array(
-            [float(wv.values @ ds.responses[:, j]) for j in range(2)]
-        )
+        w = weights_at(reg, x)
+        # scattered into length n: points absent from w.indices weigh 0
+        dense = np.zeros(ds.n)
+        dense[w.indices] = w.values
+        oracle = np.array([float(dense @ ds.responses[:, j]) for j in range(2)])
         assert np.allclose(predict_mean(reg, x), oracle, atol=1e-12)
 
     def test_mean_of_prediction_equals_predict_mean(self, rng):

@@ -10,26 +10,30 @@ from distreg.weights import evaluate_weights, stone_diagnostics
 
 class TestKernelWeights:
     def test_two_inside_one_outside(self):
-        wv = kernel_weights(KernelScheme(bandwidth=0.5), [0.1, 0.4, 0.9], 0.2)
-        assert list(wv.values) == pytest.approx([0.5, 0.5, 0.0])
+        w = kernel_weights(KernelScheme(bandwidth=0.5), [0.1, 0.4, 0.9], 0.2)
+        assert list(w.indices) == [0, 1]
+        assert list(w.values) == pytest.approx([0.5, 0.5])
 
     def test_empty_ball_falls_back_to_uniform(self):
-        wv = kernel_weights(KernelScheme(bandwidth=0.01), [0.5, 0.9], 0.0)
-        assert list(wv.values) == pytest.approx([0.5, 0.5])
+        w = kernel_weights(KernelScheme(bandwidth=0.01), [0.5, 0.9], 0.0)
+        assert list(w.indices) == [0, 1]
+        assert list(w.values) == pytest.approx([0.5, 0.5])
 
     def test_closed_ball_boundary(self):
-        wv = kernel_weights(KernelScheme(bandwidth=1.0), [0.0, 1.0, 3.0], 0.0)
-        assert list(wv.values) == pytest.approx([0.5, 0.5, 0.0])
+        w = kernel_weights(KernelScheme(bandwidth=1.0), [0.0, 1.0, 3.0], 0.0)
+        assert list(w.indices) == [0, 1]
+        assert list(w.values) == pytest.approx([0.5, 0.5])
 
     def test_positive_iff_within_bandwidth(self, rng):
         scheme = KernelScheme(bandwidth=0.3)
         for _ in range(20):
             xs = rng.random((40, 2))
             x = rng.random(2)
-            wv = kernel_weights(scheme, xs, x)
+            w = kernel_weights(scheme, xs, x)
             dist = np.linalg.norm(xs - x, axis=1)
             if np.any(dist <= 0.3):
-                assert np.array_equal(wv.values > 0, dist <= 0.3)
+                assert np.array_equal(w.indices, np.flatnonzero(dist <= 0.3))
+                assert np.all(w.values > 0)
 
     def test_boxed_kernel_custom(self):
         def tri(u):
@@ -38,10 +42,11 @@ class TestKernelWeights:
         scheme = KernelScheme(
             bandwidth=0.5, kind="boxed", kernel=tri, box_constants=(0.5, 1.0, 0.5, 1.0)
         )
-        wv = kernel_weights(scheme, [0.1, 0.2, 0.9], 0.2)
-        assert wv.values[1] > wv.values[0] > 0.0
-        assert wv.values[2] == 0.0
-        assert wv.values.sum() == pytest.approx(1.0, abs=1e-12)
+        w = kernel_weights(scheme, [0.1, 0.2, 0.9], 0.2)
+        # point 2 is outside the kernel's support, so it has weight 0
+        assert list(w.indices) == [0, 1]
+        assert w.values[1] > w.values[0] > 0.0
+        assert w.values.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_boxed_requires_constants(self):
         with pytest.raises(ValueError):
@@ -65,26 +70,30 @@ class TestKernelWeights:
     def test_always_probability_vector(self, seed, n, h):
         rng = np.random.default_rng(seed)
         xs = rng.random((n, 1))
-        wv = kernel_weights(KernelScheme(bandwidth=h), xs, rng.random(1))
-        assert np.all(wv.values >= 0.0)
-        assert abs(wv.values.sum() - 1.0) <= 1e-12
+        w = kernel_weights(KernelScheme(bandwidth=h), xs, rng.random(1))
+        assert np.all(np.diff(w.indices) > 0)
+        assert 0 <= w.indices[0] and w.indices[-1] < n
+        assert np.all(w.values > 0.0)
+        assert abs(w.values.sum() - 1.0) <= 1e-12
 
 
 class TestKnnWeights:
     def test_two_nearest_of_three(self):
-        wv = knn_weights(KnnScheme(kappa=2), [0.0, 1.0, 5.0], 0.4)
-        assert list(wv.values) == pytest.approx([0.5, 0.5, 0.0])
+        w = knn_weights(KnnScheme(kappa=2), [0.0, 1.0, 5.0], 0.4)
+        assert list(w.indices) == [0, 1]
+        assert list(w.values) == pytest.approx([0.5, 0.5])
 
     def test_squared_weights_are_reciprocal_kappa(self, rng):
         for kappa in (1, 3, 7):
             xs = rng.random((20, 2))
-            wv = knn_weights(KnnScheme(kappa=kappa), xs, rng.random(2))
-            assert np.sum(wv.values**2) == pytest.approx(1.0 / kappa, rel=1e-12)
+            w = knn_weights(KnnScheme(kappa=kappa), xs, rng.random(2))
+            assert np.sum(w.values**2) == pytest.approx(1.0 / kappa, rel=1e-12)
 
     def test_kappa_equals_n(self, rng):
         xs = rng.random((6, 1))
-        wv = knn_weights(KnnScheme(kappa=6), xs, rng.random(1))
-        assert np.allclose(wv.values, 1.0 / 6.0)
+        w = knn_weights(KnnScheme(kappa=6), xs, rng.random(1))
+        assert list(w.indices) == list(range(6))
+        assert np.allclose(w.values, 1.0 / 6.0)
 
     def test_kappa_out_of_range(self):
         with pytest.raises(ValueError):
@@ -94,8 +103,9 @@ class TestKnnWeights:
 
     def test_tie_broken_by_smallest_index(self):
         # both 0.4 and 0.6 are at distance 0.1 from the query
-        wv = knn_weights(KnnScheme(kappa=1), [0.0, 0.4, 0.6], 0.5)
-        assert list(wv.values) == pytest.approx([0.0, 1.0, 0.0])
+        w = knn_weights(KnnScheme(kappa=1), [0.0, 0.4, 0.6], 0.5)
+        assert list(w.indices) == [1]
+        assert list(w.values) == [1.0]
 
     def test_order_invariance_for_distinct_distances(self, rng):
         xs = rng.random((15, 1))
@@ -103,7 +113,9 @@ class TestKnnWeights:
         perm = rng.permutation(15)
         w1 = knn_weights(KnnScheme(kappa=4), xs, x)
         w2 = knn_weights(KnnScheme(kappa=4), xs[perm], x)
-        assert np.allclose(w1.values[perm], w2.values)
+        # point j of the permuted sample is point perm[j] of the original
+        assert np.array_equal(np.sort(perm[w2.indices]), w1.indices)
+        assert np.allclose(w1.values, w2.values)
 
 
 class TestStoneDiagnostics:
@@ -137,6 +149,7 @@ class TestStoneDiagnostics:
         x = np.array([0.5])
         w1 = evaluate_weights(KnnScheme(kappa=5), ds.covariates, x)
         w2 = evaluate_weights(KnnScheme(kappa=5), ds.covariates, x)
+        assert np.array_equal(w1.indices, w2.indices)
         assert np.array_equal(w1.values, w2.values)
 
     def test_validation(self):
@@ -147,3 +160,17 @@ class TestStoneDiagnostics:
             stone_diagnostics(KnnScheme(1), model, [32], eps=-1.0, replications=3, seed=0)
         with pytest.raises(ValueError):
             stone_diagnostics(KnnScheme(1), model, [32], eps=0.1, replications=1, seed=0)
+
+    def test_nan_eps_rejected(self):
+        model = make_preset("binary-k1")
+        with pytest.raises(ValueError, match="eps"):
+            stone_diagnostics(
+                KnnScheme(1), model, [32], eps=float("nan"), replications=3, seed=0
+            )
+
+    def test_zero_test_points_rejected(self):
+        model = make_preset("binary-k1")
+        with pytest.raises(ValueError, match="test point"):
+            stone_diagnostics(
+                KnnScheme(1), model, [32], eps=0.1, replications=3, seed=0, test_points=0
+            )
