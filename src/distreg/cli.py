@@ -1,8 +1,10 @@
 """Command-line interface: distances, prediction, rate studies, bounds.
 
 Exit codes: 0 success (or verdict pass), 1 verdict fail, 2 usage error,
-3 data error.  All CSV output uses 17 significant digits so doubles
-round-trip losslessly.
+3 data error: an input file that is missing, not UTF-8, malformed or
+non-finite, or an output file that cannot be written.  Every table goes
+through one writer: a header row, floats to 17 significant digits so
+doubles round-trip losslessly, and rows ending in ``\r\n``.
 """
 
 from __future__ import annotations
@@ -10,20 +12,19 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import math
 import os
 import sys
 
 import numpy as np
 
+from ._table import write_table
 from .bounds import ClassParams, kernel_bound, knn_bound
 from .experiments import (
     BandwidthPowerSchedule,
     ExperimentPlan,
     FixedNeighborSchedule,
     NeighborPowerSchedule,
-    _fmt,
     bound_rows_csv,
     bound_vs_risk,
     make_experiment_preset,
@@ -79,88 +80,89 @@ def _default_seed() -> int:
 # CSV input / output
 
 
-def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
+def _read_table(path: str, expected, columns: str, rows_name: str):
+    """Read a CSV file whose header equals ``expected(header)`` (spelled
+    ``columns`` in the error) and whose rows, at least one, are finite
+    floats; returns the header and the (rows, columns) array."""
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
-            rows = list(reader)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            if header != expected(header):
+                raise DataError(f"{path}: expected columns {columns}")
+            width, rows = len(header), []
+            for line, row in enumerate(reader, start=2):
+                if len(row) != width:
+                    raise DataError(f"{path}: line {line}: expected {width} columns")
+                try:
+                    vals = list(map(float, row))
+                except ValueError as exc:
+                    raise DataError(f"{path}: line {line}: {exc}") from exc
+                if not all(map(math.isfinite, vals)):
+                    raise DataError(f"{path}: line {line}: values must be finite")
+                rows.append(vals)
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
-        raise DataError(f"{path}: empty file")
-    return rows[0], rows[1:]
-
-
-def _parse_floats(path: str, row: list[str], line: int) -> list[float]:
-    try:
-        vals = [float(v) for v in row]
-    except ValueError as exc:
-        raise DataError(f"{path}: line {line}: {exc}") from exc
-    if not all(math.isfinite(v) for v in vals):
-        raise DataError(f"{path}: line {line}: values must be finite")
-    return vals
+        raise DataError(f"{path}: no {rows_name}")
+    return header, np.array(rows, dtype=float)
 
 
 def read_distribution(path: str) -> DiscreteDistribution:
     """Read a discrete measure from CSV with columns y1..yd,weight."""
-    header, rows = _read_rows(path)
-    if len(header) < 2 or header[-1] != "weight":
-        raise DataError(f"{path}: expected columns y1..yd,weight")
-    d = len(header) - 1
-    if [h for h in header[:-1]] != [f"y{i + 1}" for i in range(d)]:
-        raise DataError(f"{path}: expected columns y1..yd,weight")
-    atoms, weights = [], []
-    for line, row in enumerate(rows, start=2):
-        if len(row) != d + 1:
-            raise DataError(f"{path}: line {line}: expected {d + 1} columns")
-        vals = _parse_floats(path, row, line)
-        atoms.append(vals[:-1])
-        weights.append(vals[-1])
+    _, values = _read_table(
+        path,
+        lambda h: [f"y{i + 1}" for i in range(max(len(h) - 1, 1))] + ["weight"],
+        "y1..yd,weight",
+        "atoms",
+    )
     try:
-        return make_discrete(atoms, weights)
+        return make_discrete(values[:, :-1], values[:, -1])
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
 def write_distribution(dist: DiscreteDistribution, out) -> None:
-    writer = csv.writer(out)
-    writer.writerow([f"y{i + 1}" for i in range(dist.dim)] + ["weight"])
-    for atom, weight in zip(dist.atoms, dist.weights):
-        writer.writerow([_fmt(a) for a in atom] + [_fmt(weight)])
+    header = [f"y{i + 1}" for i in range(dist.dim)] + ["weight"]
+    write_table(out, header, [*dist.atoms.T, dist.weights])
+
+
+def _dataset_header(header: list[str]) -> list[str] | None:
+    k = sum(1 for h in header if h.startswith("x"))
+    d = sum(1 for h in header if h.startswith("y"))
+    if k == 0 or d == 0:
+        return None
+    return [f"x{i + 1}" for i in range(k)] + [f"y{i + 1}" for i in range(d)]
 
 
 def read_dataset(path: str) -> Dataset:
     """Read a training sample from CSV with columns x1..xk,y1..yd."""
-    header, rows = _read_rows(path)
-    k = sum(1 for h in header if h.startswith("x"))
-    d = sum(1 for h in header if h.startswith("y"))
-    expected = [f"x{i + 1}" for i in range(k)] + [f"y{i + 1}" for i in range(d)]
-    if k == 0 or d == 0 or header != expected:
-        raise DataError(f"{path}: expected columns x1..xk,y1..yd")
-    xs, ys = [], []
-    for line, row in enumerate(rows, start=2):
-        if len(row) != k + d:
-            raise DataError(f"{path}: line {line}: expected {k + d} columns")
-        vals = _parse_floats(path, row, line)
-        xs.append(vals[:k])
-        ys.append(vals[k:])
-    if not xs:
-        raise DataError(f"{path}: no observations")
-    return Dataset(np.array(xs), np.array(ys))
+    header, values = _read_table(path, _dataset_header, "x1..xk,y1..yd", "observations")
+    k = header.index("y1")
+    return Dataset(values[:, :k].copy(), values[:, k:].copy())
 
 
 def read_queries(path: str, k: int) -> np.ndarray:
-    header, rows = _read_rows(path)
-    if header != [f"x{i + 1}" for i in range(k)]:
-        raise DataError(f"{path}: expected columns x1..x{k}")
-    out = []
-    for line, row in enumerate(rows, start=2):
-        if len(row) != k:
-            raise DataError(f"{path}: line {line}: expected {k} columns")
-        out.append(_parse_floats(path, row, line))
-    if not out:
-        raise DataError(f"{path}: no query points")
-    return np.array(out)
+    expected = [f"x{i + 1}" for i in range(k)]
+    return _read_table(path, lambda h: expected, f"x1..x{k}", "query points")[1]
+
+
+def _write_output(path: str | None, header: list[str], columns) -> None:
+    """Write a table to the file ``path``, or to stdout when it is None."""
+    if path is None:
+        write_table(sys.stdout, header, columns)
+        return
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as out:
+            write_table(out, header, columns)
+    except OSError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -224,23 +226,15 @@ def cmd_predict(args) -> int:
     reg = fit(ds, _scheme_from_args(args, ds.n))
     spec = FunctionalSpec.parse(args.functional) if args.functional else None
     preds = predict_many(reg, queries)
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        if spec is None:
-            writer.writerow(
-                ["query"] + [f"y{i + 1}" for i in range(ds.d)] + ["weight"]
-            )
-            for qid, pred in enumerate(preds):
-                for atom, weight in zip(pred.atoms, pred.weights):
-                    writer.writerow([qid] + [_fmt(a) for a in atom] + [_fmt(weight)])
-        else:
-            writer.writerow(["query", "value"])
-            for qid, pred in enumerate(preds):
-                writer.writerow([qid, _fmt(evaluate_functional(pred, spec))])
-    finally:
-        if args.out:
-            out.close()
+    if spec is None:
+        header = ["query"] + [f"y{i + 1}" for i in range(ds.d)] + ["weight"]
+        columns = [preds.rows, *preds.atoms.T, preds.weights]
+    else:
+        header = ["query", "value"]
+        columns = [
+            np.arange(len(preds)), [evaluate_functional(pred, spec) for pred in preds]
+        ]
+    _write_output(args.out, header, columns)
     return EXIT_OK
 
 
@@ -258,6 +252,8 @@ def _parse_config(path: str) -> dict[str, str]:
                 cfg[key.strip()] = value.strip()
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     return cfg
 
 
@@ -334,7 +330,10 @@ def cmd_rates(args) -> int:
         return EXIT_OK
     report = rate_study(plan, workers=args.workers)
     prefix = cfg.get("out_prefix", "rates")
-    csv_path, json_path = report.write(prefix)
+    try:
+        csv_path, json_path = report.write(prefix)
+    except OSError as exc:
+        raise DataError(f"{prefix}: {exc}") from exc
     target = report.theoretical
     target_text = "none" if target is None else f"{target:.6g}"
     verdict = "pass" if report.passed else "fail"
@@ -364,25 +363,18 @@ def cmd_bounds(args) -> int:
         ck = args.ck if args.ck is not None else float(args.dim) ** (args.dim / 2.0)
         header = ["n", "bandwidth", "bound", "covering_const"]
         rows = [
-            [n, _fmt(h), _fmt(kernel_bound(params, n, h, args.ck)), _fmt(ck)]
+            (n, h, kernel_bound(params, n, h, args.ck), ck)
             for n in ns
             for h in args.param
         ]
     else:
         header = ["n", "kappa", "bound"]
         rows = [
-            [n, int(kappa), _fmt(knn_bound(params, n, int(kappa), args.tilde_ck))]
+            (n, int(kappa), knn_bound(params, n, int(kappa), args.tilde_ck))
             for n in ns
             for kappa in args.param
         ]
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    _write_output(args.out, header, list(zip(*rows)))
     return EXIT_OK
 
 
@@ -413,18 +405,9 @@ def cmd_stone_check(args) -> int:
         replications=args.replications,
         seed=args.seed,
     )
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["n", "max_weight", "max_weight_se", "far_weight", "far_weight_se"])
-    for row in rows:
-        writer.writerow(
-            [
-                row.n,
-                _fmt(row.max_weight),
-                _fmt(row.max_weight_se),
-                _fmt(row.far_weight),
-                _fmt(row.far_weight_se),
-            ]
-        )
+    header = ["n", "max_weight", "max_weight_se", "far_weight", "far_weight_se"]
+    columns = [[getattr(row, name) for row in rows] for name in header]
+    write_table(sys.stdout, header, columns)
     return EXIT_OK
 
 

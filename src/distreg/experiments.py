@@ -7,8 +7,6 @@ bit-reproducible for a fixed plan regardless of how many workers run it.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -17,10 +15,11 @@ from typing import Callable
 import numpy as np
 
 from ._rng import stream
+from ._table import table_text
 from .bounds import kernel_bound, knn_bound
 from .functionals import FunctionalSpec, evaluate_functional
-from .measures import DiscreteDistribution, MeasureBatch
-from .ot import w1_cdf, w1_cdf_batch, w1_vs_analytic, w1_vs_analytic_batch, wp_quantile
+from .measures import MeasureBatch
+from .ot import w1_cdf_batch, w1_vs_analytic_batch, wp_quantile
 from .regressor import fit, predict_many
 from .synth import make_preset
 from .weights import KernelScheme, KnnScheme
@@ -131,14 +130,11 @@ class RateReport:
     passed: bool
 
     def csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "param", "risk_mean", "risk_stderr"])
-        for pt in self.points:
-            writer.writerow(
-                [pt.n, _fmt(pt.param), _fmt(pt.mean), _fmt(pt.stderr)]
-            )
-        return buf.getvalue()
+        fields = ("n", "param", "mean", "stderr")
+        return table_text(
+            ["n", "param", "risk_mean", "risk_stderr"],
+            [[getattr(pt, name) for pt in self.points] for name in fields],
+        )
 
     def json_dict(self) -> dict:
         return {
@@ -163,25 +159,8 @@ class RateReport:
         return csv_path, json_path
 
 
-def _fmt(x: float) -> str:
-    """17 significant digits, so a double round-trips through CSV."""
-    return f"{float(x):.17g}"
-
-
 # ---------------------------------------------------------------------------
 # Replication workers (module level so they pickle)
-
-
-def _prediction_error(pred: DiscreteDistribution, law, p: float) -> float:
-    if isinstance(law, DiscreteDistribution):
-        if p == 1.0:
-            return w1_cdf(pred, law)
-        return wp_quantile(pred, law, p) ** p
-    if p != 1.0:
-        raise NotImplementedError(
-            "orders p > 1 are only evaluated against discrete conditional laws"
-        )
-    return w1_vs_analytic(pred, law)
 
 
 def _fit_and_predict(model, scheme, n, test_points, seed, n_index, rep):
@@ -196,15 +175,16 @@ def _risk_replication(payload) -> float:
     *setting, p = payload
     model = setting[0]
     queries, preds = _fit_and_predict(*setting)
-    if p != 1.0:  # no preset uses it: one pair at a time
-        errs = [
-            _prediction_error(pred, model.conditional_law(q), p)
-            for pred, q in zip(preds, queries)
-        ]
-        return float(np.mean(errs))
     laws = model.conditional_laws(queries)
     if isinstance(laws, MeasureBatch):
+        if p != 1.0:  # no preset uses it: one pair of rows at a time
+            errs = [wp_quantile(pred, law, p) ** p for pred, law in zip(preds, laws)]
+            return float(np.mean(errs))
         return float(np.mean(w1_cdf_batch(preds, laws)))
+    if p != 1.0:
+        raise NotImplementedError(
+            "orders p > 1 are only evaluated against discrete conditional laws"
+        )
     return float(np.mean(w1_vs_analytic_batch(preds, *laws)))
 
 
@@ -373,21 +353,8 @@ def bound_vs_risk(
 
 
 def bound_rows_csv(rows: list[BoundRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "param", "risk_mean", "risk_stderr", "bound", "violated"])
-    for row in rows:
-        writer.writerow(
-            [
-                row.n,
-                _fmt(row.param),
-                _fmt(row.risk_mean),
-                _fmt(row.risk_stderr),
-                _fmt(row.bound),
-                int(row.violated),
-            ]
-        )
-    return buf.getvalue()
+    header = ["n", "param", "risk_mean", "risk_stderr", "bound", "violated"]
+    return table_text(header, [[getattr(row, name) for row in rows] for name in header])
 
 
 @dataclass(frozen=True)

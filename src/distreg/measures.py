@@ -260,7 +260,7 @@ def make_discrete(atoms, weights) -> DiscreteDistribution:
     w = np.where(w < 0.0, 0.0, w)
     total = w.sum()
     if abs(total - 1.0) > SUM_TOL:
-        raise ValueError(f"weights sum to {total!r}, outside tolerance {SUM_TOL}")
+        raise ValueError(f"weights sum to {float(total)!r}, outside tolerance {SUM_TOL}")
     # skip the division when the total is already 1 to rounding: construction
     # stays idempotent, so written measures read back bit-identical
     if abs(total - 1.0) > 1e-13:

@@ -71,6 +71,40 @@ class TestDistributionIO:
         with pytest.raises(DataError, match="y1"):
             read_distribution(bad)
 
+    def test_header_without_atoms(self, tmp_path, capsys):
+        empty = write(tmp_path / "empty.csv", "y1,weight\n")
+        good = write(tmp_path / "good.csv", "y1,weight\n0,1\n")
+        assert main(["distance", empty, good]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"data error: {empty}: no atoms\n"
+
+    @pytest.mark.parametrize("which", ["measure", "train", "queries"])
+    def test_file_that_is_not_utf8(self, tmp_path, capsys, which):
+        files = {
+            "measure": write(tmp_path / "m.csv", "y1,weight\n0,1\n"),
+            "train": write(tmp_path / "t.csv", "x1,y1\n0.1,0\n0.9,1\n"),
+            "queries": write(tmp_path / "q.csv", "x1\n0.5\n"),
+        }
+        with open(files[which], "wb") as handle:
+            handle.write(b"x1,y1\n0.1,\xff\n")
+        if which == "measure":
+            argv = ["distance", files["measure"], files["measure"]]
+        else:
+            argv = ["predict", "--train", files["train"], "--queries", files["queries"],
+                    "--scheme", "knn", "--kappa", "1"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert files[which] in captured.err and "UTF-8" in captured.err
+
+    def test_field_over_the_csv_limit(self, tmp_path, capsys):
+        huge = write(tmp_path / "huge.csv", "y1,weight\n0,0.5\n" + "1" * 200_000 + ",0.5\n")
+        assert main(["distance", huge, huge]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"data error: {huge}: line 3: field larger than field limit" in captured.err
+
 
 class TestDistanceCommand:
     def test_dirac_pair(self, tmp_path, capsys):
@@ -198,7 +232,8 @@ class TestPredictCommand:
                 ["predict", "--train", train, "--queries", queries,
                  "--scheme", "kernel", "--bandwidth", "0.25", "--out", out]
             )
-        assert open(out1).read() == open(out2).read()
+        with open(out1) as a, open(out2) as b:
+            assert a.read() == b.read()
 
     def test_nan_covariate_is_a_data_error(self, tmp_path, capsys):
         train = write(tmp_path / "train.csv", "x1,y1\n0.1,0\nnan,10\n0.9,100\n")
@@ -240,6 +275,20 @@ class TestPredictCommand:
         value = float(capsys.readouterr().out.strip().splitlines()[1].split(",")[1])
         assert value == pytest.approx(10.0 / ((1e15 + 1) * (1e15 + 2)), rel=1e-9, abs=0)
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_is_a_data_error(self, tmp_path, capsys, where):
+        train = write(tmp_path / "train.csv", "x1,y1\n0.1,0\n0.2,10\n0.9,100\n")
+        queries = write(tmp_path / "q.csv", "x1\n0.15\n")
+        out = str(tmp_path / "missing" / "p.csv") if where == "missing-directory" else str(tmp_path)
+        rc = main(
+            ["predict", "--train", train, "--queries", queries,
+             "--scheme", "knn", "--kappa", "2", "--out", out]
+        )
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"data error: {out}: ")
+
     def test_kappa_exceeding_n(self, tmp_path, capsys):
         train = write(tmp_path / "train.csv", "x1,y1\n0.1,0\n")
         queries = write(tmp_path / "q.csv", "x1\n0.2\n")
@@ -271,7 +320,8 @@ class TestRatesCommand:
         )
         rc = main(["rates", "--config", cfg])
         assert rc == 0
-        payload = json.load(open(tmp_path / "rates.json"))
+        with open(tmp_path / "rates.json") as handle:
+            payload = json.load(handle)
         assert payload["passed"] is True
         assert len(payload["points"]) == 3
         assert (tmp_path / "rates.csv").exists()
@@ -378,6 +428,42 @@ class TestRatesCommand:
         assert "error:" in captured.err
         assert not list(tmp_path.glob("rates.*"))
 
+    def test_out_prefix_in_missing_directory_is_a_data_error(self, tmp_path, capsys):
+        prefix = tmp_path / "missing" / "rates"
+        cfg = write(
+            tmp_path / "r.cfg",
+            "preset=binary-k1-kernel\nn_grid=128,256\nreplications=2\ntest_points=2\n"
+            f"out_prefix={prefix}\n",
+        )
+        assert main(["rates", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"data error: {prefix}: ")
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_bytes(b"preset=binary-k1-kernel\n# caf\xe9\n")
+        assert main(["rates", "--config", str(cfg), "--dry-run"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(cfg) in captured.err and "UTF-8" in captured.err
+
+    def test_order_two_study_doubles_the_binary_order_one_risk(self, tmp_path, capsys):
+        # on the support {0, 2}, W2^2 = 4 |p_hat - p| = 2 W1 in every replication
+        means = {}
+        for order in ("1", "2"):
+            prefix = tmp_path / f"order{order}"
+            cfg = write(
+                tmp_path / f"order{order}.cfg",
+                "model=binary-k1\nschedule=kappa:1:0.5\nn_grid=128,256\n"
+                f"replications=3\ntest_points=4\norder={order}\nout_prefix={prefix}\n",
+            )
+            assert main(["rates", "--config", cfg]) == 0
+            with open(f"{prefix}.json") as handle:
+                means[order] = [pt["mean"] for pt in json.load(handle)["points"]]
+        capsys.readouterr()
+        assert means["2"] == pytest.approx([2.0 * m for m in means["1"]], rel=1e-12)
+
     def test_every_documented_preset_override_is_accepted(self, tmp_path, capsys):
         cfg = write(
             tmp_path / "r.cfg",
@@ -437,6 +523,20 @@ class TestBoundsCommand:
         assert captured.out == ""
         assert "n >= 1" in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("family,param", [("kernel", "0.1"), ("knn", "3")])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_is_a_data_error(self, tmp_path, capsys, family, param, where):
+        out = str(tmp_path / "missing" / "b.csv") if where == "missing-directory" else str(tmp_path)
+        rc = main(
+            ["bounds", "--family", family, "--holder", "1", "--lipschitz", "1",
+             "--dispersion", "1", "--dim", "1", "--n", "100", "--param", param,
+             "--out", out]
+        )
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"data error: {out}: ")
 
     def test_bound_decreases_in_n_at_fixed_param(self, capsys):
         main(

@@ -9,7 +9,7 @@ from distreg.experiments import (
     ExperimentPlan,
     FixedNeighborSchedule,
     NeighborPowerSchedule,
-    _prediction_error,
+    _fit_and_predict,
     bound_rows_csv,
     bound_vs_risk,
     fit_loglog_slope,
@@ -18,8 +18,6 @@ from distreg.experiments import (
     rate_study,
     risk_estimate,
 )
-from distreg.measures import make_discrete
-from distreg.regressor import fit, predict_distribution
 from distreg.weights import KnnScheme
 
 
@@ -114,29 +112,34 @@ class TestRiskEstimate:
         assert 1.2 <= ratio <= 3.5  # about 2 with sampling noise
 
     def test_binary_error_is_exact_probability_gap(self):
-        model = make_preset("binary-k1")
-        ds = model.sample(64, seed=7)
-        reg = fit(ds, KnnScheme(kappa=8))
-        x = np.array([0.5])
-        pred = predict_distribution(reg, x)
-        law = model.conditional_law(x)
-        p_hat = float(pred.weights[pred.xs == 2.0].sum())
-        p_true = float(law.weights[law.xs == 2.0].sum())
-        assert _prediction_error(pred, law, 1.0) == pytest.approx(
-            2.0 * abs(p_hat - p_true), abs=1e-12
-        )
+        # on the support {0, 2} the W1 error is 2 |p_hat - p|, with p_hat the
+        # predicted and p the true weight of the atom 2
+        model, scheme = make_preset("binary-k1"), KnnScheme(kappa=8)
+        mean, _ = risk_estimate(model, scheme, n=64, replications=3, test_points=5, seed=7)
+        gaps = []
+        for rep in range(3):
+            queries, preds = _fit_and_predict(model, scheme, 64, 5, 7, 0, rep)
+            p_hat = np.array([pred.weights[pred.xs == 2.0].sum() for pred in preds])
+            gaps.append(np.mean(2.0 * np.abs(p_hat - model.param_profile(queries))))
+        assert mean == pytest.approx(np.mean(gaps), abs=1e-12)
 
     def test_higher_order_against_discrete_law(self):
-        pred = make_discrete([0.0, 2.0], [0.4, 0.6])
-        law = make_discrete([0.0, 2.0], [0.5, 0.5])
-        # W2^2 moves 0.1 mass across distance 2 -> 0.1 * 4
-        assert _prediction_error(pred, law, 2.0) == pytest.approx(0.4, abs=1e-12)
+        # on the support {0, 2} the mass |p_hat - p| moves a distance 2, so
+        # W2^2 = 4 |p_hat - p| is twice the W1 error in every replication
+        model, scheme = make_preset("binary-k1"), KnnScheme(kappa=8)
+        sizes = dict(n=64, replications=4, test_points=5, seed=7)
+        w1_mean, w1_se = risk_estimate(model, scheme, **sizes)
+        w2_mean, w2_se = risk_estimate(model, scheme, p=2.0, **sizes)
+        assert w1_mean > 0
+        assert w2_mean == pytest.approx(2.0 * w1_mean, rel=1e-12)
+        assert w2_se == pytest.approx(2.0 * w1_se, rel=1e-12)
 
     def test_higher_order_rejects_analytic_law(self):
         model = make_preset("gaussian-k1")
-        pred = make_discrete([0.0], [1.0])
         with pytest.raises(NotImplementedError):
-            _prediction_error(pred, model.conditional_law(np.array([0.5])), 2.0)
+            risk_estimate(
+                model, KnnScheme(kappa=4), n=32, replications=2, test_points=2, p=2.0
+            )
 
 
 class TestDeterminism:
@@ -189,13 +192,15 @@ class TestReports:
         report = rate_study(plan)
         prefix = str(tmp_path / "out")
         csv_path, json_path = report.write(prefix)
-        lines = open(csv_path).read().strip().splitlines()
+        with open(csv_path) as handle:
+            lines = handle.read().strip().splitlines()
         assert lines[0] == "n,param,risk_mean,risk_stderr"
         assert len(lines) == 1 + len(plan.n_grid)
         first = lines[1].split(",")
         assert int(first[0]) == plan.n_grid[0]
         assert float(first[2]) == report.points[0].mean  # 17g digits round-trip
-        payload = json.load(open(json_path))
+        with open(json_path) as handle:
+            payload = json.load(handle)
         assert payload["slope"] == report.slope
         assert payload["passed"] == report.passed
 

@@ -59,6 +59,14 @@ class TestMakeDiscrete:
         with pytest.raises(ValueError, match="sum"):
             make_discrete([0.0, 1.0], [0.5, 0.6])
 
+    def test_messages_print_plain_floats(self):
+        with pytest.raises(ValueError) as exc:
+            make_discrete([0.0, 1.0], [0.5, 0.25])
+        assert str(exc.value) == "weights sum to 0.75, outside tolerance 1e-09"
+        with pytest.raises(ValueError) as exc:
+            make_discrete([0.0, 1.0], [-1e-3, 1.0])
+        assert str(exc.value) == "materially negative weight: min = -1.000e-03"
+
     def test_empty_input(self):
         with pytest.raises(ValueError):
             make_discrete([], [])
