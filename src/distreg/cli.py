@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import math
 import os
 import sys
@@ -22,12 +21,13 @@ from ._table import write_table
 from .bounds import ClassParams, kernel_bound, knn_bound
 from .experiments import (
     BandwidthPowerSchedule,
-    ExperimentPlan,
     FixedNeighborSchedule,
-    NeighborPowerSchedule,
     bound_rows_csv,
     bound_vs_risk,
+    finite,
     make_experiment_preset,
+    parse_schedule,
+    plan_from_config,
     rate_study,
 )
 from .functionals import FunctionalSpec, evaluate_functional
@@ -47,18 +47,10 @@ class DataError(Exception):
     """Malformed input file; reported with the offending line."""
 
 
-def _finite(text: str, name: str = "value") -> float:
-    """Parse a float; malformed text, nan and infinities raise ValueError."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {text!r}")
-    return value
-
-
 def _finite_float(text: str) -> float:
     """argparse type for float flags: nan and infinities are usage errors."""
     try:
-        return _finite(text)
+        return finite(text)
     except ValueError as exc:  # argparse would replace the message
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -257,67 +249,9 @@ def _parse_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _parse_schedule(text: str):
-    parts = text.split(":")
-    try:
-        if parts[0] == "h":
-            return "kernel", BandwidthPowerSchedule(_finite(parts[1]), _finite(parts[2]))
-        if parts[0] == "kappa":
-            return "knn", NeighborPowerSchedule(_finite(parts[1]), _finite(parts[2]))
-        if parts[0] == "kappa-fixed":
-            return "knn", FixedNeighborSchedule(int(parts[1]))
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"cannot parse schedule {text!r}: {exc}") from exc
-    raise ValueError(f"unknown schedule form {text!r}")
-
-
-# keys a preset config may set; a spelled-out study also takes the rest
-_PRESET_KEYS = {"preset", "n_grid", "replications", "test_points", "seed", "tolerance",
-                "out_prefix"}
-_STUDY_KEYS = _PRESET_KEYS - {"preset"} | {"model", "schedule", "order", "target"}
-
-
-def _plan_from_config(cfg: dict[str, str], seed: int) -> ExperimentPlan:
-    allowed = _PRESET_KEYS if "preset" in cfg else _STUDY_KEYS
-    rejected = sorted(set(cfg) - allowed)
-    if rejected:
-        raise ValueError(
-            f"unknown or ignored rates config key(s) {', '.join(rejected)}; "
-            f"this config takes {', '.join(sorted(allowed))}"
-        )
-    if "preset" in cfg:
-        plan = make_experiment_preset(cfg["preset"], seed=int(cfg.get("seed", seed)))
-        overrides = {}
-        if "n_grid" in cfg:
-            overrides["n_grid"] = tuple(int(v) for v in cfg["n_grid"].split(","))
-        for key in ("replications", "test_points"):
-            if key in cfg:
-                overrides[key] = int(cfg[key])
-        if "tolerance" in cfg:
-            overrides["tolerance"] = _finite(cfg["tolerance"], "tolerance")
-        return dataclasses.replace(plan, **overrides)
-    required = ("model", "schedule", "n_grid")
-    missing = [key for key in required if key not in cfg]
-    if missing:
-        raise ValueError(f"config must set preset= or the keys {missing}")
-    family, schedule = _parse_schedule(cfg["schedule"])
-    return ExperimentPlan(
-        model=make_preset(cfg["model"]),
-        family=family,
-        schedule=schedule,
-        n_grid=tuple(int(v) for v in cfg["n_grid"].split(",")),
-        replications=int(cfg.get("replications", "16")),
-        test_points=int(cfg.get("test_points", "16")),
-        seed=int(cfg.get("seed", seed)),
-        p=_finite(cfg.get("order", "1"), "order"),
-        target_exponent=_finite(cfg["target"], "target") if "target" in cfg else None,
-        tolerance=_finite(cfg.get("tolerance", "0.08"), "tolerance"),
-    )
-
-
 def cmd_rates(args) -> int:
     cfg = _parse_config(args.config)
-    plan = _plan_from_config(cfg, _default_seed())
+    plan = plan_from_config(cfg, _default_seed())
     if args.dry_run:
         print(f"model={plan.model.name} family={plan.family}")
         print(f"n_grid={','.join(str(n) for n in plan.n_grid)}")
@@ -382,7 +316,7 @@ def cmd_stone_check(args) -> int:
     model = make_preset(args.model)
     if args.family == "knn":
         if args.kappa_schedule is not None:
-            _, schedule = _parse_schedule(f"kappa:{args.kappa_schedule}")
+            _, schedule = parse_schedule(f"kappa:{args.kappa_schedule}")
         elif args.kappa is not None:
             schedule = FixedNeighborSchedule(args.kappa)
         else:
@@ -390,7 +324,7 @@ def cmd_stone_check(args) -> int:
         scheme_for_n = lambda n: KnnScheme(kappa=int(schedule(n)))  # noqa: E731
     else:
         if args.bandwidth_schedule is not None:
-            _, schedule = _parse_schedule(f"h:{args.bandwidth_schedule}")
+            _, schedule = parse_schedule(f"h:{args.bandwidth_schedule}")
         elif args.bandwidth is not None:
             schedule = BandwidthPowerSchedule(args.bandwidth, 0.0)
         else:
@@ -527,6 +461,8 @@ def main(argv=None) -> int:
         # error handling, so a malformed DISTREG_SEED is a usage error
         if getattr(args, "seed", 0) is None:
             args.seed = _default_seed()
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ bit-reproducible for a fixed plan regardless of how many workers run it.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -376,75 +377,97 @@ def functional_study(
 
 
 # ---------------------------------------------------------------------------
-# Named study presets (used by the CLI)
+# Rate-study configs: ``key=value`` pairs, of which a named preset is one
 
 
-def _geometric_grid(lo_pow: int, hi_pow: int) -> tuple[int, ...]:
-    return tuple(2**e for e in range(lo_pow, hi_pow + 1))
+def finite(text: str, name: str = "value") -> float:
+    """Parse a float; malformed text, nan and infinities raise ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {text!r}")
+    return value
+
+
+def parse_schedule(text: str):
+    """``h:COEF:EXP``, ``kappa:COEF:EXP`` or ``kappa-fixed:K`` as a
+    (family, schedule) pair."""
+    parts = text.split(":")
+    try:
+        if parts[0] == "h":
+            return "kernel", BandwidthPowerSchedule(finite(parts[1]), finite(parts[2]))
+        if parts[0] == "kappa":
+            return "knn", NeighborPowerSchedule(finite(parts[1]), finite(parts[2]))
+        if parts[0] == "kappa-fixed":
+            return "knn", FixedNeighborSchedule(int(parts[1]))
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"cannot parse schedule {text!r}: {exc}") from exc
+    raise ValueError(f"unknown schedule form {text!r}")
+
+
+# a preset config is its preset's keys updated by the config's own keys
+STUDY_PRESETS = {
+    "binary-k1-kernel": "model=binary-k1 schedule=h:1:-0.3333333333333333 "
+    "n_grid=512,1024,2048,4096,8192,16384,32768 replications=40 test_points=32 "
+    "target=-0.3333333333333333",
+    "binary-k2-knn": "model=binary-k2 schedule=kappa:1:0.5 "
+    "n_grid=512,1024,2048,4096,8192,16384,32768 replications=40 test_points=32 "
+    "target=-0.25",
+    "binary-k1-knn": "model=binary-k1 schedule=kappa:1:0.5 "
+    "n_grid=512,1024,2048,4096,8192,16384,32768 replications=40 test_points=32 "
+    "target=-0.25",
+    "binary-k1-knn-fixed": "model=binary-k1 schedule=kappa-fixed:5 "
+    "n_grid=512,1024,2048,4096,8192,16384 replications=24 test_points=32 "
+    "target=-0.3333333333333333",
+    "gaussian-k1-kernel": "model=gaussian-k1 schedule=h:1:-0.3333333333333333 "
+    "n_grid=256,512,1024,2048,4096,8192 replications=24 test_points=16 "
+    "target=-0.3333333333333333",
+    "uniform-k1-knn": "model=uniform-k1 schedule=kappa:1:0.5 "
+    "n_grid=256,512,1024,2048,4096,8192 replications=24 test_points=16 "
+    "target=-0.25",
+}
+
+# keys a preset config may set; a spelled-out study also takes the rest
+_PRESET_KEYS = {"preset", "n_grid", "replications", "test_points", "seed", "tolerance",
+                "out_prefix"}
+_STUDY_KEYS = _PRESET_KEYS - {"preset"} | {"model", "schedule", "order", "target"}
+
+
+def plan_from_config(cfg: dict[str, str], seed: int) -> ExperimentPlan:
+    """The plan of a rate-study config; ``seed`` applies when it sets none."""
+    allowed = _PRESET_KEYS if "preset" in cfg else _STUDY_KEYS
+    rejected = sorted(set(cfg) - allowed)
+    if rejected:
+        raise ValueError(
+            f"unknown or ignored rates config key(s) {', '.join(rejected)}; "
+            f"this config takes {', '.join(sorted(allowed))}"
+        )
+    if "preset" in cfg:
+        try:
+            preset = STUDY_PRESETS[cfg["preset"]]
+        except KeyError:
+            raise ValueError(
+                f"unknown experiment preset {cfg['preset']!r}; "
+                f"available: {sorted(STUDY_PRESETS)}"
+            ) from None
+        cfg = dict(item.split("=", 1) for item in preset.split()) | cfg
+    required = ("model", "schedule", "n_grid")
+    missing = [key for key in required if key not in cfg]
+    if missing:
+        raise ValueError(f"config must set preset= or the keys {missing}")
+    family, schedule = parse_schedule(cfg["schedule"])
+    return ExperimentPlan(
+        model=make_preset(cfg["model"]),
+        family=family,
+        schedule=schedule,
+        n_grid=tuple(int(v) for v in cfg["n_grid"].split(",")),
+        replications=int(cfg.get("replications", "16")),
+        test_points=int(cfg.get("test_points", "16")),
+        seed=int(cfg.get("seed", seed)),
+        p=finite(cfg.get("order", "1"), "order"),
+        target_exponent=finite(cfg["target"], "target") if "target" in cfg else None,
+        tolerance=finite(cfg.get("tolerance", "0.08"), "tolerance"),
+    )
 
 
 def make_experiment_preset(name: str, seed: int = 1) -> ExperimentPlan:
-    presets = {
-        "binary-k1-kernel": dict(
-            model="binary-k1",
-            family="kernel",
-            schedule=BandwidthPowerSchedule(1.0, -1.0 / 3.0),
-            n_grid=_geometric_grid(9, 15),
-            replications=40,
-            test_points=32,
-            target_exponent=-1.0 / 3.0,
-        ),
-        "binary-k2-knn": dict(
-            model="binary-k2",
-            family="knn",
-            schedule=NeighborPowerSchedule(1.0, 0.5),
-            n_grid=_geometric_grid(9, 15),
-            replications=40,
-            test_points=32,
-            target_exponent=-0.25,
-        ),
-        "binary-k1-knn": dict(
-            model="binary-k1",
-            family="knn",
-            schedule=NeighborPowerSchedule(1.0, 0.5),
-            n_grid=_geometric_grid(9, 15),
-            replications=40,
-            test_points=32,
-            target_exponent=-0.25,
-        ),
-        "binary-k1-knn-fixed": dict(
-            model="binary-k1",
-            family="knn",
-            schedule=FixedNeighborSchedule(5),
-            n_grid=_geometric_grid(9, 14),
-            replications=24,
-            test_points=32,
-            target_exponent=-1.0 / 3.0,
-        ),
-        "gaussian-k1-kernel": dict(
-            model="gaussian-k1",
-            family="kernel",
-            schedule=BandwidthPowerSchedule(1.0, -1.0 / 3.0),
-            n_grid=_geometric_grid(8, 13),
-            replications=24,
-            test_points=16,
-            target_exponent=-1.0 / 3.0,
-        ),
-        "uniform-k1-knn": dict(
-            model="uniform-k1",
-            family="knn",
-            schedule=NeighborPowerSchedule(1.0, 0.5),
-            n_grid=_geometric_grid(8, 13),
-            replications=24,
-            test_points=16,
-            target_exponent=-0.25,
-        ),
-    }
-    try:
-        cfg = dict(presets[name])
-    except KeyError:
-        raise ValueError(
-            f"unknown experiment preset {name!r}; available: {sorted(presets)}"
-        ) from None
-    cfg["model"] = make_preset(cfg["model"])
-    return ExperimentPlan(seed=seed, **cfg)
+    return plan_from_config({"preset": name}, seed)

@@ -26,6 +26,9 @@ from .measures import (
 
 SIZE_GUARD = 1_000_000
 _STREAM_TAG = 71  # domain tag for direction sampling
+# the transportation simplex gives up after base + per-cell * m * n pivots
+_PIVOTS_BASE, _PIVOTS_PER_CELL = 2000, 60
+_ASCENT_SWEEPS = 40  # most coordinate sweeps of one max-sliced ascent (d >= 3)
 
 
 class ConvergenceError(RuntimeError):
@@ -156,7 +159,21 @@ def _quantile_power(xa, ca, xb, cb, p) -> float:
     mids = 0.5 * (lo + hi)
     ia = np.minimum(np.searchsorted(ca, mids, side="left"), len(xa) - 1)
     ib = np.minimum(np.searchsorted(cb, mids, side="left"), len(xb) - 1)
-    return float(np.sum(lengths * np.abs(xa[ia] - xb[ib]) ** p))
+    gaps = np.abs(xa[ia] - xb[ib])
+    _require_power_in_range(gaps.max(), p)
+    return float(np.sum(lengths * gaps**p))
+
+
+def _require_power_in_range(top, p) -> None:
+    """Raise ValueError when ``top ** p``, the largest term of a sum of p-th
+    powers weighted by masses summing to 1, overflows a double."""
+    try:
+        float(top) ** float(p)  # a numpy p would give inf, not OverflowError
+    except OverflowError:
+        raise ValueError(
+            f"order p = {p:g} is too large: the largest distance {float(top):g} "
+            "to the power p overflows"
+        ) from None
 
 
 def w1_vs_analytic(
@@ -265,7 +282,9 @@ def wp_exact(
     if m * n > SIZE_GUARD:
         raise ValueError(f"support product {m * n} exceeds guard {SIZE_GUARD}")
     diffs = a.atoms[:, None, :] - b.atoms[None, :, :]
-    cost = np.linalg.norm(diffs, axis=2) ** p
+    dists = np.linalg.norm(diffs, axis=2)
+    _require_power_in_range(dists.max(), p)
+    cost = dists**p
     cells, masses = _transport_simplex(cost, a.weights, b.weights)
     src = np.array([c[0] for c in cells], dtype=int)
     tgt = np.array([c[1] for c in cells], dtype=int)
@@ -275,10 +294,8 @@ def wp_exact(
     return float(total ** (1.0 / p)), plan
 
 
-def _transport_simplex(cost, supply, demand, max_iter: int | None = None):
+def _transport_simplex(cost, supply, demand):
     m, n = cost.shape
-    if max_iter is None:
-        max_iter = 2000 + 60 * m * n
     # Perturb supplies so no partial sums tie: masses stay strictly positive
     # along the pivots, which rules out degenerate cycling.
     eps = 1e-11 / max(m, 1)
@@ -299,7 +316,7 @@ def _transport_simplex(cost, supply, demand, max_iter: int | None = None):
     costs = cost.ravel().tolist()
     tol = 1e-11 * (1.0 + float(np.max(cost)))
 
-    for _ in range(max_iter):
+    for _ in range(_PIVOTS_BASE + _PIVOTS_PER_CELL * m * n):
         parent, depth, dual = _basis_tree(adj, costs, m, n)
         reduced = cost - dual[:m, None] - dual[None, m:]
         reduced.flat[basis] = 0.0
@@ -583,11 +600,11 @@ def max_sliced_wp(
     return float(best_val)
 
 
-def _sphere_ascent(f, u, tol, max_sweeps=40):
+def _sphere_ascent(f, u, tol):
     u = u / np.linalg.norm(u)
     best = f(u)
     d = len(u)
-    for _ in range(max_sweeps):
+    for _ in range(_ASCENT_SWEEPS):
         improved = False
         for axis in range(d):
             e = np.zeros(d)

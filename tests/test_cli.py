@@ -8,7 +8,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import distreg
@@ -126,12 +126,61 @@ class TestDistanceCommand:
 
     @settings(max_examples=40, deadline=None)
     @given(a=line_measure(), b=line_measure(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    # both cumulative weights are 19/35 but one rounding step apart, so W_2^2
+    # is off by 4e-17 between the routes and W_2 by 6e-9 after the root
+    @example(
+        a=make_discrete([0.0, 0.5, 1.0], np.array([0.75, 0.2, 0.8]) / 1.75),
+        b=make_discrete(
+            [0.0, 1.30505052e-52, 0.5, 1.0], np.array([0.4, 0.35, 0.2, 0.8]) / 1.75
+        ),
+        p=2.0,
+    )
     def test_every_route_agrees_where_it_applies(self, a, b, p):
         # on the line: quantile and exact at any order, cdf at order 1
         routes = ("quantile", "exact", "cdf") if p == 1.0 else ("quantile", "exact")
         values = [cli_distance(a, b, "--method", r, "--order", repr(p)) for r in routes]
+        if p == 1.0:
+            for value in values[1:]:
+                assert value == pytest.approx(values[0], rel=1e-9, abs=1e-11)
+            return
+        # for p > 1 the routes agree in W_p^p, where both are backward stable;
+        # the p-th root magnifies an absolute gap near zero
+        top = max(np.abs(a.xs).max(), np.abs(b.xs).max())
         for value in values[1:]:
-            assert value == pytest.approx(values[0], rel=1e-9, abs=1e-11)
+            assert value**p == pytest.approx(
+                values[0] ** p, rel=1e-9, abs=1e-12 * (1.0 + top) ** p
+            )
+
+    @pytest.mark.parametrize(
+        "method,dim,order",
+        [("quantile", 1, "1e308"), ("exact", 1, "1000"), ("exact", 1, "1e308"),
+         ("sliced", 2, "1000"), ("max-sliced", 2, "1000"), ("exact", 2, "1000")],
+    )
+    def test_order_whose_power_overflows_is_a_usage_error(
+        self, tmp_path, capsys, method, dim, order
+    ):
+        # {0, 1} against {0, 3} on the line or on its diagonal in the plane:
+        # the largest gap, at least 2, to the power p is beyond the double range
+        if dim == 1:
+            a = write(tmp_path / "a.csv", "y1,weight\n0,0.5\n1,0.5\n")
+            c = write(tmp_path / "c.csv", "y1,weight\n0,0.5\n3,0.5\n")
+        else:
+            a = write(tmp_path / "a.csv", "y1,y2,weight\n0,0,0.5\n1,1,0.5\n")
+            c = write(tmp_path / "c.csv", "y1,y2,weight\n0,0,0.5\n3,3,0.5\n")
+        before = sorted(tmp_path.iterdir())
+        argv = ["distance", a, c, "--method", method, "--order", order, "--seed", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"order p = {float(order):g} is too large" in captured.err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_large_order_in_range_keeps_its_value(self, tmp_path, capsys):
+        # 2^1000 fits in a double: W_1000 = (2^1000 / 2)^(1/1000)
+        a = write(tmp_path / "a.csv", "y1,weight\n0,0.5\n1,0.5\n")
+        c = write(tmp_path / "c.csv", "y1,weight\n0,0.5\n3,0.5\n")
+        assert main(["distance", a, c, "--method", "quantile", "--order", "1000"]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(2.0 * 0.5**0.001)
 
     def test_malformed_weight_column(self, tmp_path, capsys):
         a = write(tmp_path / "a.csv", "y1,weight\n0,1\n")
@@ -464,6 +513,35 @@ class TestRatesCommand:
         capsys.readouterr()
         assert means["2"] == pytest.approx([2.0 * m for m in means["1"]], rel=1e-12)
 
+    def test_order_whose_power_overflows_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the binary support {0, 2} puts a gap of 2 between prediction and
+        # truth, and 2^3000 is beyond the double range
+        monkeypatch.chdir(tmp_path)
+        cfg = write(
+            tmp_path / "r.cfg",
+            "model=binary-k1\nschedule=kappa:1:0.5\nn_grid=16,32\norder=3000\n",
+        )
+        assert main(["rates", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "order p = 3000 is too large" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.cfg"]
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_a_usage_error(self, tmp_path, capsys, monkeypatch, workers):
+        monkeypatch.chdir(tmp_path)
+        cfg = write(
+            tmp_path / "r.cfg",
+            "preset=binary-k1-kernel\nn_grid=128,256\nreplications=2\ntest_points=2\n",
+        )
+        assert main(["rates", "--config", cfg, f"--workers={workers}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--workers must be >= 1, got {workers}" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.cfg"]
+
     def test_every_documented_preset_override_is_accepted(self, tmp_path, capsys):
         cfg = write(
             tmp_path / "r.cfg",
@@ -630,6 +708,13 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    def test_bound_check_workers_below_one_is_a_usage_error(self, capsys):
+        argv = ["bound-check", "--preset", "binary-k1-kernel", "--workers", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--workers must be >= 1, got 0" in captured.err
 
     def test_certify(self, capsys):
         assert main(["certify", "--model", "binary-k1", "--resolution", "32"]) == 0

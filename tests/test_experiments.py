@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from distreg import FunctionalSpec, make_preset
 from distreg.experiments import (
+    STUDY_PRESETS,
     BandwidthPowerSchedule,
     ExperimentPlan,
     FixedNeighborSchedule,
@@ -15,6 +17,7 @@ from distreg.experiments import (
     fit_loglog_slope,
     functional_study,
     make_experiment_preset,
+    plan_from_config,
     rate_study,
     risk_estimate,
 )
@@ -274,6 +277,54 @@ class TestStudies:
 
 
 class TestPresets:
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_presets_equal_their_former_definitions(self, seed):
+        # the Python objects the presets were before they became configs
+        def grid(lo, hi):
+            return tuple(2**e for e in range(lo, hi + 1))
+
+        kernel = ("kernel", BandwidthPowerSchedule(1.0, -1.0 / 3.0))
+        knn = ("knn", NeighborPowerSchedule(1.0, 0.5))
+        former = {
+            "binary-k1-kernel": ("binary-k1", *kernel, grid(9, 15), 40, 32, -1.0 / 3.0),
+            "binary-k2-knn": ("binary-k2", *knn, grid(9, 15), 40, 32, -0.25),
+            "binary-k1-knn": ("binary-k1", *knn, grid(9, 15), 40, 32, -0.25),
+            "binary-k1-knn-fixed": (
+                "binary-k1", "knn", FixedNeighborSchedule(5), grid(9, 14), 24, 32, -1.0 / 3.0
+            ),
+            "gaussian-k1-kernel": ("gaussian-k1", *kernel, grid(8, 13), 24, 16, -1.0 / 3.0),
+            "uniform-k1-knn": ("uniform-k1", *knn, grid(8, 13), 24, 16, -0.25),
+        }
+        assert sorted(former) == sorted(STUDY_PRESETS)
+        for name, (model, family, schedule, n_grid, reps, points, target) in former.items():
+            assert make_experiment_preset(name, seed=seed) == ExperimentPlan(
+                model=make_preset(model),
+                family=family,
+                schedule=schedule,
+                n_grid=n_grid,
+                replications=reps,
+                test_points=points,
+                seed=seed,
+                target_exponent=target,
+            )
+
+    def test_preset_keys_are_updated_by_the_config(self):
+        cfg = {"preset": "binary-k2-knn", "n_grid": "64,128", "replications": "3",
+               "test_points": "5", "seed": "7", "tolerance": "0.5", "out_prefix": "x"}
+        expected = dataclasses.replace(
+            make_experiment_preset("binary-k2-knn", seed=7),
+            n_grid=(64, 128), replications=3, test_points=5, tolerance=0.5,
+        )
+        assert plan_from_config(cfg, seed=1) == expected
+
+    def test_spelled_out_defaults(self):
+        plan = plan_from_config(
+            {"model": "binary-k1", "schedule": "kappa-fixed:5", "n_grid": "64,128"}, seed=4
+        )
+        assert (plan.family, plan.schedule) == ("knn", FixedNeighborSchedule(5))
+        assert (plan.replications, plan.test_points, plan.seed) == (16, 16, 4)
+        assert (plan.p, plan.target_exponent, plan.tolerance) == (1.0, None, 0.08)
+
     def test_known_presets_resolve(self):
         plan = make_experiment_preset("binary-k1-kernel")
         assert plan.model.name == "binary-k1"

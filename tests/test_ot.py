@@ -96,6 +96,16 @@ def test_non_finite_order_rejected(p):
         SlicedConfig(p=p)
 
 
+@pytest.mark.parametrize("p", [1000.0, np.float64(1000.0)], ids=["float", "numpy"])
+def test_order_whose_power_overflows_rejected(p):
+    # 3^1000 is beyond the double range; a numpy order must not slip
+    # through as an inf power
+    with pytest.raises(ValueError, match="order p = 1000 is too large"):
+        wp_quantile(dirac(0.0), dirac(3.0), p)
+    with pytest.raises(ValueError, match="order p = 1000 is too large"):
+        wp_exact(dirac(0.0), dirac(3.0), p)
+
+
 class TestWpExact:
     def test_single_pair_euclidean(self):
         a = make_discrete([[0.0, 0.0]], [1.0])
