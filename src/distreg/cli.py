@@ -181,21 +181,24 @@ def cmd_distance(args) -> int:
     if method == "cdf" and args.order != 1.0:
         raise ValueError("the cdf method is an order-1 formula")
 
-    if method == "quantile":
-        value = wp_quantile(a, b, args.order)
-    elif method == "cdf":
-        value = w1_cdf(a, b)
-    elif method == "exact":
-        value, _ = wp_exact(a, b, args.order)
-    else:
-        cfg = SlicedConfig(
-            p=args.order, num_directions=args.directions, seed=args.seed
-        )
-        if method == "sliced":
-            est = sliced_wp(a, b, cfg)
-            print(f"{est.value:.12g} {est.stderr:.12g}")
-            return EXIT_OK
-        value = max_sliced_wp(a, b, cfg)
+    try:
+        if method == "quantile":
+            value = wp_quantile(a, b, args.order)
+        elif method == "cdf":
+            value = w1_cdf(a, b)
+        elif method == "exact":
+            value, _ = wp_exact(a, b, args.order)
+        else:
+            cfg = SlicedConfig(
+                p=args.order, num_directions=args.directions, seed=args.seed
+            )
+            if method == "sliced":
+                est = sliced_wp(a, b, cfg)
+                print(f"{est.value:.12g} {est.stderr:.12g}")
+                return EXIT_OK
+            value = max_sliced_wp(a, b, cfg)
+    except OverflowError as exc:
+        raise DataError(str(exc)) from None
     print(f"{value:.12g}")
     return EXIT_OK
 

@@ -9,6 +9,7 @@ sliced and grid-refined max-sliced estimates.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -100,7 +101,10 @@ def w1_cdf(a: DiscreteDistribution, b: DiscreteDistribution) -> float:
     grid = np.sort(np.concatenate((a.xs, b.xs)))
     fa = cdf_eval(a, grid[:-1])
     fb = cdf_eval(b, grid[:-1])
-    return float(np.sum(np.diff(grid) * np.abs(fa - fb)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.sum(np.diff(grid) * np.abs(fa - fb))
+    _require_in_range(value)
+    return float(value)
 
 
 def w1_cdf_batch(a: MeasureBatch, b: MeasureBatch) -> np.ndarray:
@@ -159,9 +163,19 @@ def _quantile_power(xa, ca, xb, cb, p) -> float:
     mids = 0.5 * (lo + hi)
     ia = np.minimum(np.searchsorted(ca, mids, side="left"), len(xa) - 1)
     ib = np.minimum(np.searchsorted(cb, mids, side="left"), len(xb) - 1)
-    gaps = np.abs(xa[ia] - xb[ib])
-    _require_power_in_range(gaps.max(), p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = np.abs(xa[ia] - xb[ib])
+    top = gaps.max()  # inf or nan when a gap overflowed
+    _require_in_range(top)
+    _require_power_in_range(top, p)
     return float(np.sum(lengths * gaps**p))
+
+
+def _require_in_range(value, what="a distance") -> None:
+    """Raise OverflowError when ``what`` between atoms was beyond the double
+    range and came out inf or nan."""
+    if not math.isfinite(value):
+        raise OverflowError(f"the atoms are too far apart: {what} overflows a double")
 
 
 def _require_power_in_range(top, p) -> None:
@@ -281,9 +295,12 @@ def wp_exact(
     m, n = a.support_size, b.support_size
     if m * n > SIZE_GUARD:
         raise ValueError(f"support product {m * n} exceeds guard {SIZE_GUARD}")
-    diffs = a.atoms[:, None, :] - b.atoms[None, :, :]
-    dists = np.linalg.norm(diffs, axis=2)
-    _require_power_in_range(dists.max(), p)
+    with np.errstate(over="ignore"):
+        dists = np.linalg.norm(a.atoms[:, None, :] - b.atoms[None, :, :], axis=2)
+    top = dists.max()
+    # the norm squares each difference
+    _require_in_range(top, "a squared distance")
+    _require_power_in_range(top, p)
     cost = dists**p
     cells, masses = _transport_simplex(cost, a.weights, b.weights)
     src = np.array([c[0] for c in cells], dtype=int)
@@ -524,9 +541,14 @@ def sliced_wp(
     dirs = rng.standard_normal((cfg.num_directions, a.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     powers = np.array([_projection_power(a, b, u, cfg.p) for u in dirs])
-    mean = float(powers.mean())
+    # the mean sums the powers and the standard deviation squares them, and
+    # either may overflow; scaling by a power of two that brings the largest
+    # power near 1 is exact, so finite results keep every bit
+    shift = np.frexp(powers.max())[1]
+    scaled = np.ldexp(powers, -shift)
+    mean = float(np.ldexp(scaled.mean(), shift))
     if cfg.num_directions > 1:
-        se = float(powers.std(ddof=1) / np.sqrt(cfg.num_directions))
+        se = float(np.ldexp(scaled.std(ddof=1), shift) / np.sqrt(cfg.num_directions))
     else:
         se = 0.0
     return SlicedEstimate(value=mean ** (1.0 / cfg.p), stderr=se, power_mean=mean)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import DiscreteDistribution, MeasureBatch
+from .measures import DiscreteDistribution, MeasureBatch, _row_sums
 from .weights import KernelScheme, KnnScheme, NeighbourIndex, SparseWeights, _as_row
 
 
@@ -111,24 +111,23 @@ def predict_many(model: FittedRegressor, queries) -> MeasureBatch:
     builds from the selected responses and their weights.
     """
     selected = model.index.select(model.scheme, queries)
-    sizes = np.array([w.indices.shape[0] for w in selected], dtype=np.intp)
+    offsets = selected.offsets
+    sizes = np.diff(offsets)
     # equal weights are a count over m; kernel masses, normalized per
-    # query, are a share of each point over 1
+    # query, are a share of each point over 1, except in a fallback row
     share, denom = None, sizes.astype(float)
-    weighted = [i for i, w in enumerate(selected) if w.mass is not None]
-    if weighted:
-        share, ends = np.ones(sizes.sum()), np.cumsum(sizes)
-        for i in weighted:
-            share[ends[i] - sizes[i]:ends[i]] = selected[i].values
-            denom[i] = 1.0
-    idx = np.concatenate([w.indices for w in selected] + [np.empty(0, np.intp)])
+    if selected.mass is not None:
+        weighted = ~selected.fallback
+        totals = np.where(weighted, _row_sums(selected.mass, offsets), 1.0)
+        share = selected.mass / np.repeat(totals, sizes)
+        denom[weighted] = 1.0
+    idx = selected.indices
     # the flat arrays are as large as every selection together, so each is
     # dropped, or overwritten in place, once it is used up
     del selected
     if model.groups is None:
         atoms = model.dataset.responses[idx]
         weights = (1.0 if share is None else share) / np.repeat(denom, sizes)
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
     else:
         # one key per (query, distinct response), row * width + rank:
         # sorted keys put the batch in row order with each row's responses

@@ -9,6 +9,7 @@ valid local-averaging scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -81,9 +82,14 @@ def _as_row(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))[None, :]
 
 
-# Radii handed to the k-d tree are widened by this factor, so rounding in the
-# tree's distances can only add candidates; the exact tests below then decide.
+# Radii handed to the k-d tree or the sorted line are widened by this factor,
+# so rounding in their distances can only add candidates; the exact tests
+# below then decide.
 _RADIUS_SLACK = 1.0 + 1e-12
+# On the line a radius is also widened by this much: below it squared
+# distances leave the normal range, where their square roots lose the
+# relative accuracy that the factor above covers.
+_LINE_REACH = 1e-150
 
 
 @dataclass(frozen=True)
@@ -107,28 +113,69 @@ class SparseWeights:
         return self.mass / self.mass.sum()
 
 
-class NeighbourIndex:
-    """A k-d tree over a covariate sample (Bentley 1975), built once and
-    queried for the support of each weight vector.
+@dataclass(frozen=True)
+class WeightBatch:
+    """Sparse weights at a batch of query points, stored flat.
 
-    The tree only proposes candidates; membership is decided by the same
-    numpy distances, comparisons and smallest-index tie rule as a full scan
-    over the sample, so the selected points are exactly those of the scan.
+    Row i has the ascending sample indices
+    ``indices[offsets[i]:offsets[i + 1]]`` and, when ``mass`` is not None,
+    their unnormalized kernel values at the same positions of ``mass``.
+    ``fallback[i]`` marks a row whose scheme put no mass on any point: it
+    holds every sample point with weight 1/n (and mass 1).  ``batch[i]`` (or
+    iterating) gives row i as :class:`SparseWeights`, made of views of the
+    flat arrays.
+    """
+
+    indices: np.ndarray
+    offsets: np.ndarray
+    fallback: np.ndarray
+    mass: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.offsets.shape[0] - 1
+
+    def __getitem__(self, i) -> SparseWeights:
+        i = range(len(self))[i]
+        rows = slice(self.offsets[i], self.offsets[i + 1])
+        mass = None if self.mass is None or self.fallback[i] else self.mass[rows]
+        return SparseWeights(self.indices[rows], mass)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+class NeighbourIndex:
+    """The covariate sample indexed once, and queried for the support of
+    each weight vector.
+
+    For k = 1 covariates the index is the sorted sample (an argsort and the
+    sorted values), on which a ball is a slice; for k >= 2 it is a k-d tree
+    (Bentley 1975).  Either one only proposes candidates; membership is
+    decided by the same numpy distances, comparisons and smallest-index tie
+    rule as a full scan over the sample, so the selected points are exactly
+    those of the scan.
     """
 
     def __init__(self, covariates):
-        from scipy.spatial import cKDTree  # deferred: costs import time otherwise
-
         self.points = _as_matrix(covariates)
-        # a tree answers a few dozen queries per fit, so the cheaper
-        # sliding-midpoint build beats a median-balanced one
-        self.tree = cKDTree(self.points, balanced_tree=False, compact_nodes=False)
+        self.tree = None
+        if self.points.shape[1] == 1:
+            # every row is put in index order at the end, so ties may come
+            # out of the sort in any order
+            self.order = np.argsort(self.points[:, 0])
+            self.line = self.points[self.order, 0]
+        else:
+            from scipy.spatial import cKDTree  # deferred: costs import time otherwise
+
+            # a tree answers a few dozen queries per fit, so the cheaper
+            # sliding-midpoint build beats a median-balanced one
+            self.tree = cKDTree(self.points, balanced_tree=False, compact_nodes=False)
 
     @property
     def n(self) -> int:
         return self.points.shape[0]
 
-    def select(self, scheme, queries) -> list[SparseWeights]:
+    def select(self, scheme, queries) -> WeightBatch:
         """Sparse weights of ``scheme`` at each row of ``queries`` (m, k)."""
         qs = np.asarray(queries, dtype=float)
         if qs.ndim != 2 or qs.shape[1] != self.points.shape[1]:
@@ -143,49 +190,95 @@ class NeighbourIndex:
         if isinstance(scheme, KernelScheme):
             if scheme.kind == "uniform":
                 return self._ball(scheme.bandwidth, qs)
-            return [self._boxed(scheme, q) for q in qs]
+            return self._boxed(scheme, qs)
         raise TypeError(f"unsupported scheme type: {type(scheme).__name__}")
 
-    def _candidates(self, qs: np.ndarray, radii) -> list[np.ndarray]:
-        """Ascending indices within a slightly widened radius of each query."""
+    def _within(self, qs: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
+        """Flat (row, sample index) pairs of the points within a slightly
+        widened radius of each query."""
+        if self.tree is None:
+            reach = radii * _RADIUS_SLACK + _LINE_REACH
+            lo = np.searchsorted(self.line, qs[:, 0] - reach, side="left")
+            sizes = np.searchsorted(self.line, qs[:, 0] + reach, side="right") - lo
+            rows = np.repeat(np.arange(qs.shape[0]), sizes)
+            # the flat place of each entry, moved from its row's flat start
+            # to the row's first sorted position
+            pos = np.arange(rows.shape[0]) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+            return rows, self.order[pos]
         found = self.tree.query_ball_point(qs, radii * _RADIUS_SLACK, return_sorted=False)
-        return [np.sort(np.asarray(c, dtype=np.intp)) for c in found]
+        sizes = np.fromiter(map(len, found), np.intp, len(found))
+        cand = np.fromiter(chain.from_iterable(found), np.intp, sizes.sum())
+        return np.repeat(np.arange(len(found)), sizes), cand
 
-    def _nearest(self, kappa: int, qs: np.ndarray) -> list[SparseWeights]:
+    def _kth_distance(self, kappa: int, qs: np.ndarray) -> np.ndarray:
+        """The distance from each query to its kappa-th nearest point."""
+        if self.tree is not None:
+            return self.tree.query(qs, k=[kappa])[0][:, 0]
+        # the kappa nearest points are among the kappa on either side of
+        # the insertion point; the window gives their radius, and the ball
+        # of that radius the members, ties at the radius included
+        width = min(2 * kappa, self.n)
+        start = np.searchsorted(self.line, qs[:, 0]) - kappa
+        start = np.clip(start, 0, self.n - width)
+        window = self.line[start[:, None] + np.arange(width)]
+        dists = np.abs(window - qs)
+        return np.partition(dists, kappa - 1, axis=1)[:, kappa - 1]
+
+    def _nearest(self, kappa: int, qs: np.ndarray) -> WeightBatch:
         if kappa > self.n:
             raise ValueError(f"kappa = {kappa} exceeds sample size {self.n}")
-        radius, _ = self.tree.query(qs, k=[kappa])
-        out = []
-        for q, cand in zip(qs, self._candidates(qs, radius[:, 0])):
-            dists = np.linalg.norm(self.points[cand] - q[None, :], axis=1)
-            # candidates are in index order, so a stable sort realizes the
-            # smallest-index tie rule
-            nearest = cand[np.argsort(dists, kind="stable")[:kappa]]
-            out.append(SparseWeights(np.sort(nearest)))
-        return out
+        rows, cand = self._within(qs, self._kth_distance(kappa, qs))
+        dists = np.linalg.norm(self.points[cand] - qs[rows], axis=1)
+        # by row, then distance, then index: the smallest-index tie rule
+        order = np.lexsort((cand, dists, rows))
+        sizes = np.bincount(rows, minlength=qs.shape[0])
+        rank = np.arange(order.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        first = order[rank < kappa]
+        return self._batch(qs.shape[0], rows[first], cand[first])
 
-    def _ball(self, h: float, qs: np.ndarray) -> list[SparseWeights]:
-        out = []
-        for q, cand in zip(qs, self._candidates(qs, h)):
-            inside = np.linalg.norm((q[None, :] - self.points[cand]) / h, axis=1) <= 1.0
-            out.append(self._or_uniform(cand[inside]))
-        return out
+    def _ball(self, h: float, qs: np.ndarray) -> WeightBatch:
+        rows, cand = self._within(qs, h)
+        inside = np.linalg.norm((qs[rows] - self.points[cand]) / h, axis=1) <= 1.0
+        return self._batch(qs.shape[0], rows[inside], cand[inside])
 
-    def _boxed(self, scheme: KernelScheme, q: np.ndarray) -> SparseWeights:
+    def _boxed(self, scheme: KernelScheme, qs: np.ndarray) -> WeightBatch:
         # the box constants are declared, not verified, so the kernel is
         # evaluated on every point
-        scaled = (q[None, :] - self.points) / scheme.bandwidth
-        vals = np.asarray(scheme.kernel(scaled), dtype=float).reshape(-1)
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise ValueError("kernel returned negative or non-finite values")
-        support = np.flatnonzero(vals)
-        return self._or_uniform(support, vals[support])
+        rows, cand, mass = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
+        for i, q in enumerate(qs):
+            scaled = (q[None, :] - self.points) / scheme.bandwidth
+            vals = np.asarray(scheme.kernel(scaled), dtype=float).reshape(-1)
+            if not np.all(np.isfinite(vals)) or np.any(vals < 0):
+                raise ValueError("kernel returned negative or non-finite values")
+            support = np.flatnonzero(vals)
+            rows.append(np.full(support.shape[0], i))
+            cand.append(support)
+            mass.append(vals[support])
+        return self._batch(
+            qs.shape[0], np.concatenate(rows), np.concatenate(cand), np.concatenate(mass)
+        )
 
-    def _or_uniform(self, indices: np.ndarray, mass=None) -> SparseWeights:
-        """The weights on ``indices``, or uniform 1/n when no point has mass."""
-        if indices.shape[0] == 0:
-            return SparseWeights(np.arange(self.n))
-        return SparseWeights(indices, mass)
+    def _batch(self, m: int, rows, cand, mass=None) -> WeightBatch:
+        """The selected (row, sample index) pairs as a batch, each row in
+        index order; a row with no point falls back to uniform 1/n."""
+        n = self.n
+        sizes = np.bincount(rows, minlength=m)
+        fallback = sizes == 0
+        if fallback.any():
+            empty = np.flatnonzero(fallback)
+            rows = np.concatenate((rows, np.repeat(empty, n)))
+            cand = np.concatenate((cand, np.tile(np.arange(n), empty.shape[0])))
+            if mass is not None:
+                mass = np.concatenate((mass, np.ones(empty.shape[0] * n)))
+            sizes[fallback] = n
+        keys = rows * n + cand
+        if mass is None:
+            keys.sort()
+        else:
+            order = np.argsort(keys)
+            keys, mass = keys[order], mass[order]
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        return WeightBatch(keys % n, offsets, fallback, mass)
 
 
 def evaluate_weights(scheme, covariates, x) -> SparseWeights:

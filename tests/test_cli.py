@@ -182,6 +182,39 @@ class TestDistanceCommand:
         assert main(["distance", a, c, "--method", "quantile", "--order", "1000"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(2.0 * 0.5**0.001)
 
+    @pytest.mark.parametrize("method", ["quantile", "cdf", "exact"])
+    def test_atoms_whose_difference_overflows_are_a_data_error(
+        self, tmp_path, capsys, method
+    ):
+        # W_1 = 2e308 is beyond the double range
+        a = write(tmp_path / "a.csv", "y1,weight\n-1e308,1\n")
+        b = write(tmp_path / "b.csv", "y1,weight\n1e308,1\n")
+        assert main(["distance", a, b, "--method", method]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "data error: the atoms are too far apart" in captured.err
+
+    def test_sliced_standard_error_of_large_powers_stays_finite(self, tmp_path, capsys):
+        # every projected 1000-th power fits in a double, but its square does
+        # not; the same measures shrunk by 4 give each power times 2^-2000
+        texts = {
+            "a": "y1,y2,weight\n0,0,0.5\n1,0,0.5\n",
+            "b": "y1,y2,weight\n0,0,0.5\n3,0,0.5\n",
+            "qa": "y1,y2,weight\n0,0,0.5\n0.25,0,0.5\n",
+            "qb": "y1,y2,weight\n0,0,0.5\n0.75,0,0.5\n",
+        }
+        paths = {name: write(tmp_path / f"{name}.csv", text) for name, text in texts.items()}
+        printed = []
+        for pair in (("a", "b"), ("qa", "qb")):
+            argv = ["distance", paths[pair[0]], paths[pair[1]], "--method", "sliced",
+                    "--order", "1000", "--seed", "1"]
+            assert main(argv) == 0
+            printed.append([float(v) for v in capsys.readouterr().out.split()])
+        (value, se), (small_value, small_se) = printed
+        assert np.isfinite(se) and se > 0
+        assert value == pytest.approx(4.0 * small_value, rel=1e-9)
+        assert se == pytest.approx(np.ldexp(small_se, 2000), rel=1e-9)
+
     def test_malformed_weight_column(self, tmp_path, capsys):
         a = write(tmp_path / "a.csv", "y1,weight\n0,1\n")
         bad = write(tmp_path / "bad.csv", "y1,weight\n0,0.5\n1,zzz\n")

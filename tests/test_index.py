@@ -1,4 +1,5 @@
-"""The k-d tree selection against full scans over the sample.
+"""The sorted-line and k-d tree selections against full scans over the
+sample.
 
 The scans below are the selection rules the index replaces: a stable
 argsort of every distance for k-NN, and the closed unit-ball test on every
@@ -124,6 +125,102 @@ class TestSelectionMatchesScan:
             index.select(KnnScheme(kappa=1), [[0.0]])
         with pytest.raises(ValueError, match="finite"):
             index.select(KnnScheme(kappa=1), [[0.0, np.nan]])
+
+
+@st.composite
+def line_sample(draw):
+    """1-d covariates on a few levels, so long runs of duplicates sit on both
+    sides of a query at equal distance; queries also fall outside the
+    sample's range."""
+    n = draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    levels = rng.integers(0, 9, size=draw(st.integers(1, 4))) / 8.0
+    xs = rng.choice(levels, size=(n, 1))
+    queries = rng.integers(-8, 17, size=(8, 1)) / 16.0
+    return xs, queries
+
+
+class TestLineIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(sample=line_sample(), data=st.data())
+    def test_knn_with_duplicates_on_both_sides(self, sample, data):
+        xs, queries = sample
+        kappa = data.draw(st.integers(1, xs.shape[0]))
+        index = NeighbourIndex(xs)
+        assert index.tree is None
+        for q, w in zip(queries, index.select(KnnScheme(kappa=kappa), queries)):
+            assert np.array_equal(w.indices, scan_knn(xs, q, kappa))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sample=line_sample(), eighths=st.integers(1, 12))
+    def test_ball_with_duplicates_and_points_exactly_h_away(self, sample, eighths):
+        xs, queries = sample
+        h = eighths / 8.0
+        queries = np.vstack([queries, xs[:3] + h, xs[:3] - h])
+        chosen = NeighbourIndex(xs).select(KernelScheme(bandwidth=h), queries)
+        for q, w in zip(queries, chosen):
+            assert np.array_equal(w.indices, scan_ball(xs, q, h))
+
+    def test_smallest_indices_beyond_a_window_of_two_kappa(self):
+        # five ties on each side of 0.5; the smallest indices sit at the far
+        # end of the left run, outside the 2 kappa sorted points around 0.5
+        xs = np.array([0.25] * 5 + [0.75] * 5)[:, None]
+        queries = np.array([[0.5]])
+        for kappa in (1, 3, 5, 7, 10):
+            (w,) = NeighbourIndex(xs).select(KnnScheme(kappa=kappa), queries)
+            assert np.array_equal(w.indices, scan_knn(xs, queries[0], kappa))
+        (w,) = NeighbourIndex(xs[::-1]).select(KnnScheme(kappa=3), queries)
+        assert np.array_equal(w.indices, [0, 1, 2])
+
+    def test_queries_outside_the_sample_range(self):
+        xs = np.array([0.3, 0.1, 0.2, 0.1, 0.4])[:, None]
+        queries = np.array([[-5.0], [-0.1], [0.45], [7.0]])
+        index = NeighbourIndex(xs)
+        for kappa in range(1, 6):
+            for q, w in zip(queries, index.select(KnnScheme(kappa=kappa), queries)):
+                assert np.array_equal(w.indices, scan_knn(xs, q, kappa))
+        for q, w in zip(queries, index.select(KernelScheme(bandwidth=0.2), queries)):
+            assert np.array_equal(w.indices, scan_ball(xs, q, 0.2))
+        assert index.select(KernelScheme(bandwidth=0.2), queries).fallback.tolist() == [
+            True, False, False, True,
+        ]
+
+    def test_one_point_and_kappa_equal_to_n(self):
+        one = NeighbourIndex([[0.5]])
+        for queries in ([[0.5]], [[-1.0], [2.0]]):
+            for scheme in (KnnScheme(kappa=1), KernelScheme(bandwidth=0.1)):
+                for w in one.select(scheme, queries):
+                    assert np.array_equal(w.indices, [0])
+        xs = np.array([0.9, 0.1, 0.5, 0.1, 0.7])[:, None]
+        for w in NeighbourIndex(xs).select(KnnScheme(kappa=5), [[0.0], [0.5], [3.0]]):
+            assert np.array_equal(w.indices, np.arange(5))
+
+    def test_points_exactly_h_away(self):
+        xs = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 0.25, 0.75])[:, None]
+        (w,) = NeighbourIndex(xs).select(KernelScheme(bandwidth=0.25), [[0.5]])
+        assert np.array_equal(w.indices, [1, 2, 3, 5, 6])
+
+    def test_distances_whose_squares_underflow(self):
+        # every squared distance to 0 below is 0, so the scan ties all three
+        # tiny points and keeps the smallest indices, 2e-170 among them
+        xs = np.array([2e-170, 0.0, 1e-170, 1.0])[:, None]
+        (w,) = NeighbourIndex(xs).select(KnnScheme(kappa=2), [[0.0]])
+        assert np.array_equal(w.indices, scan_knn(xs, np.zeros(1), 2))
+        assert np.array_equal(w.indices, [0, 1])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_empty_query_array(self, k):
+        index = NeighbourIndex(np.arange(6.0).reshape(-1, k))
+        boxed = KernelScheme(
+            bandwidth=1.0, kind="boxed", kernel=lambda u: np.ones(u.shape[0]),
+            box_constants=(1.0, 1.0, 1.0, 1.0),
+        )
+        for scheme in (KnnScheme(kappa=2), KernelScheme(bandwidth=1.0), boxed):
+            batch = index.select(scheme, np.empty((0, k)))
+            assert len(batch) == 0 and list(batch) == []
+            assert batch.indices.shape == (0,)
+            assert np.array_equal(batch.offsets, [0])
 
 
 def dense_weights(xs, q, scheme):
@@ -299,16 +396,38 @@ class TestPermutationInvariance:
                 assert np.array_equal(weights, other_weights)
 
 
-def test_import_leaves_scipy_integrate_and_spatial_unloaded():
-    code = (
-        "import sys, distreg.cli; "
-        "mods = ('scipy.integrate', 'scipy.spatial', 'scipy.special', 'scipy.optimize'); "
-        "print([m for m in mods if m in sys.modules])"
-    )
+def run_python(code):
     src = os.path.dirname(os.path.dirname(os.path.abspath(distreg.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, timeout=60, check=True, env=env,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_integrate_and_spatial_unloaded():
+    code = (
+        "import sys, distreg.cli; "
+        "mods = ('scipy.integrate', 'scipy.spatial', 'scipy.special', 'scipy.optimize'); "
+        "print([m for m in mods if m in sys.modules])"
+    )
+    assert run_python(code) == "[]"
+
+
+def test_line_index_leaves_scipy_spatial_unloaded():
+    # 1-d covariates are indexed by sorting; only k >= 2 builds a k-d tree
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from distreg import Dataset, KernelScheme, KnnScheme, fit, predict_many\n"
+        "xs = np.linspace(0.0, 1.0, 50)\n"
+        "for scheme in (KnnScheme(kappa=5), KernelScheme(bandwidth=0.1)):\n"
+        "    reg = fit(Dataset(xs, xs**2), scheme)\n"
+        "    predict_many(reg, xs[:7, None])\n"
+        "print(reg.index.tree, 'scipy.spatial' in sys.modules)\n"
+        "reg = fit(Dataset(np.column_stack((xs, xs)), xs), KnnScheme(kappa=5))\n"
+        "from scipy.spatial import cKDTree\n"
+        "print(isinstance(reg.index.tree, cKDTree))\n"
+    )
+    assert run_python(code).split("\n") == ["None False", "True"]
