@@ -200,12 +200,8 @@ def _functional_replication(payload) -> float:
 def _run_payloads(worker, payloads, workers: int):
     if workers <= 1:
         return [worker(pl) for pl in payloads]
-    # four or more contiguous blocks per worker: a round trip per payload
-    # costs more than the smallest replications, and one block per worker
-    # would leave a worker idle behind a slow block
-    chunk = max(1, len(payloads) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, payloads, chunksize=chunk))
+        return list(pool.map(worker, payloads))
 
 
 def _aggregate(values: np.ndarray) -> tuple[float, float]:

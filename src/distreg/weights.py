@@ -90,6 +90,10 @@ _RADIUS_SLACK = 1.0 + 1e-12
 # distances leave the normal range, where their square roots lose the
 # relative accuracy that the factor above covers.
 _LINE_REACH = 1e-150
+# A line radius at or above this is taken as infinite: the squares of
+# distances near it overflow to inf, where the scan ties them, so the ball
+# takes every point and the exact ranking decides.
+_LINE_TOP = np.sqrt(np.finfo(float).max) / 2
 
 
 @dataclass(frozen=True)
@@ -198,8 +202,10 @@ class NeighbourIndex:
         widened radius of each query."""
         if self.tree is None:
             reach = radii * _RADIUS_SLACK + _LINE_REACH
-            lo = np.searchsorted(self.line, qs[:, 0] - reach, side="left")
-            sizes = np.searchsorted(self.line, qs[:, 0] + reach, side="right") - lo
+            with np.errstate(over="ignore"):
+                bottom, top = qs[:, 0] - reach, qs[:, 0] + reach
+            lo = np.searchsorted(self.line, bottom, side="left")
+            sizes = np.searchsorted(self.line, top, side="right") - lo
             rows = np.repeat(np.arange(qs.shape[0]), sizes)
             # the flat place of each entry, moved from its row's flat start
             # to the row's first sorted position
@@ -221,14 +227,18 @@ class NeighbourIndex:
         start = np.searchsorted(self.line, qs[:, 0]) - kappa
         start = np.clip(start, 0, self.n - width)
         window = self.line[start[:, None] + np.arange(width)]
-        dists = np.abs(window - qs)
-        return np.partition(dists, kappa - 1, axis=1)[:, kappa - 1]
+        with np.errstate(over="ignore"):
+            dists = np.abs(window - qs)
+        kth = np.partition(dists, kappa - 1, axis=1)[:, kappa - 1]
+        return np.where(kth < _LINE_TOP, kth, np.inf)
 
     def _nearest(self, kappa: int, qs: np.ndarray) -> WeightBatch:
         if kappa > self.n:
             raise ValueError(f"kappa = {kappa} exceeds sample size {self.n}")
         rows, cand = self._within(qs, self._kth_distance(kappa, qs))
-        dists = np.linalg.norm(self.points[cand] - qs[rows], axis=1)
+        with np.errstate(over="ignore"):
+            # a distance whose square overflows is inf, as in the scan
+            dists = np.linalg.norm(self.points[cand] - qs[rows], axis=1)
         # by row, then distance, then index: the smallest-index tie rule
         order = np.lexsort((cand, dists, rows))
         sizes = np.bincount(rows, minlength=qs.shape[0])

@@ -209,6 +209,28 @@ class TestLineIndex:
         assert np.array_equal(w.indices, scan_knn(xs, np.zeros(1), 2))
         assert np.array_equal(w.indices, [0, 1])
 
+    def test_distances_whose_squares_overflow(self):
+        # the squared distances from 0 to 3e200 and 1e200 are both inf, so the
+        # scan ties them and keeps the smaller index, 3e200
+        xs = np.array([3e200, 0.0, 1e200])[:, None]
+        (w,) = NeighbourIndex(xs).select(KnnScheme(kappa=2), [[0.0]])
+        with np.errstate(over="ignore"):
+            assert np.array_equal(w.indices, scan_knn(xs, np.zeros(1), 2))
+        assert np.array_equal(w.indices, [0, 1])
+        # gaps beyond the double range, and a ball reaching past it
+        xs = np.array([1e308, -1e308, 0.0, 1e308])[:, None]
+        queries = np.array([[-1e308], [1e308]])
+        index = NeighbourIndex(xs)
+        for kappa in range(1, 5):
+            chosen = index.select(KnnScheme(kappa=kappa), queries)
+            with np.errstate(over="ignore"):
+                for q, w in zip(queries, chosen):
+                    assert np.array_equal(w.indices, scan_knn(xs, q, kappa))
+        chosen = index.select(KernelScheme(bandwidth=1e308), queries)
+        with np.errstate(over="ignore"):
+            for q, w in zip(queries, chosen):
+                assert np.array_equal(w.indices, scan_ball(xs, q, 1e308))
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_empty_query_array(self, k):
         index = NeighbourIndex(np.arange(6.0).reshape(-1, k))

@@ -352,6 +352,18 @@ class TestSliced:
             est = sliced_wp(a, b, cfg)
             assert est.value <= max_sliced_wp(a, b, cfg) + 3.0 * est.stderr + 1e-12
 
+    def test_standard_error_of_tiny_powers_does_not_underflow(self):
+        # the projected squares below are near 1e-200, and so their squared
+        # deviations near 1e-400; the estimate must still be the one of the
+        # measures 2^332 times larger, scaled back by 2^-664
+        cfg = SlicedConfig(p=2.0, num_directions=64, seed=1)
+        big = [make_discrete([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5]),
+               make_discrete([[0.0, 0.0], [3.0, 0.0]], [0.5, 0.5])]
+        tiny = [make_discrete(np.ldexp(m.atoms, -332), m.weights) for m in big]
+        est, small = sliced_wp(*big, cfg), sliced_wp(*tiny, cfg)
+        assert 0.0 < small.stderr == np.ldexp(est.stderr, -664)
+        assert small.power_mean == np.ldexp(est.power_mean, -664)
+
     def test_reproducible_given_seed(self):
         a = make_discrete([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
         b = make_discrete([[0.5, 0.5]], [1.0])
