@@ -2,7 +2,7 @@
 
 One-dimensional distances are evaluated in closed form (quantile-function
 merge for any order, CDF-difference integration for order 1).  Higher
-dimensions use an exact transportation-simplex solver, with a brute-force
+dimensions use an exact network-simplex solver, with a brute-force
 vertex enumeration available as an independent oracle, plus Monte-Carlo
 sliced and grid-refined max-sliced estimates.
 """
@@ -184,10 +184,14 @@ def _require_power_in_range(top, p) -> None:
     try:
         float(top) ** float(p)  # a numpy p would give inf, not OverflowError
     except OverflowError:
-        raise ValueError(
-            f"order p = {p:g} is too large: the largest distance {float(top):g} "
-            "to the power p overflows"
-        ) from None
+        raise _order_too_large(p, top) from None
+
+
+def _order_too_large(p, top) -> ValueError:
+    return ValueError(
+        f"order p = {p:g} is too large: the largest distance {float(top):g} "
+        "to the power p overflows"
+    )
 
 
 def w1_vs_analytic(
@@ -284,9 +288,18 @@ def wp_exact(
     """Exact order-p distance between discrete measures of any dimension.
 
     Solves the transportation problem with cost ||y_i - y_j||^p by a
-    primal simplex on the transportation polytope (degeneracy removed by a
-    supply perturbation, ties broken lexicographically).  Returns the
-    distance and an optimal plan.
+    network simplex on the transportation polytope: Dantzig's rule picks
+    the entering cell, degeneracy is removed by a supply perturbation and
+    ties are broken lexicographically.  The basis tree keeps its parents,
+    depths and duals across pivots; a pivot re-hangs the subtree that the
+    leaving cell cuts off and recomputes only that subtree's duals, with
+    the same recurrence as a full rebuild, so every dual keeps its bits.
+
+    Where the p-th powers come near the top of the double range, or beyond
+    it, the plan is found on the distances scaled by a power of two, and its
+    cost is taken from the unscaled powers: the order is checked against
+    what is transported, as on the line.  Returns the distance and an
+    optimal plan.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -295,20 +308,48 @@ def wp_exact(
     m, n = a.support_size, b.support_size
     if m * n > SIZE_GUARD:
         raise ValueError(f"support product {m * n} exceeds guard {SIZE_GUARD}")
+    dists = _distances(a.atoms, b.atoms)
     with np.errstate(over="ignore"):
-        dists = np.linalg.norm(a.atoms[:, None, :] - b.atoms[None, :, :], axis=2)
-    top = dists.max()
-    # the norm squares each difference
-    _require_in_range(top, "a squared distance")
-    _require_power_in_range(top, p)
-    cost = dists**p
-    cells, masses = _transport_simplex(cost, a.weights, b.weights)
+        cost = dists**p
+    # a dual is an alternating sum of up to m + n costs, and a reduced cost
+    # subtracts two duals from a cost: all of them must stay finite
+    if math.isfinite(float(cost.max()) * 4 * (m + n)):
+        priced = cost
+    else:
+        # the largest scaled power stays below 2^1000, and m + n < 2^20
+        # under the size guard
+        shift = int(np.frexp(dists.max())[1]) - math.floor(1000 / p)
+        priced = np.ldexp(dists, -shift) ** p
+    cells, masses = _transport_simplex(priced, a.weights, b.weights)
     src = np.array([c[0] for c in cells], dtype=int)
     tgt = np.array([c[1] for c in cells], dtype=int)
     masses = np.maximum(masses, 0.0)
-    total = float(np.sum(masses * cost[src, tgt]))
+    carried = masses > 0.0
+    with np.errstate(over="ignore"):
+        total = float(np.sum(masses * np.where(carried, cost[src, tgt], 0.0)))
+    if not math.isfinite(total):
+        raise _order_too_large(p, dists[src, tgt][carried].max())
     plan = TransportPlan(sources=src, targets=tgt, masses=masses, cost=total)
     return float(total ** (1.0 / p)), plan
+
+
+def _distances(xa, xb):
+    """Euclidean distances between the rows of ``xa`` and those of ``xb``.
+
+    The norm squares each difference.  Where a square overflows, the norm is
+    taken of the differences scaled by a power of two, which is exact, and
+    scaled back.
+    """
+    with np.errstate(over="ignore"):
+        diffs = xa[:, None, :] - xb[None, :, :]
+        dists = np.linalg.norm(diffs, axis=2)
+        if not math.isfinite(dists.max()):
+            widest = np.abs(diffs).max()
+            _require_in_range(widest)
+            shift = int(np.frexp(widest)[1])
+            dists = np.ldexp(np.linalg.norm(np.ldexp(diffs, -shift), axis=2), shift)
+    _require_in_range(dists.max())
+    return dists
 
 
 def _transport_simplex(cost, supply, demand):
@@ -323,8 +364,11 @@ def _transport_simplex(cost, supply, demand):
     cells, masses = _northwest_corner(a, b)
     # The basis is a spanning tree over row nodes 0..m-1 and column nodes
     # m..m+n-1, updated in place; a cell (i, j) is keyed by i * n + j, which
-    # orders cells as the (i, j) tuples do.
+    # orders cells as the (i, j) tuples do.  ``basis`` keeps each cell in
+    # the slot of the cell it replaced, the order of the returned plan.
     basis = [i * n + j for i, j in cells]
+    basic = np.array(basis, dtype=np.intp)
+    slot_of = {cell: s for s, cell in enumerate(basis)}
     mass_of = dict(zip(basis, masses))
     adj: list[set[int]] = [set() for _ in range(m + n)]
     for i, j in cells:
@@ -332,26 +376,33 @@ def _transport_simplex(cost, supply, demand):
         adj[m + j].add(i)
     costs = cost.ravel().tolist()
     tol = 1e-11 * (1.0 + float(np.max(cost)))
+    parent, depth, dual = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
+    _grow(0, adj, costs, parent, depth, dual, m, n)
+    reduced = np.empty_like(cost)
 
     for _ in range(_PIVOTS_BASE + _PIVOTS_PER_CELL * m * n):
-        parent, depth, dual = _basis_tree(adj, costs, m, n)
-        reduced = cost - dual[:m, None] - dual[None, m:]
-        reduced.flat[basis] = 0.0
-        enter = int(np.argmin(reduced))
+        duals = np.array(dual, dtype=float)
+        np.subtract(cost, duals[:m, None], out=reduced)
+        np.subtract(reduced, duals[None, m:], out=reduced)
+        reduced.flat[basic] = 0.0
+        enter = int(reduced.argmin())
         if reduced.flat[enter] >= -tol:
             break
         # The entering cell closes a cycle with the tree path from its column
-        # to its row, found by walking the deeper end up until the ends meet;
+        # to its row, found by walking the deeper end up until the ends meet
+        # (the cell joining row node i and column node m + j is i * n + j);
         # cells at even positions (from ``enter``) gain mass, odd ones lose it.
         col, row = m + enter % n, enter // n
         up_col, up_row = [], []
         while col != row:
             if depth[col] >= depth[row]:
-                up_col.append(_tree_edge(col, parent[col], m, n))
-                col = parent[col]
+                up = parent[col]
+                up_col.append(col * n + up - m if col < m else up * n + col - m)
+                col = up
             else:
-                up_row.append(_tree_edge(row, parent[row], m, n))
-                row = parent[row]
+                up = parent[row]
+                up_row.append(row * n + up - m if row < m else up * n + row - m)
+                row = up
         cycle = [enter] + up_col + up_row[::-1]
         leave = min(cycle[1::2], key=lambda cell: (mass_of[cell], cell))
         theta = mass_of[leave]
@@ -359,11 +410,23 @@ def _transport_simplex(cost, supply, demand):
         for t, cell in enumerate(cycle[1:], start=1):
             mass_of[cell] += theta if t % 2 == 0 else -theta
         del mass_of[leave]
-        basis[basis.index(leave)] = enter
+        slot = slot_of.pop(leave)
+        basis[slot] = basic[slot] = enter
+        slot_of[enter] = slot
         for cell, update in ((leave, set.remove), (enter, set.add)):
             i, j = divmod(cell, n)
             update(adj[i], m + j)
             update(adj[m + j], i)
+        # Dropping ``leave`` cuts off the subtree below it, which holds the
+        # end of ``enter`` on the same side of the cycle; re-hang the subtree
+        # from that end.  Only its nodes change root path, so only their
+        # parents, depths and duals are recomputed.
+        inner, outer = m + enter % n, enter // n
+        if leave in up_row:
+            inner, outer = outer, inner
+        parent[inner], depth[inner] = outer, depth[outer] + 1
+        dual[inner] = costs[enter] - dual[outer]
+        _grow(inner, adj, costs, parent, depth, dual, m, n)
     else:
         raise ConvergenceError("transportation simplex failed to converge")
 
@@ -398,31 +461,27 @@ def _northwest_corner(a, b):
     return cells, masses
 
 
-def _tree_edge(node, other, m, n):
-    """Flat index of the cell joining a row node and a column node."""
-    return node * n + other - m if node < m else other * n + node - m
+def _grow(top, adj, costs, parent, depth, dual, m, n):
+    """Fill in the parents, depths and duals of the basis tree below ``top``,
+    whose own are set.
 
-
-def _basis_tree(adj, costs, m, n):
-    """Parents, depths and duals of the basis tree rooted at row 0.
-
-    Each dual is fixed along the unique tree path from the root (u_0 = 0,
-    u_i + v_j = c_ij on every basis cell), so its value does not depend on
-    the order in which nodes are visited.
+    The tree is rooted at row 0.  Each dual is fixed along the unique tree
+    path from the root (u_0 = 0, u_i + v_j = c_ij on every basis cell), so
+    its value does not depend on the order in which nodes are visited, nor
+    on whether it was computed in one pass or in a re-hung subtree.
     """
-    parent = [-1] * (m + n)
-    depth = [0] * (m + n)
-    dual = [0.0] * (m + n)
-    stack = [0]
+    stack = [top]
     while stack:
         node = stack.pop()
+        up, below, reach = parent[node], depth[node] + 1, dual[node]
+        # the cell joining ``node`` to ``other`` is costs[at + step * other]
+        at, step = (node * n - m, 1) if node < m else (node - m, n)
         for other in adj[node]:
-            if other != parent[node]:
+            if other != up:
                 parent[other] = node
-                depth[other] = depth[node] + 1
-                dual[other] = costs[_tree_edge(node, other, m, n)] - dual[node]
+                depth[other] = below
+                dual[other] = costs[at + step * other] - reach
                 stack.append(other)
-    return parent, depth, np.array(dual)
 
 
 def _tree_flow(cells, supply, demand):

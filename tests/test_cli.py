@@ -153,14 +153,16 @@ class TestDistanceCommand:
 
     @pytest.mark.parametrize(
         "method,dim,order",
-        [("quantile", 1, "1e308"), ("exact", 1, "1000"), ("exact", 1, "1e308"),
-         ("sliced", 2, "1000"), ("max-sliced", 2, "1000"), ("exact", 2, "1000")],
+        [("quantile", 1, "1e308"), ("exact", 1, "1e308"), ("sliced", 2, "1000"),
+         ("max-sliced", 2, "1000"), ("exact", 2, "1000")],
     )
     def test_order_whose_power_overflows_is_a_usage_error(
         self, tmp_path, capsys, method, dim, order
     ):
         # {0, 1} against {0, 3} on the line or on its diagonal in the plane:
-        # the largest gap, at least 2, to the power p is beyond the double range
+        # the largest gap, at least 2, to the power p is beyond the double
+        # range, and so is the transported gap 1 -> 3 (2, or 2 sqrt 2 in the
+        # plane) that the exact plan keeps
         if dim == 1:
             a = write(tmp_path / "a.csv", "y1,weight\n0,0.5\n1,0.5\n")
             c = write(tmp_path / "c.csv", "y1,weight\n0,0.5\n3,0.5\n")
@@ -181,6 +183,41 @@ class TestDistanceCommand:
         c = write(tmp_path / "c.csv", "y1,weight\n0,0.5\n3,0.5\n")
         assert main(["distance", a, c, "--method", "quantile", "--order", "1000"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(2.0 * 0.5**0.001)
+
+    def test_exact_order_that_only_an_unused_cell_overflows(self, tmp_path, capsys):
+        # 0 -> 3 would cost 3^1000, beyond the double range, but the optimal
+        # plan moves 1 -> 3 and pays 2^1000, as the quantile route does
+        a = write(tmp_path / "a.csv", "y1,weight\n0,0.5\n1,0.5\n")
+        c = write(tmp_path / "c.csv", "y1,weight\n0,0.5\n3,0.5\n")
+        printed = []
+        for method in ("quantile", "exact"):
+            assert main(["distance", a, c, "--method", method, "--order", "1000"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            printed.append(captured.out)
+        assert printed == ["1.99861418598\n"] * 2
+
+    @pytest.mark.parametrize("method", ["cdf", "exact"])
+    def test_atoms_whose_squared_difference_overflows_keep_their_distance(
+        self, tmp_path, capsys, method
+    ):
+        # (2e200)^2 is beyond the double range, but 2e200 is not
+        a = write(tmp_path / "a.csv", "y1,weight\n-1e200,1\n")
+        b = write(tmp_path / "b.csv", "y1,weight\n1e200,1\n")
+        printed = []
+        for route in ("quantile", method):
+            assert main(["distance", a, b, "--method", route]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            printed.append(captured.out)
+        assert printed == ["2e+200\n"] * 2
+
+    def test_exact_distance_whose_squares_overflow_in_the_plane(self, tmp_path, capsys):
+        # both coordinates differ by 3e200: the gap is 3e200 sqrt 2
+        a = write(tmp_path / "a.csv", "y1,y2,weight\n-1e200,-1e200,1\n")
+        b = write(tmp_path / "b.csv", "y1,y2,weight\n2e200,2e200,1\n")
+        assert main(["distance", a, b, "--method", "exact"]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(3e200 * 2**0.5, rel=1e-11)
 
     @pytest.mark.parametrize("method", ["quantile", "cdf", "exact"])
     def test_atoms_whose_difference_overflows_are_a_data_error(
@@ -765,6 +802,17 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["frobnicate"], 2)])
+    def test_python_dash_m_runs_the_cli(self, argv, code):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(distreg.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-m", "distreg", *argv],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert out.returncode == code
+        assert "usage: distreg" in out.stdout + out.stderr
 
     def test_malformed_env_seed_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DISTREG_SEED", "abc")

@@ -2,6 +2,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance
 
 from distreg import (
@@ -104,6 +106,20 @@ def test_order_whose_power_overflows_rejected(p):
         wp_quantile(dirac(0.0), dirac(3.0), p)
     with pytest.raises(ValueError, match="order p = 1000 is too large"):
         wp_exact(dirac(0.0), dirac(3.0), p)
+
+
+@pytest.mark.parametrize(
+    "scale, p", [(8e307, 1.0), (1e200, 1.0), (6e153, 2.0)],
+    ids=["gaps-near-max", "squares-overflow", "powers-near-max"],
+)
+def test_exact_matches_quantile_route_near_the_double_range(scale, p):
+    # costs whose squares, p-th powers or duals would overflow: the plan is
+    # found on scaled distances and paid at the unscaled ones
+    rng = np.random.default_rng(int(np.log2(scale)) + int(p))
+    for _ in range(5):
+        a = random_discrete(rng, max_support=30, scale=scale / 4.0, min_support=10)
+        b = random_discrete(rng, max_support=30, scale=scale / 4.0, min_support=10)
+        assert wp_exact(a, b, p)[0] == pytest.approx(wp_quantile(a, b, p), rel=1e-12)
 
 
 class TestWpExact:
@@ -274,9 +290,9 @@ def reference_exact(a, b, p):
     return float(total ** (1.0 / p)), src, tgt, masses, total
 
 
-def reference_instance(rng, dim, ties, uniform):
+def reference_instance(rng, dim, ties, uniform, size=None):
     def measure():
-        m = int(rng.integers(1, 26))
+        m = int(rng.integers(1, 26)) if size is None else size
         atoms = rng.normal(size=(m, dim))
         if ties:
             atoms = np.round(2.0 * atoms) / 2.0
@@ -286,19 +302,55 @@ def reference_instance(rng, dim, ties, uniform):
     return measure(), measure()
 
 
+def assert_matches_reference(a, b, p):
+    dist, plan = wp_exact(a, b, p)
+    ref_dist, src, tgt, masses, total = reference_exact(a, b, p)
+    assert dist == ref_dist
+    assert plan.cost == total
+    assert np.array_equal(plan.sources, src)
+    assert np.array_equal(plan.targets, tgt)
+    assert np.array_equal(plan.masses, masses)
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_exact_matches_reference_pivot_loop(dim, p):
     rng = np.random.default_rng([dim, int(2 * p)])
     for k in range(20):
         a, b = reference_instance(rng, dim, ties=k % 2 == 0, uniform=k % 4 < 2)
-        dist, plan = wp_exact(a, b, p)
-        ref_dist, src, tgt, masses, total = reference_exact(a, b, p)
-        assert dist == ref_dist
-        assert plan.cost == total
-        assert np.array_equal(plan.sources, src)
-        assert np.array_equal(plan.targets, tgt)
-        assert np.array_equal(plan.masses, masses)
+        assert_matches_reference(a, b, p)
+    # a long pivot run, whose re-hung subtrees are deep
+    assert_matches_reference(*reference_instance(rng, dim, False, False, size=60), p)
+
+
+@st.composite
+def transport_instance(draw):
+    """Two measures of 1-12 atoms in dimension 1-3, possibly of shape 1 x k
+    or k x 1, with equal weights or atoms rounded to half integers (repeated
+    atoms and tied costs), and an order."""
+    dim = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 12))
+    m, n = draw(st.sampled_from([(1, k), (k, 1), (k, draw(st.integers(1, 12)))]))
+    halves = draw(st.booleans())
+
+    def measure(size):
+        coords = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+        atoms = np.array(draw(st.lists(coords, min_size=size * dim, max_size=size * dim)))
+        if halves:
+            atoms = np.round(2.0 * atoms) / 2.0
+        if draw(st.booleans()):
+            w = np.ones(size)
+        else:
+            w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size)))
+        return make_discrete(atoms.reshape(size, dim), w / w.sum())
+
+    return measure(m), measure(n), draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=transport_instance())
+def test_exact_matches_reference_pivot_loop_on_drawn_instances(instance):
+    assert_matches_reference(*instance)
 
 
 class TestMetricAxioms:

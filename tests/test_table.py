@@ -6,8 +6,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from distreg._table import table_text, write_table
+from distreg._table import _BLOCK, table_text, write_table
 from distreg.cli import main
 from distreg.regressor import Dataset, fit, predict_many
 from distreg.weights import KernelScheme, KnnScheme
@@ -57,6 +59,60 @@ class TestWriteTable:
     def test_columns_of_unequal_length_are_rejected(self):
         with pytest.raises(ValueError):
             table_text(["a", "b"], [[1, 2], [0.5]])
+
+
+def reference_text(header, columns) -> str:
+    """The table through the csv module's writer, a cell at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    cells = [
+        map("{:.17g}".format, c.tolist()) if c.dtype.kind == "f" else map(str, map(int, c.tolist()))
+        for c in map(np.asarray, columns)
+    ]
+    writer.writerows(zip(*cells))
+    return buf.getvalue()
+
+
+INT64 = np.iinfo(np.int64)
+EDGES = {
+    "f": np.array([-0.0, 0.0, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max,
+                   1e-300, 0.1, 1e16, 2.0**53 + 1, np.inf, np.nan]),
+    "i": np.array([0, -1, 1, INT64.min, INT64.max, 2**53 + 1, -(2**62)], dtype=np.int64),
+    "b": np.array([True, False]),
+}
+
+
+def drawn_column(rng, kind, rows):
+    if kind == "f":
+        # any bit pattern, or a normal value of any exponent
+        bits = rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64)
+        scaled = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        values = np.where(rng.random(rows) < 0.5, bits, scaled)
+    elif kind == "i":
+        values = rng.integers(INT64.min, INT64.max, rows, dtype=np.int64, endpoint=True)
+    else:
+        values = rng.random(rows) < 0.5
+    edge = rng.random(rows) < 0.25
+    values[edge] = rng.choice(EDGES[kind], int(edge.sum()))
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from("fib"), min_size=1, max_size=4),
+    rows=st.sampled_from([0, 1, 2, 17, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kinds=["i", "f", "b"], rows=0, seed=0)
+@example(kinds=["f", "i", "b", "f"], rows=2 * _BLOCK + 5, seed=1)
+def test_table_text_equals_the_csv_writer_cell_by_cell(kinds, rows, seed):
+    rng = np.random.default_rng(seed)
+    columns = [drawn_column(rng, kind, rows) for kind in kinds]
+    header = [f"c{i}" for i in range(len(kinds))]
+    # compared line by line, so a failure names the first bad row at once
+    got = table_text(header, columns).splitlines(keepends=True)
+    assert got == reference_text(header, columns).splitlines(keepends=True)
 
 
 @pytest.mark.parametrize("d", [1, 2])
