@@ -296,10 +296,14 @@ def wp_exact(
     the same recurrence as a full rebuild, so every dual keeps its bits.
 
     Where the p-th powers come near the top of the double range, or beyond
-    it, the plan is found on the distances scaled by a power of two, and its
-    cost is taken from the unscaled powers: the order is checked against
-    what is transported, as on the line.  Returns the distance and an
-    optimal plan.
+    it, the order is checked against what is transported, as on the line:
+    the plan's cost is taken from the unscaled powers, and only a
+    transported distance whose power overflows fails.  On the line the plan
+    is then the monotone coupling, optimal for every order p >= 1.  In
+    higher dimensions it is found on the distances scaled by a power of two,
+    and is rejected where the scaling prices a transported cell too close to
+    0 for the simplex's tolerance to tell it apart.  Returns the distance
+    and an optimal plan.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -313,14 +317,20 @@ def wp_exact(
         cost = dists**p
     # a dual is an alternating sum of up to m + n costs, and a reduced cost
     # subtracts two duals from a cost: all of them must stay finite
-    if math.isfinite(float(cost.max()) * 4 * (m + n)):
-        priced = cost
+    scaled = not math.isfinite(float(cost.max()) * 4 * (m + n))
+    if not scaled:
+        cells, masses = _transport_simplex(cost, a.weights, b.weights)
+    elif a.dim == 1:
+        # the supports are sorted: the northwest corner that starts the
+        # simplex is the monotone coupling
+        cells = _northwest_corner(*_perturbed(a.weights, b.weights))[0]
+        masses = _tree_flow(cells, a.weights, b.weights)
     else:
         # the largest scaled power stays below 2^1000, and m + n < 2^20
         # under the size guard
         shift = int(np.frexp(dists.max())[1]) - math.floor(1000 / p)
         priced = np.ldexp(dists, -shift) ** p
-    cells, masses = _transport_simplex(priced, a.weights, b.weights)
+        cells, masses = _transport_simplex(priced, a.weights, b.weights)
     src = np.array([c[0] for c in cells], dtype=int)
     tgt = np.array([c[1] for c in cells], dtype=int)
     masses = np.maximum(masses, 0.0)
@@ -329,6 +339,16 @@ def wp_exact(
         total = float(np.sum(masses * np.where(carried, cost[src, tgt], 0.0)))
     if not math.isfinite(total):
         raise _order_too_large(p, dists[src, tgt][carried].max())
+    if scaled and a.dim > 1:
+        unpriced = priced[src, tgt] < _tolerance(priced)
+        blurred = carried & unpriced & (cost[src, tgt] > 0)
+        if blurred.any():
+            raise ValueError(
+                f"order p = {p:g} is too large: next to the largest distance "
+                f"{float(dists.max()):g} to the power p, the transported distance "
+                f"{float(dists[src, tgt][blurred].max()):g} to the power p cannot "
+                "be told from 0"
+            )
     plan = TransportPlan(sources=src, targets=tgt, masses=masses, cost=total)
     return float(total ** (1.0 / p)), plan
 
@@ -336,32 +356,33 @@ def wp_exact(
 def _distances(xa, xb):
     """Euclidean distances between the rows of ``xa`` and those of ``xb``.
 
-    The norm squares each difference.  Where a square overflows, the norm is
-    taken of the differences scaled by a power of two, which is exact, and
-    scaled back.
+    The norm squares each difference.  Where a square overflows, the norm of
+    that pair is taken of its differences scaled by the power of two of its
+    own largest one, which is exact, and scaled back.
     """
     with np.errstate(over="ignore"):
         diffs = xa[:, None, :] - xb[None, :, :]
         dists = np.linalg.norm(diffs, axis=2)
-        if not math.isfinite(dists.max()):
-            widest = np.abs(diffs).max()
-            _require_in_range(widest)
-            shift = int(np.frexp(widest)[1])
-            dists = np.ldexp(np.linalg.norm(np.ldexp(diffs, -shift), axis=2), shift)
+        over = ~np.isfinite(dists)
+        if over.any():
+            wide = diffs[over]
+            widest = np.abs(wide).max(axis=1)
+            _require_in_range(widest.max())
+            shift = np.frexp(widest)[1]
+            norms = np.linalg.norm(np.ldexp(wide, -shift[:, None]), axis=1)
+            dists[over] = np.ldexp(norms, shift)
     _require_in_range(dists.max())
     return dists
 
 
+def _tolerance(cost):
+    """The simplex stops once no reduced cost is below minus this."""
+    return 1e-11 * (1.0 + float(np.max(cost)))
+
+
 def _transport_simplex(cost, supply, demand):
     m, n = cost.shape
-    # Perturb supplies so no partial sums tie: masses stay strictly positive
-    # along the pivots, which rules out degenerate cycling.
-    eps = 1e-11 / max(m, 1)
-    a = np.asarray(supply, dtype=float) + eps
-    b = np.asarray(demand, dtype=float).copy()
-    b[-1] += m * eps
-
-    cells, masses = _northwest_corner(a, b)
+    cells, masses = _northwest_corner(*_perturbed(supply, demand))
     # The basis is a spanning tree over row nodes 0..m-1 and column nodes
     # m..m+n-1, updated in place; a cell (i, j) is keyed by i * n + j, which
     # orders cells as the (i, j) tuples do.  ``basis`` keeps each cell in
@@ -375,7 +396,7 @@ def _transport_simplex(cost, supply, demand):
         adj[i].add(m + j)
         adj[m + j].add(i)
     costs = cost.ravel().tolist()
-    tol = 1e-11 * (1.0 + float(np.max(cost)))
+    tol = _tolerance(cost)
     parent, depth, dual = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
     _grow(0, adj, costs, parent, depth, dual, m, n)
     reduced = np.empty_like(cost)
@@ -435,6 +456,16 @@ def _transport_simplex(cost, supply, demand):
     cells = [divmod(cell, n) for cell in basis]
     exact = _tree_flow(cells, np.asarray(supply, float), np.asarray(demand, float))
     return cells, exact
+
+
+def _perturbed(supply, demand):
+    """Supplies perturbed so no partial sums tie: masses stay strictly
+    positive along the pivots, which rules out degenerate cycling."""
+    eps = 1e-11 / max(len(supply), 1)
+    a = np.asarray(supply, dtype=float) + eps
+    b = np.asarray(demand, dtype=float).copy()
+    b[-1] += len(supply) * eps
+    return a, b
 
 
 def _northwest_corner(a, b):

@@ -198,19 +198,26 @@ class TestDistanceCommand:
         assert printed == ["1.99861418598\n"] * 2
 
     @pytest.mark.parametrize("method", ["cdf", "exact"])
+    @pytest.mark.parametrize(
+        "rows_a, rows_b, value",
+        [("-1e200,1", "1e200,1", "2e+200"),
+         ("0,0.5\n1e200,0.5", "1,0.5\n1e200,0.5", "0.5")],
+        ids=["far-pair", "near-pair-beside-far-ones"],
+    )
     def test_atoms_whose_squared_difference_overflows_keep_their_distance(
-        self, tmp_path, capsys, method
+        self, tmp_path, capsys, method, rows_a, rows_b, value
     ):
-        # (2e200)^2 is beyond the double range, but 2e200 is not
-        a = write(tmp_path / "a.csv", "y1,weight\n-1e200,1\n")
-        b = write(tmp_path / "b.csv", "y1,weight\n1e200,1\n")
+        # (2e200)^2 and (1e200)^2 are beyond the double range, but 2e200 is
+        # not, and the transported gap 0 -> 1 beside 1e200 keeps its value
+        a = write(tmp_path / "a.csv", f"y1,weight\n{rows_a}\n")
+        b = write(tmp_path / "b.csv", f"y1,weight\n{rows_b}\n")
         printed = []
         for route in ("quantile", method):
             assert main(["distance", a, b, "--method", route]) == 0
             captured = capsys.readouterr()
             assert captured.err == ""
             printed.append(captured.out)
-        assert printed == ["2e+200\n"] * 2
+        assert printed == [f"{value}\n"] * 2
 
     def test_exact_distance_whose_squares_overflow_in_the_plane(self, tmp_path, capsys):
         # both coordinates differ by 3e200: the gap is 3e200 sqrt 2

@@ -122,6 +122,43 @@ def test_exact_matches_quantile_route_near_the_double_range(scale, p):
         assert wp_exact(a, b, p)[0] == pytest.approx(wp_quantile(a, b, p), rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_exact_in_the_plane_matches_bruteforce_near_the_double_range(p):
+    # the largest cost times 4(m + n) overflows, so the plan is found on
+    # distances scaled by a power of two; the same measures shrunk by
+    # 2^(1020 / p) give every cost times 2^-1020
+    rng = np.random.default_rng(int(p))
+    up = int(1020 / p)
+    for _ in range(5):
+        a, b = (
+            make_discrete(rng.uniform(-1.0, 1.0, size=(k, 2)), np.full(k, 1.0 / k))
+            for k in rng.integers(3, 5, size=2)
+        )
+        big_a = make_discrete(np.ldexp(a.atoms, up), a.weights)
+        big_b = make_discrete(np.ldexp(b.atoms, up), b.weights)
+        gap = np.linalg.norm(a.atoms[:, None] - b.atoms[None], axis=2).max()
+        top = np.ldexp(gap, up)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(top**p * 4 * (a.support_size + b.support_size))
+        expected = np.ldexp(wp_bruteforce(a, b, p), up)
+        assert wp_exact(big_a, big_b, p)[0] == pytest.approx(expected, rel=1e-12)
+
+
+def test_exact_rejects_a_plan_its_scaled_costs_cannot_tell_apart():
+    # at p = 1000 the largest distance, 100 from (0, 0) to (100, 0), sets
+    # the scale, and every distance below about 100 / 4.2 prices to 0: the
+    # corner plan 0 -> 1.7, 1 -> 1.5 would be kept, while the optimum moves
+    # 0 -> 1.5, 1 -> 1.7
+    a = make_discrete([[0.0, 0.0], [1.0, 0.0], [100.0, 0.0]], np.full(3, 1 / 3))
+    b = make_discrete([[1.7, 0.0], [1.5, 0.0], [100.0, 0.0]], np.full(3, 1 / 3))
+    with pytest.raises(ValueError, match="p = 1000 is too large.*cannot be told from 0"):
+        wp_exact(a, b, 1000.0)
+    # at an order whose costs the simplex tells apart, it finds that optimum
+    assert wp_exact(a, b, 3.0)[0] == pytest.approx(
+        ((1.5**3 + 0.7**3) / 3) ** (1 / 3), rel=1e-12
+    )
+
+
 class TestWpExact:
     def test_single_pair_euclidean(self):
         a = make_discrete([[0.0, 0.0]], [1.0])
