@@ -216,19 +216,18 @@ def _scheme_from_args(args, n: int):
 
 
 def cmd_predict(args) -> int:
+    # a malformed spec fails before any file is read
+    spec = FunctionalSpec.parse(args.functional) if args.functional else None
     ds = read_dataset(args.train)
     queries = read_queries(args.queries, ds.k)
     reg = fit(ds, _scheme_from_args(args, ds.n))
-    spec = FunctionalSpec.parse(args.functional) if args.functional else None
     preds = predict_many(reg, queries)
     if spec is None:
         header = ["query"] + [f"y{i + 1}" for i in range(ds.d)] + ["weight"]
         columns = [preds.rows, *preds.atoms.T, preds.weights]
     else:
         header = ["query", "value"]
-        columns = [
-            np.arange(len(preds)), [evaluate_functional(pred, spec) for pred in preds]
-        ]
+        columns = [np.arange(len(preds)), evaluate_functional(preds, spec)]
     _write_output(args.out, header, columns)
     return EXIT_OK
 

@@ -193,7 +193,7 @@ def _functional_replication(payload) -> float:
     *setting, spec = payload
     model = setting[0]
     queries, preds = _fit_and_predict(*setting)
-    estimates = np.array([evaluate_functional(pred, spec) for pred in preds])
+    estimates = evaluate_functional(preds, spec)
     return float(np.mean(np.abs(estimates - model.true_functional(spec, queries))))
 
 
@@ -388,20 +388,26 @@ def finite(text: str, name: str = "value") -> float:
     return value
 
 
+_SCHEDULE_FORMS = {"h": "h:COEF:EXP", "kappa": "kappa:COEF:EXP", "kappa-fixed": "kappa-fixed:K"}
+
+
 def parse_schedule(text: str):
     """``h:COEF:EXP``, ``kappa:COEF:EXP`` or ``kappa-fixed:K`` as a
     (family, schedule) pair."""
     parts = text.split(":")
+    form = _SCHEDULE_FORMS.get(parts[0])
+    if form is None:
+        raise ValueError(f"unknown schedule form {text!r}")
     try:
+        if len(parts) != form.count(":") + 1:
+            raise ValueError(f"expected {form}")
         if parts[0] == "h":
             return "kernel", BandwidthPowerSchedule(finite(parts[1]), finite(parts[2]))
         if parts[0] == "kappa":
             return "knn", NeighborPowerSchedule(finite(parts[1]), finite(parts[2]))
-        if parts[0] == "kappa-fixed":
-            return "knn", FixedNeighborSchedule(int(parts[1]))
-    except (IndexError, ValueError) as exc:
+        return "knn", FixedNeighborSchedule(int(parts[1]))
+    except ValueError as exc:
         raise ValueError(f"cannot parse schedule {text!r}: {exc}") from exc
-    raise ValueError(f"unknown schedule form {text!r}")
 
 
 # a preset config is its preset's keys updated by the config's own keys

@@ -1,8 +1,9 @@
 """Plug-in summary statistics of (estimated) conditional distributions.
 
-Each functional is evaluated exactly on discrete measures through the
-quantile representation, and numerically on analytic laws.  The probability
-weighted moment relies on scipy's regularized incomplete beta function.
+Each functional is evaluated exactly on discrete measures, row by row over
+a batch of them, through the quantile representation, and numerically on
+analytic laws.  The probability weighted moment relies on scipy's
+regularized incomplete beta function.
 """
 
 from __future__ import annotations
@@ -12,8 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import AnalyticDistribution1D, DiscreteDistribution, quantile_eval
+from .measures import AnalyticDistribution1D, DiscreteDistribution, MeasureBatch
+from .measures import _one_row, _row_sums
 from .regressor import FittedRegressor, predict_distribution
+
+
+_SPEC_FORMS = {"quantile": "quantile:ALPHA", "cte": "cte:ALPHA", "pwm": "pwm:P:Q", "cov": "cov"}
 
 
 @dataclass(frozen=True)
@@ -54,16 +59,19 @@ class FunctionalSpec:
         """Parse CLI notation: quantile:0.5, cte:0.9, pwm:1:2, cov."""
         parts = text.strip().split(":")
         kind = parts[0]
+        form = _SPEC_FORMS.get(kind)
+        if form is None:
+            raise ValueError(f"unknown functional kind in {text!r}")
         try:
-            if kind in ("quantile", "cte"):
-                return cls(kind=kind, alpha=float(parts[1]))
+            if len(parts) != form.count(":") + 1:
+                raise ValueError(f"expected {form}")
             if kind == "pwm":
                 return cls(kind=kind, p=float(parts[1]), q=float(parts[2]))
             if kind == "cov":
                 return cls(kind="cov")
-        except (IndexError, ValueError) as exc:
+            return cls(kind=kind, alpha=float(parts[1]))
+        except ValueError as exc:
             raise ValueError(f"cannot parse functional spec {text!r}: {exc}") from exc
-        raise ValueError(f"unknown functional kind in {text!r}")
 
     def label(self) -> str:
         if self.kind in ("quantile", "cte"):
@@ -95,17 +103,46 @@ def beta_function(a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Functionals on discrete measures
+# Functionals on discrete measures, row by row over a batch
 
 
-def quantile_functional(dist: DiscreteDistribution, alpha: float) -> float:
-    """Generalized-inverse quantile at level alpha."""
+def _rows(dist, dim: int, what: str) -> MeasureBatch:
+    """A batch as it is, and a single measure as a batch of one row, once
+    their dimension is checked."""
+    if dist.dim != dim:
+        raise ValueError(f"{what} requires dim = {dim}, got dim = {dist.dim}")
+    return dist if isinstance(dist, MeasureBatch) else _one_row(dist)
+
+
+def _result(dist, values: np.ndarray):
+    """One value per row for a batch, and a float for a single measure."""
+    return values if isinstance(dist, MeasureBatch) else float(values[0])
+
+
+def _previous(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each entry's predecessor within its row, and 0 at each row start."""
+    out = np.empty_like(values)
+    out[1:] = values[:-1]
+    out[offsets[:-1]] = 0.0
+    return out
+
+
+def quantile_functional(dist, alpha: float):
+    """Generalized-inverse quantile at level alpha.
+
+    Like every functional here, it takes a DiscreteDistribution, giving a
+    float, or a MeasureBatch, giving an array with one value per row.  A
+    row's quantile is its atom after the cumulative weights below alpha.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    return float(quantile_eval(dist, alpha))
+    rows = _rows(dist, 1, "the quantile")
+    below = np.concatenate(([0], np.cumsum(rows.cum_weights < alpha)))
+    first, ends = rows.offsets[:-1], rows.offsets[1:]
+    return _result(dist, rows.atoms[first + below[ends] - below[first], 0])
 
 
-def tail_expectation(dist: DiscreteDistribution, alpha: float) -> float:
+def tail_expectation(dist, alpha: float):
     """Average of the quantile function over (alpha, 1), i.e. the mean of the
     upper tail beyond the alpha-quantile.
 
@@ -114,15 +151,14 @@ def tail_expectation(dist: DiscreteDistribution, alpha: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if dist.dim != 1:
-        raise ValueError("tail expectation requires dim = 1")
-    cum = dist.cum_weights
-    lo = np.maximum(np.concatenate(([0.0], cum[:-1])), alpha)
-    lengths = np.maximum(cum - lo, 0.0)
-    return float(np.sum(dist.xs * lengths) / (1.0 - alpha))
+    rows = _rows(dist, 1, "tail expectation")
+    cum = rows.cum_weights
+    lengths = np.maximum(cum - np.maximum(_previous(cum, rows.offsets), alpha), 0.0)
+    sums = _row_sums(rows.atoms[:, 0] * lengths, rows.offsets)
+    return _result(dist, sums / (1.0 - alpha))
 
 
-def pwm(dist: DiscreteDistribution, p: float, q: float) -> float:
+def pwm(dist, p: float, q: float):
     """Probability weighted moment int_0^1 Q(u) u^p (1-u)^q du.
 
     Exact per segment: the quantile function is constant on each cumulative
@@ -132,29 +168,30 @@ def pwm(dist: DiscreteDistribution, p: float, q: float) -> float:
     """
     if not (0.0 <= p < math.inf and 0.0 <= q < math.inf):
         raise ValueError("pwm needs finite orders p >= 0 and q >= 0")
-    if dist.dim != 1:
-        raise ValueError("pwm requires dim = 1")
+    rows = _rows(dist, 1, "pwm")
     full = beta_function(p + 1.0, q + 1.0)
-    upper = full * regularized_incomplete_beta(p + 1.0, q + 1.0, dist.cum_weights)
-    lower = np.concatenate(([0.0], upper[:-1]))
-    return float(np.sum(dist.xs * (upper - lower)))
+    upper = full * regularized_incomplete_beta(p + 1.0, q + 1.0, rows.cum_weights)
+    masses = upper - _previous(upper, rows.offsets)
+    return _result(dist, _row_sums(rows.atoms[:, 0] * masses, rows.offsets))
 
 
-def covariance_functional(dist: DiscreteDistribution) -> float:
+def covariance_functional(dist):
     """Covariance between the two components of a 2-d discrete measure."""
-    if dist.dim != 2:
-        raise ValueError(f"covariance requires dim = 2, got {dist.dim}")
-    w = dist.weights
-    y1, y2 = dist.atoms[:, 0], dist.atoms[:, 1]
-    return float(w @ (y1 * y2) - (w @ y1) * (w @ y2))
+    rows = _rows(dist, 2, "covariance")
+    y1, y2 = rows.atoms.T
+    mean = lambda values: _row_sums(rows.weights * values, rows.offsets)  # noqa: E731
+    return _result(dist, mean(y1 * y2) - mean(y1) * mean(y2))
 
 
 # ---------------------------------------------------------------------------
 # Dispatch over discrete measures and analytic laws
 
 
-def evaluate_functional(dist, spec: FunctionalSpec) -> float:
-    if isinstance(dist, DiscreteDistribution):
+def evaluate_functional(dist, spec: FunctionalSpec):
+    """The functional ``spec`` of ``dist``: an array with one value per row
+    of a MeasureBatch, and a float for a DiscreteDistribution (evaluated
+    as a batch of one row) or for an analytic law."""
+    if isinstance(dist, (DiscreteDistribution, MeasureBatch)):
         if spec.kind == "quantile":
             return quantile_functional(dist, spec.alpha)
         if spec.kind == "cte":

@@ -95,6 +95,18 @@ def _unchecked(atoms, weights, cum_weights) -> DiscreteDistribution:
     return dist
 
 
+def _one_row(dist: DiscreteDistribution) -> MeasureBatch:
+    """``dist`` as a batch of one row, made of its own arrays and not
+    checked again, so a zero-weight atom that it holds stays in the row."""
+    batch = object.__new__(MeasureBatch)
+    offsets = np.array([0, dist.support_size], dtype=np.intp)
+    offsets.setflags(write=False)
+    for name in ("atoms", "weights", "cum_weights"):
+        object.__setattr__(batch, name, getattr(dist, name))
+    object.__setattr__(batch, "offsets", offsets)
+    return batch
+
+
 def _row_blocks(offsets: np.ndarray):
     """Rows of a ragged flat array grouped by size: for each size m, the
     rows of that size and the (rows, m) block of flat positions they hold."""

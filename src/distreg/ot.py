@@ -21,8 +21,8 @@ from .measures import (
     AnalyticDistribution1D,
     DiscreteDistribution,
     MeasureBatch,
+    _one_row,
     _row_sums,
-    cdf_eval,
 )
 
 SIZE_GUARD = 1_000_000
@@ -92,24 +92,19 @@ def _require_pair_dim1(a: DiscreteDistribution, b: DiscreteDistribution) -> None
 
 
 def w1_cdf(a: DiscreteDistribution, b: DiscreteDistribution) -> float:
-    """Order-1 distance as the integral of |F_a - F_b|.
-
-    The integrand is constant between consecutive points of the merged
-    support, so the integral is an exact finite sum.
-    """
+    """Order-1 distance as the integral of |F_a - F_b|: :func:`w1_cdf_batch`
+    on the two measures as batches of one row."""
     _require_pair_dim1(a, b)
-    grid = np.sort(np.concatenate((a.xs, b.xs)))
-    fa = cdf_eval(a, grid[:-1])
-    fb = cdf_eval(b, grid[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        value = np.sum(np.diff(grid) * np.abs(fa - fb))
+        value = w1_cdf_batch(_one_row(a), _one_row(b))[0]
     _require_in_range(value)
     return float(value)
 
 
 def w1_cdf_batch(a: MeasureBatch, b: MeasureBatch) -> np.ndarray:
-    """:func:`w1_cdf` between row i of ``a`` and row i of ``b``, each row
-    bit-identical to the call on that pair.
+    """Order-1 distance between row i of ``a`` and row i of ``b``, as the
+    integral of |F_a - F_b|: the integrand is constant between consecutive
+    points of the merged support, so the integral is an exact finite sum.
 
     One stable sort by (row, atom) merges every pair of supports; each
     measure's CDF at a merged point is the cumulative weight of its last
@@ -194,52 +189,31 @@ def _order_too_large(p, top) -> ValueError:
     )
 
 
-def w1_vs_analytic(
-    dist: DiscreteDistribution, law: AnalyticDistribution1D, tol: float = 1e-6
-) -> float:
-    """Order-1 distance between a discrete measure and an analytic law.
-
-    Integrates |F_hat - F| segment by segment over the prediction atoms.  If
-    the law carries an exact ``integrated_cdf`` the result is closed-form;
-    otherwise each segment falls back to adaptive quadrature with the given
-    absolute tolerance.
-    """
+def w1_vs_analytic(dist: DiscreteDistribution, law: AnalyticDistribution1D) -> float:
+    """Order-1 distance between a discrete measure and an analytic law:
+    :func:`w1_vs_analytic_batch` on the measure as a batch of one row, with
+    the law unshifted.  Needs the law's closed-form ``integrated_cdf``."""
     if dist.dim != 1:
         raise ValueError("discrete measure must be one-dimensional")
-    xs, cum = dist.xs, dist.cum_weights
-    gc = law.integrated_cdf
-    if gc is None:
-        gc = _numeric_integrated_cdf(law, tol / (xs.shape[0] + 2))
-    g_at = np.asarray(gc(xs), dtype=float)
-    total = float(g_at[0])  # lower tail: int F below the smallest atom
-    if xs.shape[0] > 1:
-        c = cum[:-1]
-        zstar = np.clip(np.asarray(law.quantile(c), dtype=float), xs[:-1], xs[1:])
-        g_star = np.asarray(gc(zstar), dtype=float)
-        below = c * (zstar - xs[:-1]) - (g_star - g_at[:-1])
-        above = (g_at[1:] - g_star) - c * (xs[1:] - zstar)
-        total += float(np.sum(below + above))
-    # upper tail: int (1 - F) above the largest atom equals E[(Y - z)+]
-    total += float(g_at[-1]) - float(xs[-1]) + law.mean
-    return total
+    return float(w1_vs_analytic_batch(_one_row(dist), law, [0.0])[0])
 
 
 def w1_vs_analytic_batch(
     dist: MeasureBatch, law: AnalyticDistribution1D, shifts
 ) -> np.ndarray:
-    """:func:`w1_vs_analytic` between row i of ``dist`` and ``law`` shifted
-    by ``shifts[i]``, the law of Y + shifts[i] for Y ~ law.
+    """Order-1 distance between row i of ``dist`` and ``law`` shifted by
+    ``shifts[i]``, the law of Y + shifts[i] for Y ~ law.
 
-    The shifted law's integrated CDF is z -> G(z - s) and its quantile
-    u -> Q(u) + s, so the per-row arithmetic is that of the single call,
-    and for the closed forms of :func:`gaussian_law` it is the same to the
-    bit as against ``gaussian_law(s, sigma)``.  Needs the law's closed-form
-    ``integrated_cdf``.
+    |F_hat - F| is integrated in closed form segment by segment over each
+    row's atoms, through the law's exact ``integrated_cdf``; a law without
+    one raises ValueError.  The shifted law's integrated CDF is
+    z -> G(z - s) and its quantile u -> Q(u) + s, so for the closed forms
+    of :func:`gaussian_law` a row has the bits of ``gaussian_law(s, sigma)``.
     """
     if dist.dim != 1:
         raise ValueError("discrete measures must be one-dimensional")
     if law.integrated_cdf is None:
-        raise ValueError("the batch form needs a law with a closed-form integrated CDF")
+        raise ValueError("W1 against an analytic law needs its closed-form integrated CDF")
     shifts = np.asarray(shifts, dtype=float).reshape(-1)
     if shifts.shape[0] != len(dist):
         raise ValueError(f"need one shift per row: {shifts.shape[0]} vs {len(dist)}")
@@ -258,24 +232,6 @@ def w1_vs_analytic_batch(
     above = (g_at[j + 1] - g_star) - c * (xs[j + 1] - zstar)
     total = g_at[first] + _row_sums(below + above, offsets - np.arange(offsets.shape[0]))
     return total + ((g_at[last] - xs[last]) + (law.mean + shifts))
-
-
-def _numeric_integrated_cdf(law: AnalyticDistribution1D, eps: float):
-    from scipy.integrate import quad
-
-    lo, _ = law.quad_bounds()
-
-    def gc(z):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.empty_like(z)
-        for i, zi in enumerate(z):
-            if zi <= lo:
-                out[i] = 0.0
-            else:
-                out[i], _ = quad(law.cdf, lo, zi, epsabs=eps, limit=200)
-        return out
-
-    return gc
 
 
 # ---------------------------------------------------------------------------

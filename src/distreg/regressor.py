@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import DiscreteDistribution, MeasureBatch, _row_sums
-from .weights import KernelScheme, KnnScheme, NeighbourIndex, SparseWeights, _as_row
+from .weights import KernelScheme, KnnScheme, NeighbourIndex, WeightBatch, _as_row
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,9 @@ def fit(dataset: Dataset, scheme) -> FittedRegressor:
     )
 
 
-def weights_at(model: FittedRegressor, x) -> SparseWeights:
-    """The fitted scheme's weights at one query point x."""
-    return model.index.select(model.scheme, _as_row(x))[0]
+def weights_at(model: FittedRegressor, x) -> WeightBatch:
+    """The fitted scheme's weights at one query point x, as a one-row batch."""
+    return model.index.select(model.scheme, _as_row(x))
 
 
 def predict_many(model: FittedRegressor, queries) -> MeasureBatch:

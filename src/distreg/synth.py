@@ -210,9 +210,7 @@ class BinaryModel(_ModelBase):
 
     def true_functional(self, spec: FunctionalSpec, queries) -> np.ndarray:
         """Plug-in functional of the exact two-point law at each query row."""
-        return np.array(
-            [evaluate_functional(law, spec) for law in self.conditional_laws(queries)]
-        )
+        return evaluate_functional(self.conditional_laws(queries), spec)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from ._rng import stream
+from .measures import _row_sums
 
 _STONE_TAG = 83
 
@@ -97,27 +98,6 @@ _LINE_TOP = np.sqrt(np.finfo(float).max) / 2
 
 
 @dataclass(frozen=True)
-class SparseWeights:
-    """Weights at one query point, stored on their support only.
-
-    ``indices`` are the ascending sample indices with positive weight; every
-    other sample point has weight 0.  ``mass`` holds the matching
-    unnormalized kernel values, or is None when every selected point carries
-    the same weight 1/m.  ``values`` are the normalized weights on
-    ``indices``.
-    """
-
-    indices: np.ndarray
-    mass: np.ndarray | None = None
-
-    @property
-    def values(self) -> np.ndarray:
-        if self.mass is None:
-            return np.full(self.indices.shape[0], 1.0 / self.indices.shape[0])
-        return self.mass / self.mass.sum()
-
-
-@dataclass(frozen=True)
 class WeightBatch:
     """Sparse weights at a batch of query points, stored flat.
 
@@ -125,9 +105,10 @@ class WeightBatch:
     ``indices[offsets[i]:offsets[i + 1]]`` and, when ``mass`` is not None,
     their unnormalized kernel values at the same positions of ``mass``.
     ``fallback[i]`` marks a row whose scheme put no mass on any point: it
-    holds every sample point with weight 1/n (and mass 1).  ``batch[i]`` (or
-    iterating) gives row i as :class:`SparseWeights`, made of views of the
-    flat arrays.
+    holds every sample point with weight 1/n (and mass 1).  ``values`` are
+    the normalized weights at the same positions.  ``batch[i]`` (or
+    iterating) gives row i as a batch of one row, made of views of the flat
+    arrays; the weights at a single query point are such a batch.
     """
 
     indices: np.ndarray
@@ -135,14 +116,24 @@ class WeightBatch:
     fallback: np.ndarray
     mass: np.ndarray | None = None
 
+    @property
+    def values(self) -> np.ndarray:
+        """1/m on each of a row's m points, or each point's mass over its
+        row's total mass."""
+        sizes = np.diff(self.offsets)
+        if self.mass is None:
+            return np.repeat(1.0 / sizes, sizes)
+        return self.mass / np.repeat(_row_sums(self.mass, self.offsets), sizes)
+
     def __len__(self) -> int:
         return self.offsets.shape[0] - 1
 
-    def __getitem__(self, i) -> SparseWeights:
+    def __getitem__(self, i) -> WeightBatch:
         i = range(len(self))[i]
-        rows = slice(self.offsets[i], self.offsets[i + 1])
-        mass = None if self.mass is None or self.fallback[i] else self.mass[rows]
-        return SparseWeights(self.indices[rows], mass)
+        start, stop = self.offsets[i], self.offsets[i + 1]
+        mass = None if self.mass is None else self.mass[start:stop]
+        offsets = np.array([0, stop - start])
+        return WeightBatch(self.indices[start:stop], offsets, self.fallback[i : i + 1], mass)
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -291,12 +282,12 @@ class NeighbourIndex:
         return WeightBatch(keys % n, offsets, fallback, mass)
 
 
-def evaluate_weights(scheme, covariates, x) -> SparseWeights:
-    """Weights of ``scheme`` at one query point x over the covariate sample."""
-    return NeighbourIndex(covariates).select(scheme, _as_row(x))[0]
+def evaluate_weights(scheme, covariates, x) -> WeightBatch:
+    """Weights of ``scheme`` at one point x over the sample, as a one-row batch."""
+    return NeighbourIndex(covariates).select(scheme, _as_row(x))
 
 
-def kernel_weights(scheme: KernelScheme, covariates, x) -> SparseWeights:
+def kernel_weights(scheme: KernelScheme, covariates, x) -> WeightBatch:
     """Kernel weights K((x - X_i)/h) normalized by their sum.
 
     When every kernel value vanishes the weights fall back to uniform 1/n on
@@ -305,7 +296,7 @@ def kernel_weights(scheme: KernelScheme, covariates, x) -> SparseWeights:
     return evaluate_weights(scheme, covariates, x)
 
 
-def knn_weights(scheme: KnnScheme, covariates, x) -> SparseWeights:
+def knn_weights(scheme: KnnScheme, covariates, x) -> WeightBatch:
     """Weight 1/kappa on each of the kappa nearest covariates."""
     return evaluate_weights(scheme, covariates, x)
 
@@ -357,14 +348,14 @@ def stone_diagnostics(
             rng = stream(seed, _STONE_TAG, n_idx, rep, 1)
             queries = rng.random((test_points, model.k))
             selected = NeighbourIndex(ds.covariates).select(scheme, queries)
-            maxes, fars = [], []
-            for q, w in zip(queries, selected):
-                values = w.values
-                far = np.linalg.norm(ds.covariates[w.indices] - q[None, :], axis=1) > eps
-                maxes.append(values.max())
-                fars.append(values[far].sum())
-            max_vals[rep] = np.mean(maxes)
-            far_vals[rep] = np.mean(fars)
+            values, offsets = selected.values, selected.offsets
+            row_of = np.repeat(np.arange(test_points), np.diff(offsets))
+            gaps = ds.covariates[selected.indices] - queries[row_of]
+            far = np.linalg.norm(gaps, axis=1) > eps
+            # every row holds at least one point, so no reduceat slice is empty
+            max_vals[rep] = np.mean(np.maximum.reduceat(values, offsets[:-1]))
+            far_offsets = np.concatenate(([0], np.cumsum(far)))[offsets]
+            far_vals[rep] = np.mean(_row_sums(values[far], far_offsets))
         rows.append(
             DiagnosticsRow(
                 n=n,

@@ -1,10 +1,11 @@
 """Measure batches against the per-measure loop they replace.
 
-Each batch path keeps its single-measure counterpart as the oracle: a
-prediction row against the measure built on its own from the scanned
-selection, the batch W1 forms against ``w1_cdf`` and ``w1_vs_analytic``
-pair by pair, and a model's batch of true laws against its own
-``conditional_law``.
+Each row-wise path keeps the single-measure code it replaced as the
+oracle: a prediction row against the measure built on its own from the
+scanned selection, the W1 forms and the functionals against the per-pair
+bodies below, and a model's batch of true laws against its own
+``conditional_law``.  The single-measure API is the batch path on a batch
+of one row, so it is checked against the same bodies.
 """
 
 import numpy as np
@@ -15,21 +16,201 @@ from hypothesis import strategies as st
 from distreg import (
     Dataset,
     DiscreteDistribution,
+    FunctionalSpec,
     KernelScheme,
     KnnScheme,
     MeasureBatch,
+    cdf_eval,
+    covariance_functional,
+    evaluate_functional,
     fit,
+    gaussian_law,
     make_discrete,
     make_preset,
     predict_many,
+    pwm,
+    quantile_eval,
+    quantile_functional,
+    regularized_incomplete_beta,
+    tail_expectation,
+    uniform_law,
     w1_cdf,
     w1_cdf_batch,
     w1_vs_analytic,
     w1_vs_analytic_batch,
 )
+from distreg.functionals import beta_function
 from distreg.synth import UniformLocationModel
 
 from test_index import grid_sample, scan_ball, scan_knn
+
+
+# ---------------------------------------------------------------------------
+# Per-pair references: the single-measure bodies the row-wise forms replaced
+
+
+def ref_w1_cdf(a, b):
+    grid = np.sort(np.concatenate((a.xs, b.xs)))
+    fa = cdf_eval(a, grid[:-1])
+    fb = cdf_eval(b, grid[:-1])
+    return float(np.sum(np.diff(grid) * np.abs(fa - fb)))
+
+
+def ref_w1_vs_analytic(dist, law):
+    xs, cum = dist.xs, dist.cum_weights
+    gc = law.integrated_cdf
+    g_at = np.asarray(gc(xs), dtype=float)
+    total = float(g_at[0])  # lower tail: int F below the smallest atom
+    if xs.shape[0] > 1:
+        c = cum[:-1]
+        zstar = np.clip(np.asarray(law.quantile(c), dtype=float), xs[:-1], xs[1:])
+        g_star = np.asarray(gc(zstar), dtype=float)
+        below = c * (zstar - xs[:-1]) - (g_star - g_at[:-1])
+        above = (g_at[1:] - g_star) - c * (xs[1:] - zstar)
+        total += float(np.sum(below + above))
+    # upper tail: int (1 - F) above the largest atom equals E[(Y - z)+]
+    total += float(g_at[-1]) - float(xs[-1]) + law.mean
+    return total
+
+
+def ref_quantile(dist, alpha):
+    return float(quantile_eval(dist, alpha))
+
+
+def ref_tail_expectation(dist, alpha):
+    cum = dist.cum_weights
+    lo = np.maximum(np.concatenate(([0.0], cum[:-1])), alpha)
+    lengths = np.maximum(cum - lo, 0.0)
+    return float(np.sum(dist.xs * lengths) / (1.0 - alpha))
+
+
+def ref_pwm(dist, p, q):
+    full = beta_function(p + 1.0, q + 1.0)
+    upper = full * regularized_incomplete_beta(p + 1.0, q + 1.0, dist.cum_weights)
+    lower = np.concatenate(([0.0], upper[:-1]))
+    return float(np.sum(dist.xs * (upper - lower)))
+
+
+def ref_covariance(dist):
+    w = dist.weights
+    y1, y2 = dist.atoms[:, 0], dist.atoms[:, 1]
+    return float(w @ (y1 * y2) - (w @ y1) * (w @ y2))
+
+
+def bits(values):
+    """The bit patterns of doubles, so that 0.0 and -0.0 tell apart."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def as_batch(rows):
+    offsets = np.cumsum([0] + [row.support_size for row in rows])
+    atoms = np.concatenate([row.atoms for row in rows] or [np.empty((0, 1))])
+    weights = np.concatenate([row.weights for row in rows] or [np.empty(0)])
+    return MeasureBatch(atoms, weights, offsets)
+
+
+@st.composite
+def line_rows(draw, count):
+    """``count`` measures on the line of 1 to 40 atoms.  On the grid, atoms
+    tie within and across measures and the weights are multiples of 1/8, so
+    cumulative weights hit levels such as 0.25 and 0.5 exactly."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    grid = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(count):
+        m = int(rng.integers(1, 41 if rng.random() < 0.5 else 4))
+        if grid:
+            atoms = rng.integers(-4, 5, size=m) / 4.0
+            w = rng.integers(1, 9, size=m).astype(float)
+        else:
+            atoms = rng.normal(size=m) * rng.uniform(0.1, 10.0)
+            w = rng.random(m) + 0.05
+        rows.append(make_discrete(atoms, w / w.sum()))
+    return rows
+
+
+def zero_weight_atom(rng):
+    """A measure built directly with a zero-weight atom, as a binary law at
+    p in {0, 1} is; make_discrete and batches would drop it."""
+    atoms = np.sort(rng.choice(np.arange(-4, 5) / 4.0, size=3, replace=False))
+    weights = np.array([0.25, 0.75, 0.0]) if rng.random() < 0.5 else np.array([0.0, 0.5, 0.5])
+    return DiscreteDistribution(atoms[:, None], weights)
+
+
+LEVELS = st.one_of(
+    st.sampled_from([0.125, 0.25, 0.5, 0.75, 0.875]), st.floats(1e-6, 1 - 1e-6)
+)
+
+
+class TestRowFormsEqualThePerPairBodies:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), count=st.integers(0, 12), alpha=LEVELS,
+           p=st.sampled_from([0.0, 0.5, 1.0, 2.0]), q=st.sampled_from([0.0, 1.0, 3.0]))
+    def test_functionals(self, data, count, alpha, p, q):
+        rows = data.draw(line_rows(count))
+        batch = as_batch(rows)
+        for got, ref in (
+            (quantile_functional(batch, alpha), [ref_quantile(r, alpha) for r in rows]),
+            (tail_expectation(batch, alpha), [ref_tail_expectation(r, alpha) for r in rows]),
+            (pwm(batch, p, q), [ref_pwm(r, p, q) for r in rows]),
+        ):
+            assert isinstance(got, np.ndarray) and bits(got) == bits(ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), count=st.integers(0, 12))
+    def test_w1_cdf(self, data, count):
+        rows_a, rows_b = data.draw(line_rows(count)), data.draw(line_rows(count))
+        got = w1_cdf_batch(as_batch(rows_a), as_batch(rows_b))
+        assert bits(got) == bits([ref_w1_cdf(a, b) for a, b in zip(rows_a, rows_b)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), count=st.integers(0, 12), uniform=st.booleans(),
+           centre=st.floats(-3.0, 3.0), spread=st.floats(0.05, 5.0))
+    def test_w1_vs_analytic(self, data, count, uniform, centre, spread):
+        rows = data.draw(line_rows(count))
+        law = uniform_law(centre, centre + spread) if uniform else gaussian_law(centre, spread)
+        got = w1_vs_analytic_batch(as_batch(rows), law, np.zeros(count))
+        assert bits(got) == bits([ref_w1_vs_analytic(r, law) for r in rows])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), alpha=LEVELS, seed=st.integers(0, 2**31 - 1))
+    def test_single_measures_are_one_row_batches(self, data, alpha, seed):
+        rng = np.random.default_rng(seed)
+        a, b = data.draw(line_rows(2))
+        for dist in (a, zero_weight_atom(rng)):
+            assert bits(w1_cdf(dist, b)) == bits(ref_w1_cdf(dist, b))
+            assert bits(w1_cdf(b, dist)) == bits(ref_w1_cdf(b, dist))
+            law = gaussian_law(rng.normal(), rng.uniform(0.1, 2.0))
+            assert bits(w1_vs_analytic(dist, law)) == bits(ref_w1_vs_analytic(dist, law))
+            for got, ref in (
+                (quantile_functional(dist, alpha), ref_quantile(dist, alpha)),
+                (tail_expectation(dist, alpha), ref_tail_expectation(dist, alpha)),
+                (pwm(dist, 1.0, 2.0), ref_pwm(dist, 1.0, 2.0)),
+            ):
+                assert type(got) is float and bits(got) == bits(ref)
+
+    def test_covariance_within_rounding(self, rng):
+        # per row, a BLAS dot product against a pairwise row sum: only the
+        # last bits may differ, relative to the size of the summed terms
+        rows = [
+            make_discrete(rng.normal(size=(m, 2)) * rng.uniform(0.1, 10.0), w / w.sum())
+            for m in rng.integers(1, 40, size=300)
+            for w in [rng.random(m) + 0.05]
+        ]
+        got = covariance_functional(as_batch(rows))
+        for value, row in zip(got, rows):
+            w, (y1, y2) = row.weights, np.abs(row.atoms.T)
+            scale = w @ (y1 * y2) + (w @ y1) * (w @ y2)
+            assert abs(value - ref_covariance(row)) <= 8 * np.finfo(float).eps * scale
+            assert covariance_functional(row) == value
+
+    def test_evaluate_functional_shapes(self):
+        rows = [make_discrete([0.0, 1.0], [0.5, 0.5]), make_discrete([2.0], [1.0])]
+        spec = FunctionalSpec.parse("quantile:0.75")
+        assert evaluate_functional(as_batch(rows), spec).tolist() == [1.0, 2.0]
+        assert evaluate_functional(rows[1], spec) == 2.0
+        assert evaluate_functional(as_batch([]), spec).shape == (0,)
 
 
 def tri(u):
@@ -103,15 +284,12 @@ class TestPredictionRows:
 
 def ragged_batch(rng, rows, grid=False):
     """Random rows of 1-6 atoms; on a coarse grid atoms tie across batches."""
-    atoms, weights = [np.empty((0, 1))], [np.empty(0)]
+    measures = []
     for m in rng.integers(1, 7, size=rows):
         pts = rng.integers(0, 6, size=m) / 4.0 if grid else rng.normal(size=m)
         w = rng.random(m) + 0.05
-        row = make_discrete(pts, w / w.sum())
-        atoms.append(row.atoms)
-        weights.append(row.weights)
-    offsets = np.cumsum([0] + [w.shape[0] for w in weights[1:]])
-    return MeasureBatch(np.concatenate(atoms), np.concatenate(weights), offsets)
+        measures.append(make_discrete(pts, w / w.sum()))
+    return as_batch(measures)
 
 
 class TestBatchW1:
@@ -123,7 +301,7 @@ class TestBatchW1:
         got = w1_cdf_batch(a, b)
         assert got.shape == (rows,)
         for i in range(rows):
-            assert got[i] == w1_cdf(a[i], b[i])
+            assert got[i] == ref_w1_cdf(a[i], b[i])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -144,11 +322,11 @@ class TestBatchW1:
         laws = model.conditional_laws(queries)
         if isinstance(laws, MeasureBatch):
             got = w1_cdf_batch(preds, laws)
-            want = [w1_cdf(p, model.conditional_law(q)) for p, q in zip(preds, queries)]
+            want = [ref_w1_cdf(p, model.conditional_law(q)) for p, q in zip(preds, queries)]
         else:
             got = w1_vs_analytic_batch(preds, *laws)
             want = [
-                w1_vs_analytic(p, model.conditional_law(q))
+                ref_w1_vs_analytic(p, model.conditional_law(q))
                 for p, q in zip(preds, queries)
             ]
         if isinstance(model, UniformLocationModel):

@@ -388,6 +388,21 @@ class TestPredictCommand:
         assert captured.out == ""
         assert "pwm" in captured.err
 
+    @pytest.mark.parametrize(
+        "spec", ["cte:0.9:foo", "quantile:0.5:0.6", "pwm:1:2:3", "cov:1", "pwm:1", "cte"]
+    )
+    def test_wrong_field_count_fails_before_reading(self, tmp_path, capsys, spec):
+        # the data files do not exist: the spec must be rejected first
+        missing = str(tmp_path / "missing.csv")
+        rc = main(
+            ["predict", "--train", missing, "--queries", missing,
+             "--scheme", "knn", "--kappa", "2", "--functional", spec]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot parse functional spec {spec!r}")
+
     def test_large_pwm_order_prints_the_correct_value(self, tmp_path, capsys):
         # u^p (1 - u) puts all weight next to u = 1, so the PWM is the top
         # atom times B(p + 1, 2) = 1 / ((p + 1)(p + 2))
@@ -468,6 +483,18 @@ class TestRatesCommand:
     def test_bad_config_key_combination(self, tmp_path, capsys):
         cfg = write(tmp_path / "r.cfg", "model=binary-k1\n")
         assert main(["rates", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize(
+        "schedule", ["h:1:-0.3:junk", "kappa:1:0.5:2", "kappa-fixed:5:7", "h:1", "kappa-fixed"]
+    )
+    def test_schedule_with_wrong_field_count(self, tmp_path, capsys, monkeypatch, schedule):
+        monkeypatch.chdir(tmp_path)
+        cfg = write(tmp_path / "r.cfg", f"model=binary-k1\nschedule={schedule}\nn_grid=128\n")
+        assert main(["rates", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot parse schedule {schedule!r}" in captured.err
+        assert not list(tmp_path.glob("rates.*"))
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize(
@@ -785,6 +812,23 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--family", "kernel", "--bandwidth-schedule", "1:-0.3:9"],
+         ["--family", "knn", "--kappa-schedule", "1:0.5:2"],
+         ["--family", "knn", "--kappa-schedule", "1"]],
+        ids=["bandwidth-extra-field", "kappa-extra-field", "kappa-missing-field"],
+    )
+    def test_stone_check_schedule_with_wrong_field_count(self, capsys, flags):
+        rc = main(
+            ["stone-check", "--model", "binary-k1", *flags,
+             "--n-grid", "64,256", "--replications", "2", "--seed", "2"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot parse schedule" in captured.err and flags[-1] in captured.err
 
     def test_bound_check_workers_below_one_is_a_usage_error(self, capsys):
         argv = ["bound-check", "--preset", "binary-k1-kernel", "--workers", "0"]

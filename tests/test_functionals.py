@@ -239,7 +239,9 @@ class TestSpecParsing:
         assert FunctionalSpec.parse(spec.label()) == spec
 
     @pytest.mark.parametrize(
-        "text", ["quantile:1.5", "cte", "pwm:1", "pwm:0:1", "median:0.5", "quantile:x"]
+        "text",
+        ["quantile:1.5", "cte", "pwm:1", "pwm:0:1", "median:0.5", "quantile:x",
+         "cte:0.9:foo", "pwm:1:2:3", "cov:1"],
     )
     def test_parse_errors(self, text):
         with pytest.raises(ValueError):

@@ -105,6 +105,8 @@ class TestSelectionMatchesScan:
         (w,) = NeighbourIndex(xs).select(KernelScheme(bandwidth=0.01), [[0.0]])
         assert np.array_equal(w.indices, np.arange(3))
         assert np.array_equal(w.values, np.full(3, 1.0 / 3.0))
+        # a row taken from a batch is a one-row batch that keeps its flag
+        assert len(w) == 1 and w.fallback.tolist() == [True]
 
     def test_boxed_kernel_keeps_positive_values_only(self):
         def tri(u):
@@ -274,6 +276,29 @@ def dense_stone_row(scheme, model, n_idx, n, eps, replications, seed, test_point
             far_vals.mean(), far_vals.std(ddof=1) / root)
 
 
+def loop_stone_row(scheme, model, n_idx, n, eps, replications, seed, test_points):
+    """One row of stone_diagnostics by the per-query loop that the flat
+    version replaced, with each row's weights normalized on their own."""
+    max_vals, far_vals = np.empty(replications), np.empty(replications)
+    for rep in range(replications):
+        xs = model.sample(n, seed=(seed, _STONE_TAG, n_idx, rep, 0)).covariates
+        queries = stream(seed, _STONE_TAG, n_idx, rep, 1).random((test_points, model.k))
+        maxes, fars = [], []
+        for q, w in zip(queries, NeighbourIndex(xs).select(scheme, queries)):
+            m = w.indices.shape[0]
+            if w.mass is None or w.fallback[0]:
+                values = np.full(m, 1.0 / m)
+            else:
+                values = w.mass / w.mass.sum()
+            far = np.linalg.norm(xs[w.indices] - q[None, :], axis=1) > eps
+            maxes.append(values.max())
+            fars.append(values[far].sum())
+        max_vals[rep], far_vals[rep] = np.mean(maxes), np.mean(fars)
+    root = np.sqrt(replications)
+    return (max_vals.mean(), max_vals.std(ddof=1) / root,
+            far_vals.mean(), far_vals.std(ddof=1) / root)
+
+
 @st.composite
 def weight_scheme(draw, n):
     """k-NN, a unit ball, or a ball so small that it is empty (uniform 1/n)."""
@@ -283,6 +308,10 @@ def weight_scheme(draw, n):
     if kind == "ball":
         return KernelScheme(bandwidth=draw(st.floats(0.02, 0.6)))
     return KernelScheme(bandwidth=1e-9)
+
+
+def tri_kernel(u):
+    return np.maximum(0.0, 1.0 - np.linalg.norm(u, axis=1))
 
 
 def close(value, oracle, abs_tol=0.0):
@@ -317,6 +346,31 @@ class TestSparseConsumersMatchDenseWeights:
             # standard errors of (nearly) constant columns are rounding noise
             assert close(row.max_weight_se, max_se, abs_tol=1e-15)
             assert close(row.far_weight_se, far_se, abs_tol=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        name=st.sampled_from(["binary-k1", "binary-k2", "gaussian-k1", "uniform-k1"]),
+        n_grid=st.lists(st.integers(1, 60), min_size=1, max_size=2, unique=True),
+        eps=st.floats(0.01, 0.5),
+        boxed=st.booleans(),
+        data=st.data(),
+    )
+    def test_stone_diagnostics_equals_the_per_query_loop(
+        self, seed, name, n_grid, eps, boxed, data
+    ):
+        model = make_preset(name)
+        scheme = data.draw(weight_scheme(min(n_grid)))
+        if boxed and isinstance(scheme, KernelScheme):
+            scheme = KernelScheme(
+                bandwidth=scheme.bandwidth, kind="boxed", kernel=tri_kernel,
+                box_constants=(0.5, 1.0, 0.5, 1.0),
+            )
+        rows = stone_diagnostics(scheme, model, n_grid, eps=eps, replications=3, seed=seed)
+        for n_idx, (n, row) in enumerate(zip(n_grid, rows)):
+            want = loop_stone_row(scheme, model, n_idx, n, eps, 3, seed, 4)
+            got = (row.max_weight, row.max_weight_se, row.far_weight, row.far_weight_se)
+            assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
     @settings(max_examples=60, deadline=None)
     @given(

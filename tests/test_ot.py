@@ -535,7 +535,7 @@ class TestW1VsAnalytic:
         # W1(delta_{1/2}, U(0,1)) = 2 int_0^{1/2} u du = 1/4
         assert w1_vs_analytic(dirac(0.5), law) == pytest.approx(0.25, abs=1e-14)
 
-    def test_generic_fallback_matches_closed_form(self):
+    def test_law_without_integrated_cdf_is_rejected(self):
         exact_law = gaussian_law(0.1, 0.4)
         generic_law = AnalyticDistribution1D(
             cdf=exact_law.cdf,
@@ -545,6 +545,5 @@ class TestW1VsAnalytic:
             quad_support=exact_law.quad_support,
         )
         d = make_discrete([-0.2, 0.15, 0.9], [0.25, 0.5, 0.25])
-        assert w1_vs_analytic(d, generic_law, tol=1e-8) == pytest.approx(
-            w1_vs_analytic(d, exact_law), abs=1e-6
-        )
+        with pytest.raises(ValueError, match="integrated CDF"):
+            w1_vs_analytic(d, generic_law)
