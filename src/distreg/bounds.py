@@ -7,6 +7,7 @@ and a sampling part controlled by the effective sample size 1 / sum(W_i^2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from math import ceil
 
@@ -77,6 +78,25 @@ def pointwise_risk_bound(model: FittedRegressor, true_model, x) -> BoundReport:
     )
 
 
+def covering_constant(k: int) -> float:
+    """The default covering constant k^(k/2) of :func:`kernel_bound`."""
+    try:
+        return float(k) ** (k / 2.0)
+    except OverflowError:
+        raise ValueError(f"the covering constant k^(k/2) overflows at k = {k}") from None
+
+
+def _require_constant(value, name: str) -> None:
+    if value is not None and not 0.0 < value < math.inf:
+        raise ValueError(f"the {name} must be positive and finite, got {value:g}")
+
+
+def _require_finite_bound(total: float, what: str) -> float:
+    if not math.isfinite(total):
+        raise ValueError(f"the bound at {what} is not finite in double precision")
+    return total
+
+
 def kernel_bound(
     params: ClassParams, n: int, h: float, covering_const: float | None = None
 ) -> float:
@@ -84,17 +104,23 @@ def kernel_bound(
 
     Three terms: the bandwidth bias L h^H, the sampling term driven by the
     expected reciprocal ball count, and the empty-ball correction.  The
-    covering constant defaults to k^(k/2) and may be overridden.
+    covering constant defaults to k^(k/2) and may be overridden by a
+    positive one.  A term beyond the double range raises ValueError.
     """
     if n < 1 or h <= 0:
         raise ValueError("need n >= 1 and h > 0")
+    _require_constant(covering_const, "covering constant")
     hh, ll, mm, k = params.holder, params.lipschitz, params.dispersion, params.dim
-    ck = float(covering_const) if covering_const is not None else float(k) ** (k / 2.0)
-    nhk = n * h**k
-    bias = ll * h**hh
-    sampling = mm * np.sqrt((2.0 + 1.0 / n) * ck) * nhk**-0.5
-    empty = ll * k ** (hh / 2.0) * ck / nhk
-    return float(bias + sampling + empty)
+    ck = float(covering_const) if covering_const is not None else covering_constant(k)
+    try:
+        nhk = n * h**k
+        bias = ll * h**hh
+        sampling = mm * math.sqrt((2.0 + 1.0 / n) * ck) * nhk**-0.5
+        empty = ll * k ** (hh / 2.0) * ck / nhk
+        total = bias + sampling + empty
+    except (OverflowError, ZeroDivisionError):  # n h^k beyond the range, or 0
+        total = math.inf
+    return _require_finite_bound(total, f"n = {n}, h = {h:g}")
 
 
 def knn_bound(
@@ -103,11 +129,12 @@ def knn_bound(
     """Uniform risk bound for kappa-nearest-neighbor weights.
 
     For k = 1 the neighbor-distance constant 8 is built in; for k >= 2 the
-    constant depends on the dimension and must be supplied by the caller
-    (there is no safe default).
+    positive constant depends on the dimension and must be supplied by the
+    caller (there is no safe default).
     """
     if not 1 <= kappa <= n:
         raise ValueError("need 1 <= kappa <= n")
+    _require_constant(neighbor_const, "neighbor constant")
     hh, ll, mm, k = params.holder, params.lipschitz, params.dispersion, params.dim
     ratio = kappa / n
     if k == 1:
@@ -116,7 +143,7 @@ def knn_bound(
         if neighbor_const is None:
             raise ValueError("neighbor_const is required for dimension k >= 2")
         bias = ll * float(neighbor_const) ** (hh / 2.0) * ratio ** (hh / k)
-    return float(bias + mm / np.sqrt(kappa))
+    return _require_finite_bound(bias + mm / math.sqrt(kappa), f"n = {n}, kappa = {kappa}")
 
 
 @dataclass(frozen=True)
@@ -164,6 +191,7 @@ __all__ = [
     "BoundReport",
     "effective_sample_size",
     "pointwise_risk_bound",
+    "covering_constant",
     "kernel_bound",
     "knn_bound",
     "RateInfo",

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from ._table import write_table
-from .bounds import ClassParams, kernel_bound, knn_bound
+from .bounds import ClassParams, covering_constant, kernel_bound, knn_bound
 from .experiments import (
     BandwidthPowerSchedule,
     FixedNeighborSchedule,
@@ -296,7 +296,7 @@ def cmd_bounds(args) -> int:
     # every row is computed before anything is written, so a bad (n, param)
     # pair leaves no partial table behind
     if args.family == "kernel":
-        ck = args.ck if args.ck is not None else float(args.dim) ** (args.dim / 2.0)
+        ck = args.ck if args.ck is not None else covering_constant(args.dim)
         header = ["n", "bandwidth", "bound", "covering_const"]
         rows = [
             (n, h, kernel_bound(params, n, h, args.ck), ck)

@@ -20,7 +20,7 @@ from ._table import table_text
 from .bounds import kernel_bound, knn_bound
 from .functionals import FunctionalSpec, evaluate_functional
 from .measures import MeasureBatch
-from .ot import w1_cdf_batch, w1_vs_analytic_batch, wp_quantile
+from .ot import w1_cdf, w1_vs_analytic, wp_quantile
 from .regressor import fit, predict_many
 from .synth import make_preset
 from .weights import KernelScheme, KnnScheme
@@ -33,6 +33,17 @@ _TAG_TEST = 12
 # Schedules (picklable so studies can run in worker processes)
 
 
+def _power_law(name: str, coef: float, exponent: float, n: int) -> float:
+    """coef * n^exponent; a value beyond the double range raises ValueError."""
+    try:
+        value = coef * float(n) ** exponent
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"schedule {name}(n) = {coef:g} * n^{exponent:g} overflows at n = {n}")
+    return value
+
+
 @dataclass(frozen=True)
 class BandwidthPowerSchedule:
     """h(n) = coef * n^exponent."""
@@ -41,7 +52,7 @@ class BandwidthPowerSchedule:
     exponent: float = -1.0 / 3.0
 
     def __call__(self, n: int) -> float:
-        return self.coef * float(n) ** self.exponent
+        return _power_law("h", self.coef, self.exponent, n)
 
 
 @dataclass(frozen=True)
@@ -56,7 +67,7 @@ class NeighborPowerSchedule:
             raise ValueError(f"kappa coefficient must be positive and finite, got {self.coef}")
 
     def __call__(self, n: int) -> int:
-        return min(n, int(np.ceil(self.coef * float(n) ** self.exponent)))
+        return min(n, int(np.ceil(_power_law("kappa", self.coef, self.exponent, n))))
 
 
 @dataclass(frozen=True)
@@ -181,12 +192,12 @@ def _risk_replication(payload) -> float:
         if p != 1.0:  # no preset uses it: one pair of rows at a time
             errs = [wp_quantile(pred, law, p) ** p for pred, law in zip(preds, laws)]
             return float(np.mean(errs))
-        return float(np.mean(w1_cdf_batch(preds, laws)))
+        return float(np.mean(w1_cdf(preds, laws)))
     if p != 1.0:
         raise NotImplementedError(
             "orders p > 1 are only evaluated against discrete conditional laws"
         )
-    return float(np.mean(w1_vs_analytic_batch(preds, *laws)))
+    return float(np.mean(w1_vs_analytic(preds, *laws)))
 
 
 def _functional_replication(payload) -> float:
@@ -333,24 +344,24 @@ def bound_vs_risk(
     params = plan.model.params
     if params is None:
         raise ValueError("bound comparison needs a model with declared class params")
-    points = _risk_curve(plan, workers)
-    rows = []
-    for pt in points:
-        if plan.family == "kernel":
-            bound = kernel_bound(params, pt.n, pt.param, covering_const)
-        else:
-            bound = knn_bound(params, pt.n, int(pt.param), neighbor_const)
-        rows.append(
-            BoundRow(
-                n=pt.n,
-                param=pt.param,
-                risk_mean=pt.mean,
-                risk_stderr=pt.stderr,
-                bound=bound,
-                violated=pt.mean - 3.0 * pt.stderr > bound,
-            )
+    # the bounds come first, so a constant they reject costs no study
+    bounds = [
+        kernel_bound(params, n, float(plan.schedule(n)), covering_const)
+        if plan.family == "kernel"
+        else knn_bound(params, n, int(plan.schedule(n)), neighbor_const)
+        for n in plan.n_grid
+    ]
+    return [
+        BoundRow(
+            n=pt.n,
+            param=pt.param,
+            risk_mean=pt.mean,
+            risk_stderr=pt.stderr,
+            bound=bound,
+            violated=pt.mean - 3.0 * pt.stderr > bound,
         )
-    return rows
+        for pt, bound in zip(_risk_curve(plan, workers), bounds)
+    ]
 
 
 def bound_rows_csv(rows: list[BoundRow]) -> str:

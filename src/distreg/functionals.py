@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import AnalyticDistribution1D, DiscreteDistribution, MeasureBatch
-from .measures import _one_row, _row_sums
+from .measures import AnalyticDistribution1D, MeasureBatch
+from .measures import _per_row, _require_dim, _row_sums
 from .regressor import FittedRegressor, predict_distribution
 
 
@@ -106,19 +106,6 @@ def beta_function(a: float, b: float) -> float:
 # Functionals on discrete measures, row by row over a batch
 
 
-def _rows(dist, dim: int, what: str) -> MeasureBatch:
-    """A batch as it is, and a single measure as a batch of one row, once
-    their dimension is checked."""
-    if dist.dim != dim:
-        raise ValueError(f"{what} requires dim = {dim}, got dim = {dist.dim}")
-    return dist if isinstance(dist, MeasureBatch) else _one_row(dist)
-
-
-def _result(dist, values: np.ndarray):
-    """One value per row for a batch, and a float for a single measure."""
-    return values if isinstance(dist, MeasureBatch) else float(values[0])
-
-
 def _previous(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Each entry's predecessor within its row, and 0 at each row start."""
     out = np.empty_like(values)
@@ -136,10 +123,10 @@ def quantile_functional(dist, alpha: float):
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    rows = _rows(dist, 1, "the quantile")
-    below = np.concatenate(([0], np.cumsum(rows.cum_weights < alpha)))
-    first, ends = rows.offsets[:-1], rows.offsets[1:]
-    return _result(dist, rows.atoms[first + below[ends] - below[first], 0])
+    _require_dim(dist, 1, "the quantile")
+    below = np.concatenate(([0], np.cumsum(dist.cum_weights < alpha)))
+    first, ends = dist.offsets[:-1], dist.offsets[1:]
+    return _per_row(dist.atoms[first + below[ends] - below[first], 0], dist)
 
 
 def tail_expectation(dist, alpha: float):
@@ -151,11 +138,11 @@ def tail_expectation(dist, alpha: float):
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    rows = _rows(dist, 1, "tail expectation")
-    cum = rows.cum_weights
-    lengths = np.maximum(cum - np.maximum(_previous(cum, rows.offsets), alpha), 0.0)
-    sums = _row_sums(rows.atoms[:, 0] * lengths, rows.offsets)
-    return _result(dist, sums / (1.0 - alpha))
+    _require_dim(dist, 1, "tail expectation")
+    cum = dist.cum_weights
+    lengths = np.maximum(cum - np.maximum(_previous(cum, dist.offsets), alpha), 0.0)
+    sums = _row_sums(dist.atoms[:, 0] * lengths, dist.offsets)
+    return _per_row(sums / (1.0 - alpha), dist)
 
 
 def pwm(dist, p: float, q: float):
@@ -168,19 +155,19 @@ def pwm(dist, p: float, q: float):
     """
     if not (0.0 <= p < math.inf and 0.0 <= q < math.inf):
         raise ValueError("pwm needs finite orders p >= 0 and q >= 0")
-    rows = _rows(dist, 1, "pwm")
+    _require_dim(dist, 1, "pwm")
     full = beta_function(p + 1.0, q + 1.0)
-    upper = full * regularized_incomplete_beta(p + 1.0, q + 1.0, rows.cum_weights)
-    masses = upper - _previous(upper, rows.offsets)
-    return _result(dist, _row_sums(rows.atoms[:, 0] * masses, rows.offsets))
+    upper = full * regularized_incomplete_beta(p + 1.0, q + 1.0, dist.cum_weights)
+    masses = upper - _previous(upper, dist.offsets)
+    return _per_row(_row_sums(dist.atoms[:, 0] * masses, dist.offsets), dist)
 
 
 def covariance_functional(dist):
     """Covariance between the two components of a 2-d discrete measure."""
-    rows = _rows(dist, 2, "covariance")
-    y1, y2 = rows.atoms.T
-    mean = lambda values: _row_sums(rows.weights * values, rows.offsets)  # noqa: E731
-    return _result(dist, mean(y1 * y2) - mean(y1) * mean(y2))
+    _require_dim(dist, 2, "covariance")
+    y1, y2 = dist.atoms.T
+    mean = lambda values: _row_sums(dist.weights * values, dist.offsets)  # noqa: E731
+    return _per_row(mean(y1 * y2) - mean(y1) * mean(y2), dist)
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +176,9 @@ def covariance_functional(dist):
 
 def evaluate_functional(dist, spec: FunctionalSpec):
     """The functional ``spec`` of ``dist``: an array with one value per row
-    of a MeasureBatch, and a float for a DiscreteDistribution (evaluated
-    as a batch of one row) or for an analytic law."""
-    if isinstance(dist, (DiscreteDistribution, MeasureBatch)):
+    of a MeasureBatch, and a float for a DiscreteDistribution (a batch of
+    one row) or for an analytic law."""
+    if isinstance(dist, MeasureBatch):
         if spec.kind == "quantile":
             return quantile_functional(dist, spec.alpha)
         if spec.kind == "cte":

@@ -1,9 +1,11 @@
 """Finitely supported probability measures and one-dimensional analytic laws.
 
-Discrete measures carry their atoms and probability weights explicitly; in
-one dimension they additionally maintain a sorted view with cumulative
-weights, which makes CDF evaluation, generalized-inverse quantiles and the
-dispersion integral exact piecewise computations.
+Discrete measures come in ragged batches stored flat (:class:`MeasureBatch`),
+and a single measure is a batch of one row (:class:`DiscreteDistribution`),
+so each row-wise formula serves both.  Atoms and weights are explicit; in one
+dimension each row is sorted and carries cumulative weights, which makes CDF
+evaluation, generalized-inverse quantiles and the dispersion integral exact
+piecewise computations.
 """
 
 from __future__ import annotations
@@ -21,90 +23,7 @@ WEIGHT_SUM_TOL = 1e-12
 
 DISPERSION_QUAD_TOL = 1e-8
 
-
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """Finitely supported probability measure on R^d.
-
-    ``atoms`` has shape (m, d) and ``weights`` shape (m,).  Instances are
-    immutable; build them through :func:`make_discrete`, which normalizes
-    weights, drops zero-weight atoms and, for d = 1, sorts the support and
-    merges duplicate atoms.
-    """
-
-    atoms: np.ndarray
-    weights: np.ndarray
-    cum_weights: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # copies, so the caller keeps its arrays writable and cannot change
-        # the measure through them
-        atoms = np.atleast_2d(np.array(self.atoms, dtype=float))
-        weights = np.array(self.weights, dtype=float).reshape(-1)
-        if atoms.shape[0] != weights.shape[0]:
-            raise ValueError(
-                f"atom/weight length mismatch: {atoms.shape[0]} vs {weights.shape[0]}"
-            )
-        if atoms.shape[0] == 0:
-            raise ValueError("a distribution needs at least one atom")
-        _require_finite(atoms, weights)
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError("weights must sum to 1; use make_discrete to normalize")
-        if atoms.shape[1] == 1:
-            xs = atoms[:, 0]
-            if np.any(np.diff(xs) <= 0):
-                raise ValueError(
-                    "1-d support must be strictly increasing; use make_discrete"
-                )
-        cum = np.cumsum(weights)
-        cum[-1] = 1.0
-        atoms.setflags(write=False)
-        weights.setflags(write=False)
-        cum.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "cum_weights", cum)
-
-    @property
-    def dim(self) -> int:
-        return self.atoms.shape[1]
-
-    @property
-    def support_size(self) -> int:
-        return self.atoms.shape[0]
-
-    @property
-    def xs(self) -> np.ndarray:
-        """Sorted 1-d support (requires dim == 1)."""
-        _require_dim1(self)
-        return self.atoms[:, 0]
-
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.atoms
-
-
-def _unchecked(atoms, weights, cum_weights) -> DiscreteDistribution:
-    """A DiscreteDistribution from read-only arrays that already satisfy
-    every check of ``__post_init__``, built without running them again."""
-    dist = object.__new__(DiscreteDistribution)
-    object.__setattr__(dist, "atoms", atoms)
-    object.__setattr__(dist, "weights", weights)
-    object.__setattr__(dist, "cum_weights", cum_weights)
-    return dist
-
-
-def _one_row(dist: DiscreteDistribution) -> MeasureBatch:
-    """``dist`` as a batch of one row, made of its own arrays and not
-    checked again, so a zero-weight atom that it holds stays in the row."""
-    batch = object.__new__(MeasureBatch)
-    offsets = np.array([0, dist.support_size], dtype=np.intp)
-    offsets.setflags(write=False)
-    for name in ("atoms", "weights", "cum_weights"):
-        object.__setattr__(batch, name, getattr(dist, name))
-    object.__setattr__(batch, "offsets", offsets)
-    return batch
+_FIELDS = ("atoms", "weights", "offsets", "cum_weights")  # of a MeasureBatch
 
 
 def _row_blocks(offsets: np.ndarray):
@@ -141,21 +60,25 @@ class MeasureBatch:
     Row i has the atoms ``atoms[offsets[i]:offsets[i + 1]]`` (shape (m_i, d))
     with the matching ``weights``; ``cum_weights`` holds the cumulative
     weights within each row, its last entry set to exactly 1.  The batch is
-    validated once, under the rules of :class:`DiscreteDistribution` with
-    positive weights: every row is nonempty, finite and sums to 1, and 1-d
-    rows are strictly increasing.  ``batch[i]`` is row i as a
-    DiscreteDistribution (views of the flat arrays, not checked again).
+    validated once: every row is nonempty, finite and sums to 1, its weights
+    are positive, and 1-d rows are strictly increasing.  ``batch[i]`` is row
+    i as a :class:`DiscreteDistribution`, a batch of one row (views of the
+    flat arrays, not checked again).
 
-    Unlike a DiscreteDistribution, a batch takes over the arrays it is
-    given without copying them, so the caller must not write to them
-    afterwards: its builders hand over fresh flat arrays, and a copy would
-    double the peak memory of a large prediction.
+    A batch takes over the arrays it is given without copying them, so the
+    caller must not write to them afterwards: its builders hand over fresh
+    flat arrays, and a copy would double the peak memory of a large
+    prediction.
     """
 
     atoms: np.ndarray
     weights: np.ndarray
     offsets: np.ndarray
     cum_weights: np.ndarray = field(init=False, repr=False, compare=False)
+
+    # a single measure may keep an atom of weight 0, as a two-point law at
+    # p in {0, 1} does; a batch row may not
+    _zero_weights = False
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float)
@@ -173,8 +96,9 @@ class MeasureBatch:
         if np.any(sizes < 1):
             raise ValueError("every row needs at least one atom")
         _require_finite(atoms, weights)
-        if np.any(weights <= 0):
-            raise ValueError("batch weights must be positive")
+        if np.any(weights < 0 if self._zero_weights else weights <= 0):
+            rule = "nonnegative" if self._zero_weights else "positive"
+            raise ValueError(f"weights must be {rule}")
         cum = _row_cumsum(weights, offsets)
         last = offsets[1:] - 1
         if np.any(np.abs(cum[last] - 1.0) > WEIGHT_SUM_TOL):
@@ -185,12 +109,9 @@ class MeasureBatch:
             steps[last[:-1]] = 1.0  # a step across a row boundary may go down
             if np.any(steps <= 0):
                 raise ValueError("1-d rows must be strictly increasing")
-        for arr in (atoms, weights, offsets, cum):
+        for name, arr in zip(_FIELDS, (atoms, weights, offsets, cum)):
             arr.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "cum_weights", cum)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -211,6 +132,59 @@ class MeasureBatch:
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
+
+
+class DiscreteDistribution(MeasureBatch):
+    """Finitely supported probability measure on R^d: a batch of one row.
+
+    ``atoms`` has shape (m, d) and ``weights`` shape (m,).  Unlike a
+    batch, it copies the arrays it is given, so the caller keeps them
+    writable and cannot change the measure through them, and it may hold an
+    atom of weight 0.  Build it through :func:`make_discrete`, which
+    normalizes weights, drops zero-weight atoms and, for d = 1, sorts the
+    support and merges duplicate atoms.
+    """
+
+    _zero_weights = True
+
+    def __init__(self, atoms, weights):
+        weights = np.array(weights, dtype=float).reshape(-1)
+        atoms = np.atleast_2d(np.array(atoms, dtype=float))
+        for name, value in zip(_FIELDS, (atoms, weights, [0, weights.shape[0]])):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @property
+    def support_size(self) -> int:
+        return self.atoms.shape[0]
+
+    @property
+    def xs(self) -> np.ndarray:
+        """Sorted 1-d support (requires dim == 1)."""
+        _require_dim(self)
+        return self.atoms[:, 0]
+
+    def mean(self) -> np.ndarray:
+        return self.weights @ self.atoms
+
+
+def _unchecked(atoms, weights, cum_weights) -> DiscreteDistribution:
+    """A DiscreteDistribution from read-only arrays that already satisfy
+    every check of ``__post_init__``, built without running them again."""
+    dist = object.__new__(DiscreteDistribution)
+    offsets = np.array([0, weights.shape[0]], dtype=np.intp)
+    offsets.setflags(write=False)
+    for name, arr in zip(_FIELDS, (atoms, weights, offsets, cum_weights)):
+        object.__setattr__(dist, name, arr)
+    return dist
+
+
+def _per_row(values: np.ndarray, *dists):
+    """``values``, one per row, as a float when every one of ``dists`` is a
+    single DiscreteDistribution, and as they are otherwise."""
+    if all(isinstance(dist, DiscreteDistribution) for dist in dists):
+        return float(values[0])
+    return values
 
 
 @dataclass(frozen=True)
@@ -306,14 +280,14 @@ def dirac(point) -> DiscreteDistribution:
     return make_discrete([point], [1.0])
 
 
-def _require_dim1(dist: DiscreteDistribution) -> None:
-    if dist.dim != 1:
-        raise ValueError(f"operation requires dim = 1, got dim = {dist.dim}")
+def _require_dim(dist: MeasureBatch, dim: int = 1, what: str = "operation") -> None:
+    if dist.dim != dim:
+        raise ValueError(f"{what} requires dim = {dim}, got dim = {dist.dim}")
 
 
 def cdf_eval(dist: DiscreteDistribution, z):
     """Right-continuous step CDF: total weight of atoms <= z."""
-    _require_dim1(dist)
+    _require_dim(dist)
     z = np.asarray(z, dtype=float)
     idx = np.searchsorted(dist.xs, z, side="right")
     padded = np.concatenate(([0.0], dist.cum_weights))
@@ -323,7 +297,7 @@ def cdf_eval(dist: DiscreteDistribution, z):
 
 def quantile_eval(dist: DiscreteDistribution, u):
     """Generalized inverse inf{z : F(z) >= u} for u in (0, 1)."""
-    _require_dim1(dist)
+    _require_dim(dist)
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
         raise ValueError("quantile level must lie strictly inside (0, 1)")
@@ -348,7 +322,7 @@ def dispersion(dist) -> float:
     adaptive quadrature over the declared window to absolute tolerance 1e-8.
     """
     if isinstance(dist, DiscreteDistribution):
-        _require_dim1(dist)
+        _require_dim(dist)
         xs, cum = dist.xs, dist.cum_weights
         if xs.shape[0] == 1:
             return 0.0

@@ -1,10 +1,12 @@
 """Wasserstein distances between finitely supported measures.
 
 One-dimensional distances are evaluated in closed form (quantile-function
-merge for any order, CDF-difference integration for order 1).  Higher
-dimensions use an exact network-simplex solver, with a brute-force
-vertex enumeration available as an independent oracle, plus Monte-Carlo
-sliced and grid-refined max-sliced estimates.
+merge for any order, CDF-difference integration for order 1).  The order-1
+forms, :func:`w1_cdf` and :func:`w1_vs_analytic`, work row by row over a
+:class:`MeasureBatch` and give a float for a single measure, which is a
+batch of one row.  Higher dimensions use an exact network-simplex solver,
+with a brute-force vertex enumeration available as an independent oracle,
+plus Monte-Carlo sliced and grid-refined max-sliced estimates.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .measures import (
     AnalyticDistribution1D,
     DiscreteDistribution,
     MeasureBatch,
-    _one_row,
+    _per_row,
     _row_sums,
 )
 
@@ -86,25 +88,17 @@ class SlicedEstimate:
 # 1-d closed forms
 
 
-def _require_pair_dim1(a: DiscreteDistribution, b: DiscreteDistribution) -> None:
+def _require_pair_dim1(a: MeasureBatch, b: MeasureBatch) -> None:
     if a.dim != 1 or b.dim != 1:
         raise ValueError("both measures must be one-dimensional")
 
 
-def w1_cdf(a: DiscreteDistribution, b: DiscreteDistribution) -> float:
-    """Order-1 distance as the integral of |F_a - F_b|: :func:`w1_cdf_batch`
-    on the two measures as batches of one row."""
-    _require_pair_dim1(a, b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = w1_cdf_batch(_one_row(a), _one_row(b))[0]
-    _require_in_range(value)
-    return float(value)
-
-
-def w1_cdf_batch(a: MeasureBatch, b: MeasureBatch) -> np.ndarray:
+def w1_cdf(a: MeasureBatch, b: MeasureBatch):
     """Order-1 distance between row i of ``a`` and row i of ``b``, as the
     integral of |F_a - F_b|: the integrand is constant between consecutive
     points of the merged support, so the integral is an exact finite sum.
+    A float for two DiscreteDistributions, and one value per row otherwise;
+    a distance beyond the double range raises OverflowError.
 
     One stable sort by (row, atom) merges every pair of supports; each
     measure's CDF at a merged point is the cumulative weight of its last
@@ -129,10 +123,13 @@ def w1_cdf_batch(a: MeasureBatch, b: MeasureBatch) -> np.ndarray:
 
     fa = cdf_on_grid(order < na, a.cum_weights, 0)
     fb = cdf_on_grid(order >= na, b.cum_weights, na)
-    terms = np.diff(grid) * np.abs(fa[:-1] - fb[:-1])
-    # drop the step from each row's last point to the next row's first
-    terms = np.delete(terms, offsets[1:-1] - 1)
-    return _row_sums(terms, offsets - np.arange(offsets.shape[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.diff(grid) * np.abs(fa[:-1] - fb[:-1])
+        # drop the step from each row's last point to the next row's first
+        terms = np.delete(terms, offsets[1:-1] - 1)
+        values = _row_sums(terms, offsets - np.arange(offsets.shape[0]))
+    _require_in_range(values.max(initial=0.0))
+    return _per_row(values, a, b)
 
 
 def wp_quantile(a: DiscreteDistribution, b: DiscreteDistribution, p: float) -> float:
@@ -189,20 +186,10 @@ def _order_too_large(p, top) -> ValueError:
     )
 
 
-def w1_vs_analytic(dist: DiscreteDistribution, law: AnalyticDistribution1D) -> float:
-    """Order-1 distance between a discrete measure and an analytic law:
-    :func:`w1_vs_analytic_batch` on the measure as a batch of one row, with
-    the law unshifted.  Needs the law's closed-form ``integrated_cdf``."""
-    if dist.dim != 1:
-        raise ValueError("discrete measure must be one-dimensional")
-    return float(w1_vs_analytic_batch(_one_row(dist), law, [0.0])[0])
-
-
-def w1_vs_analytic_batch(
-    dist: MeasureBatch, law: AnalyticDistribution1D, shifts
-) -> np.ndarray:
+def w1_vs_analytic(dist: MeasureBatch, law: AnalyticDistribution1D, shifts=None):
     """Order-1 distance between row i of ``dist`` and ``law`` shifted by
-    ``shifts[i]``, the law of Y + shifts[i] for Y ~ law.
+    ``shifts[i]`` (0 by default), the law of Y + shifts[i] for Y ~ law: a
+    float for a DiscreteDistribution, and one value per row for a batch.
 
     |F_hat - F| is integrated in closed form segment by segment over each
     row's atoms, through the law's exact ``integrated_cdf``; a law without
@@ -214,6 +201,8 @@ def w1_vs_analytic_batch(
         raise ValueError("discrete measures must be one-dimensional")
     if law.integrated_cdf is None:
         raise ValueError("W1 against an analytic law needs its closed-form integrated CDF")
+    if shifts is None:
+        shifts = np.zeros(len(dist))
     shifts = np.asarray(shifts, dtype=float).reshape(-1)
     if shifts.shape[0] != len(dist):
         raise ValueError(f"need one shift per row: {shifts.shape[0]} vs {len(dist)}")
@@ -231,7 +220,7 @@ def w1_vs_analytic_batch(
     below = c * (zstar - xs[j]) - (g_star - g_at[j])
     above = (g_at[j + 1] - g_star) - c * (xs[j + 1] - zstar)
     total = g_at[first] + _row_sums(below + above, offsets - np.arange(offsets.shape[0]))
-    return total + ((g_at[last] - xs[last]) + (law.mean + shifts))
+    return _per_row(total + ((g_at[last] - xs[last]) + (law.mean + shifts)), dist)
 
 
 # ---------------------------------------------------------------------------

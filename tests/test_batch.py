@@ -35,9 +35,7 @@ from distreg import (
     tail_expectation,
     uniform_law,
     w1_cdf,
-    w1_cdf_batch,
     w1_vs_analytic,
-    w1_vs_analytic_batch,
 )
 from distreg.functionals import beta_function
 from distreg.synth import UniformLocationModel
@@ -161,7 +159,7 @@ class TestRowFormsEqualThePerPairBodies:
     @given(data=st.data(), count=st.integers(0, 12))
     def test_w1_cdf(self, data, count):
         rows_a, rows_b = data.draw(line_rows(count)), data.draw(line_rows(count))
-        got = w1_cdf_batch(as_batch(rows_a), as_batch(rows_b))
+        got = w1_cdf(as_batch(rows_a), as_batch(rows_b))
         assert bits(got) == bits([ref_w1_cdf(a, b) for a, b in zip(rows_a, rows_b)])
 
     @settings(max_examples=100, deadline=None)
@@ -170,8 +168,16 @@ class TestRowFormsEqualThePerPairBodies:
     def test_w1_vs_analytic(self, data, count, uniform, centre, spread):
         rows = data.draw(line_rows(count))
         law = uniform_law(centre, centre + spread) if uniform else gaussian_law(centre, spread)
-        got = w1_vs_analytic_batch(as_batch(rows), law, np.zeros(count))
+        got = w1_vs_analytic(as_batch(rows), law, np.zeros(count))
         assert bits(got) == bits([ref_w1_vs_analytic(r, law) for r in rows])
+
+    def test_a_measure_is_a_batch_of_one_row(self, rng):
+        assert issubclass(DiscreteDistribution, MeasureBatch)
+        dist = zero_weight_atom(rng)
+        assert len(dist) == 1 and dist.offsets.tolist() == [0, 3]
+        assert_same_measure(dist[0], dist)
+        with pytest.raises(ValueError, match="positive"):
+            MeasureBatch(dist.atoms, dist.weights, dist.offsets)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), alpha=LEVELS, seed=st.integers(0, 2**31 - 1))
@@ -298,7 +304,7 @@ class TestBatchW1:
     def test_batch_against_batch_equals_w1_cdf(self, seed, rows, grid):
         rng = np.random.default_rng(seed)
         a, b = ragged_batch(rng, rows, grid=grid), ragged_batch(rng, rows, grid=grid)
-        got = w1_cdf_batch(a, b)
+        got = w1_cdf(a, b)
         assert got.shape == (rows,)
         for i in range(rows):
             assert got[i] == ref_w1_cdf(a[i], b[i])
@@ -321,10 +327,10 @@ class TestBatchW1:
         preds = predict_many(fit(model.sample(n, seed=seed), scheme), queries)
         laws = model.conditional_laws(queries)
         if isinstance(laws, MeasureBatch):
-            got = w1_cdf_batch(preds, laws)
+            got = w1_cdf(preds, laws)
             want = [ref_w1_cdf(p, model.conditional_law(q)) for p, q in zip(preds, queries)]
         else:
-            got = w1_vs_analytic_batch(preds, *laws)
+            got = w1_vs_analytic(preds, *laws)
             want = [
                 ref_w1_vs_analytic(p, model.conditional_law(q))
                 for p, q in zip(preds, queries)
@@ -336,14 +342,32 @@ class TestBatchW1:
         else:
             assert np.array_equal(got, want)
 
+    def test_a_row_whose_distance_overflows_raises(self):
+        a = MeasureBatch([0.0, -1e308], [1.0, 1.0], [0, 1, 2])
+        b = MeasureBatch([1.0, 1e308], [1.0, 1.0], [0, 1, 2])
+        with pytest.raises(OverflowError, match="too far apart"):
+            w1_cdf(a, b)
+
+    def test_zero_rows_give_an_empty_array(self):
+        empty = as_batch([])
+        for got in (w1_cdf(empty, empty), w1_vs_analytic(empty, gaussian_law(0.0, 1.0))):
+            assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), rows=st.integers(1, 12))
+    def test_omitted_shifts_are_zero(self, seed, rows):
+        batch = ragged_batch(np.random.default_rng(seed), rows)
+        law = gaussian_law(0.3, 1.7)
+        assert bits(w1_vs_analytic(batch, law)) == bits(w1_vs_analytic(batch, law, np.zeros(rows)))
+
     def test_row_count_mismatch(self):
         one = MeasureBatch([[0.0]], [1.0], [0, 1])
         two = MeasureBatch([[0.0], [1.0]], [1.0, 1.0], [0, 1, 2])
         with pytest.raises(ValueError, match="row count"):
-            w1_cdf_batch(one, two)
+            w1_cdf(one, two)
         law, shifts = make_preset("gaussian-k1").conditional_laws(np.zeros((1, 1)))
         with pytest.raises(ValueError, match="one shift per row"):
-            w1_vs_analytic_batch(two, law, shifts)
+            w1_vs_analytic(two, law, shifts)
 
 
 class TestBinaryLaws:

@@ -735,6 +735,48 @@ BOUNDS = ["bounds", "--family", "kernel", "--holder", "1", "--lipschitz", "1",
           "--dim", "1", "--n", "100"]
 
 
+BOUND_CLASS = ["--holder", "1", "--lipschitz", "1", "--dispersion", "1", "--n", "100"]
+KERNEL_BOUNDS = ["bounds", "--family", "kernel", *BOUND_CLASS]
+KNN_BOUNDS = ["bounds", "--family", "knn", *BOUND_CLASS, "--dim", "2", "--param", "10"]
+
+
+class TestOutOfRangeSchedulesAndBounds:
+    # "schedule=..." stands for a rates config file holding that schedule
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rates", "--config", "schedule=kappa:1:1e10", "--dry-run"],
+            ["rates", "--config", "schedule=kappa:1e308:2", "--dry-run"],
+            ["stone-check", "--model", "binary-k1", "--family", "knn",
+             "--kappa-schedule", "1e308:2", "--n-grid", "10,20", "--replications", "2"],
+            KNN_BOUNDS + ["--tilde-ck", "-1"],
+            KNN_BOUNDS + ["--tilde-ck", "0"],
+            ["bound-check", "--preset", "binary-k2-knn", "--tilde-ck", "-1"],
+            ["bound-check", "--preset", "binary-k2-knn", "--tilde-ck", "0"],
+            KERNEL_BOUNDS + ["--dim", "1", "--param", "0.1", "--ck", "-1"],
+            KERNEL_BOUNDS + ["--dim", "1", "--param", "0.1", "--ck", "0"],
+            KERNEL_BOUNDS + ["--dim", "2", "--param", "1e300"],
+            KERNEL_BOUNDS + ["--dim", "2", "--param", "1e-300"],
+            KERNEL_BOUNDS + ["--dim", "400", "--param", "0.1"],
+        ],
+        ids=["kappa-exponent", "kappa-coef", "stone-kappa-coef", "bounds-tilde-ck-negative",
+             "bounds-tilde-ck-0", "bound-check-tilde-ck-negative", "bound-check-tilde-ck-0",
+             "ck-negative", "ck-0", "large-bandwidth", "small-bandwidth", "dim-400"],
+    )
+    def test_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        argv = [
+            write(tmp_path / "r.cfg", f"model=binary-k1\n{a}\nn_grid=128,256\n")
+            if a.startswith("schedule=") else a
+            for a in argv
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 class TestNonFiniteFlags:
     # "V" marks where the non-finite value goes; "--flag=V" keeps argparse
     # from reading "-inf" as an option
