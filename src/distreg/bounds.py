@@ -128,9 +128,9 @@ def knn_bound(
 ) -> float:
     """Uniform risk bound for kappa-nearest-neighbor weights.
 
-    For k = 1 the neighbor-distance constant 8 is built in; for k >= 2 the
-    positive constant depends on the dimension and must be supplied by the
-    caller (there is no safe default).
+    For k = 1 the neighbor-distance constant 8 is built in, and a given one
+    raises ValueError; for k >= 2 the positive constant depends on the
+    dimension and must be supplied by the caller (there is no safe default).
     """
     if not 1 <= kappa <= n:
         raise ValueError("need 1 <= kappa <= n")
@@ -138,6 +138,8 @@ def knn_bound(
     hh, ll, mm, k = params.holder, params.lipschitz, params.dispersion, params.dim
     ratio = kappa / n
     if k == 1:
+        if neighbor_const is not None:
+            raise ValueError("neighbor_const is not read at dimension k = 1, where 8 is built in")
         bias = ll * 8.0 ** (hh / 2.0) * ratio ** (hh / 2.0)
     else:
         if neighbor_const is None:

@@ -29,6 +29,7 @@ from .experiments import (
     parse_schedule,
     plan_from_config,
     rate_study,
+    scheme_at,
 )
 from .functionals import FunctionalSpec, evaluate_functional
 from .measures import DiscreteDistribution, make_discrete
@@ -203,12 +204,13 @@ def cmd_distance(args) -> int:
     return EXIT_OK
 
 
-def _scheme_from_args(args, n: int):
+def _scheme_from_args(args):
+    unread = ("--bandwidth", args.bandwidth) if args.scheme == "knn" else ("--kappa", args.kappa)
+    if unread[1] is not None:
+        raise ValueError(f"{unread[0]} does not apply to the {args.scheme} scheme")
     if args.scheme == "knn":
         if args.kappa is None:
             raise ValueError("--kappa is required for the knn scheme")
-        if args.kappa > n:
-            raise ValueError(f"kappa = {args.kappa} exceeds sample size {n}")
         return KnnScheme(kappa=args.kappa)
     if args.bandwidth is None:
         raise ValueError("--bandwidth is required for the kernel scheme")
@@ -216,11 +218,12 @@ def _scheme_from_args(args, n: int):
 
 
 def cmd_predict(args) -> int:
-    # a malformed spec fails before any file is read
+    # a malformed scheme or spec fails before any file is read
+    scheme = _scheme_from_args(args)
     spec = FunctionalSpec.parse(args.functional) if args.functional else None
     ds = read_dataset(args.train)
     queries = read_queries(args.queries, ds.k)
-    reg = fit(ds, _scheme_from_args(args, ds.n))
+    reg = fit(ds, scheme)
     preds = predict_many(reg, queries)
     if spec is None:
         header = ["query"] + [f"y{i + 1}" for i in range(ds.d)] + ["weight"]
@@ -289,8 +292,9 @@ def cmd_bounds(args) -> int:
         dim=args.dim,
     )
     ns = [int(v) for v in args.n.split(",")]
-    if args.family == "knn" and args.dim >= 2 and args.tilde_ck is None:
-        raise ValueError("--tilde-ck is required for knn bounds with dim >= 2")
+    unread = ("--tilde-ck", args.tilde_ck) if args.family == "kernel" else ("--ck", args.ck)
+    if unread[1] is not None:
+        raise ValueError(f"{unread[0]} does not apply to {args.family} bounds")
     if args.family == "knn" and not all(kappa.is_integer() for kappa in args.param):
         raise ValueError(f"knn --param must list whole neighbour counts, got {args.param}")
     # every row is computed before anything is written, so a bad (n, param)
@@ -314,27 +318,36 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+# the weight flags of each stone-check family: a fixed value and a schedule
+_STONE_FLAGS = {"knn": ("--kappa", "--kappa-schedule"),
+                "kernel": ("--bandwidth", "--bandwidth-schedule")}
+
+
+def _stone_schedule(args):
+    """The schedule of the one weight flag given to stone-check."""
+    own = _STONE_FLAGS[args.family]
+    given = [flag for flags in _STONE_FLAGS.values() for flag in flags
+             if getattr(args, flag[2:].replace("-", "_")) is not None]
+    for flag in given:
+        if flag not in own:
+            raise ValueError(f"{flag} does not apply to --family {args.family}")
+    if len(given) != 1:
+        raise ValueError(f"{args.family} diagnostics need exactly one of {own[0]} and {own[1]}")
+    if args.family == "knn":
+        if args.kappa is not None:
+            return FixedNeighborSchedule(args.kappa)
+        return parse_schedule(f"kappa:{args.kappa_schedule}")
+    if args.bandwidth is not None:
+        return BandwidthPowerSchedule(args.bandwidth, 0.0)
+    return parse_schedule(f"h:{args.bandwidth_schedule}")
+
+
 def cmd_stone_check(args) -> int:
     model = make_preset(args.model)
-    if args.family == "knn":
-        if args.kappa_schedule is not None:
-            _, schedule = parse_schedule(f"kappa:{args.kappa_schedule}")
-        elif args.kappa is not None:
-            schedule = FixedNeighborSchedule(args.kappa)
-        else:
-            raise ValueError("knn diagnostics need --kappa or --kappa-schedule")
-        scheme_for_n = lambda n: KnnScheme(kappa=int(schedule(n)))  # noqa: E731
-    else:
-        if args.bandwidth_schedule is not None:
-            _, schedule = parse_schedule(f"h:{args.bandwidth_schedule}")
-        elif args.bandwidth is not None:
-            schedule = BandwidthPowerSchedule(args.bandwidth, 0.0)
-        else:
-            raise ValueError("kernel diagnostics need --bandwidth or --bandwidth-schedule")
-        scheme_for_n = lambda n: KernelScheme(bandwidth=float(schedule(n)))  # noqa: E731
+    schedule = _stone_schedule(args)
     n_grid = [int(v) for v in args.n_grid.split(",")]
     rows = stone_diagnostics(
-        scheme_for_n,
+        lambda n: scheme_at(schedule, n),
         model,
         n_grid,
         eps=args.eps,

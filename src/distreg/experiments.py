@@ -84,12 +84,18 @@ class FixedNeighborSchedule:
         return min(n, self.kappa)
 
 
+def scheme_at(schedule, n: int):
+    """Kernel weights of bandwidth h(n) for a bandwidth schedule, else kappa(n)-NN."""
+    if isinstance(schedule, BandwidthPowerSchedule):
+        return KernelScheme(bandwidth=float(schedule(n)))
+    return KnnScheme(kappa=int(schedule(n)))
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A full study: model, scheme family with schedule, grid and budgets."""
+    """A full study: model, schedule (which fixes the weights), grid and budgets."""
 
     model: object
-    family: str  # "kernel" | "knn"
     schedule: Callable[[int], float]
     n_grid: tuple[int, ...]
     replications: int
@@ -111,17 +117,18 @@ class ExperimentPlan:
             raise ValueError(f"need at least 1 test point, got {self.test_points}")
         if not self.tolerance >= 0:
             raise ValueError(f"tolerance must be nonnegative, got {self.tolerance}")
-        if self.family not in ("kernel", "knn"):
-            raise ValueError(f"unknown scheme family {self.family!r}")
         for n in grid:
             if self.schedule(n) <= 0:
                 raise ValueError(f"schedule is nonpositive at n = {n}")
         object.__setattr__(self, "n_grid", grid)
 
+    @property
+    def family(self) -> str:
+        """``kernel`` for a bandwidth schedule, ``knn`` otherwise."""
+        return "kernel" if isinstance(self.schedule, BandwidthPowerSchedule) else "knn"
+
     def scheme_at(self, n: int):
-        if self.family == "kernel":
-            return KernelScheme(bandwidth=float(self.schedule(n)))
-        return KnnScheme(kappa=int(self.schedule(n)))
+        return scheme_at(self.schedule, n)
 
 
 @dataclass(frozen=True)
@@ -339,11 +346,16 @@ def bound_vs_risk(
     """Monte-Carlo risk next to the closed-form bound, row per grid point.
 
     A row is flagged when mean - 3 stderr exceeds the bound, which should
-    never happen for a certified model.
+    never happen for a certified model.  Only the plan's own family's
+    constant may be given: ``covering_const`` for kernel weights,
+    ``neighbor_const`` for k-NN weights.
     """
     params = plan.model.params
     if params is None:
         raise ValueError("bound comparison needs a model with declared class params")
+    if (covering_const if plan.family == "knn" else neighbor_const) is not None:
+        unread = "covering_const" if plan.family == "knn" else "neighbor_const"
+        raise ValueError(f"{unread} is not read by the {plan.family} bound")
     # the bounds come first, so a constant they reject costs no study
     bounds = [
         kernel_bound(params, n, float(plan.schedule(n)), covering_const)
@@ -403,8 +415,7 @@ _SCHEDULE_FORMS = {"h": "h:COEF:EXP", "kappa": "kappa:COEF:EXP", "kappa-fixed": 
 
 
 def parse_schedule(text: str):
-    """``h:COEF:EXP``, ``kappa:COEF:EXP`` or ``kappa-fixed:K`` as a
-    (family, schedule) pair."""
+    """The schedule ``h:COEF:EXP``, ``kappa:COEF:EXP`` or ``kappa-fixed:K``."""
     parts = text.split(":")
     form = _SCHEDULE_FORMS.get(parts[0])
     if form is None:
@@ -413,10 +424,10 @@ def parse_schedule(text: str):
         if len(parts) != form.count(":") + 1:
             raise ValueError(f"expected {form}")
         if parts[0] == "h":
-            return "kernel", BandwidthPowerSchedule(finite(parts[1]), finite(parts[2]))
+            return BandwidthPowerSchedule(finite(parts[1]), finite(parts[2]))
         if parts[0] == "kappa":
-            return "knn", NeighborPowerSchedule(finite(parts[1]), finite(parts[2]))
-        return "knn", FixedNeighborSchedule(int(parts[1]))
+            return NeighborPowerSchedule(finite(parts[1]), finite(parts[2]))
+        return FixedNeighborSchedule(int(parts[1]))
     except ValueError as exc:
         raise ValueError(f"cannot parse schedule {text!r}: {exc}") from exc
 
@@ -471,11 +482,9 @@ def plan_from_config(cfg: dict[str, str], seed: int) -> ExperimentPlan:
     missing = [key for key in required if key not in cfg]
     if missing:
         raise ValueError(f"config must set preset= or the keys {missing}")
-    family, schedule = parse_schedule(cfg["schedule"])
     return ExperimentPlan(
         model=make_preset(cfg["model"]),
-        family=family,
-        schedule=schedule,
+        schedule=parse_schedule(cfg["schedule"]),
         n_grid=tuple(int(v) for v in cfg["n_grid"].split(",")),
         replications=int(cfg.get("replications", "16")),
         test_points=int(cfg.get("test_points", "16")),

@@ -21,7 +21,7 @@ NEG_TOL = -1e-15
 SUM_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-12
 
-DISPERSION_QUAD_TOL = 1e-8
+DISPERSION_QUAD_TOL = 1e-12
 
 _FIELDS = ("atoms", "weights", "offsets", "cum_weights")  # of a MeasureBatch
 
@@ -194,17 +194,16 @@ class AnalyticDistribution1D:
     ``support`` may have infinite endpoints; ``quad_support`` then supplies a
     finite window outside which the tails are numerically negligible, so
     quadrature domains stay explicit.  ``integrated_cdf`` is the exact
-    antiderivative z -> E[(z - Y)+] = int_{-inf}^z F(t) dt when one is
-    available; it makes CDF-difference integrals closed-form.
+    antiderivative z -> E[(z - Y)+] = int_{-inf}^z F(t) dt; it makes
+    CDF-difference integrals closed-form.
     """
 
     cdf: Callable[[np.ndarray], np.ndarray]
     quantile: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float]
     mean: float
-    moment: Callable[[float], float] | None = None
+    integrated_cdf: Callable[[np.ndarray], np.ndarray]
     quad_support: tuple[float, float] | None = None
-    integrated_cdf: Callable[[np.ndarray], np.ndarray] | None = None
 
     def quad_bounds(self) -> tuple[float, float]:
         """Finite integration window for this law."""
@@ -319,7 +318,7 @@ def dispersion(dist) -> float:
 
     For a discrete measure this is the exact piecewise sum over support gaps;
     zero iff the measure is a Dirac.  For an analytic law it is computed by
-    adaptive quadrature over the declared window to absolute tolerance 1e-8.
+    adaptive quadrature over the declared window to absolute tolerance 1e-12.
     """
     if isinstance(dist, DiscreteDistribution):
         _require_dim(dist)
@@ -366,26 +365,13 @@ def gaussian_law(mu: float, sigma: float) -> AnalyticDistribution1D:
         phi = np.exp(-0.5 * s * s) / np.sqrt(2.0 * np.pi)
         return (np.asarray(z) - mu) * ndtr(s) + sigma * phi
 
-    def moment_p(p):
-        from scipy.integrate import quad
-
-        val, _ = quad(
-            lambda z: abs(z) ** p * np.exp(-0.5 * ((z - mu) / sigma) ** 2)
-            / (sigma * np.sqrt(2 * np.pi)),
-            mu - 8 * sigma,
-            mu + 8 * sigma,
-            limit=200,
-        )
-        return val ** (1.0 / p)
-
     return AnalyticDistribution1D(
         cdf=cdf,
         quantile=quantile,
         support=(-np.inf, np.inf),
         mean=mu,
-        moment=moment_p,
-        quad_support=(mu - 8.0 * sigma, mu + 8.0 * sigma),
         integrated_cdf=integrated_cdf,
+        quad_support=(mu - 8.0 * sigma, mu + 8.0 * sigma),
     )
 
 
@@ -408,17 +394,10 @@ def uniform_law(lo: float, hi: float) -> AnalyticDistribution1D:
         ramp = (inside - lo) ** 2 / (2.0 * width)
         return ramp + np.maximum(z - hi, 0.0)
 
-    def moment_p(p):
-        from scipy.integrate import quad
-
-        val, _ = quad(lambda z: abs(z) ** p / width, lo, hi, limit=200)
-        return val ** (1.0 / p)
-
     return AnalyticDistribution1D(
         cdf=cdf,
         quantile=quantile,
         support=(lo, hi),
         mean=0.5 * (lo + hi),
-        moment=moment_p,
         integrated_cdf=integrated_cdf,
     )

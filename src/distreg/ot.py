@@ -32,6 +32,7 @@ _STREAM_TAG = 71  # domain tag for direction sampling
 # the transportation simplex gives up after base + per-cell * m * n pivots
 _PIVOTS_BASE, _PIVOTS_PER_CELL = 2000, 60
 _ASCENT_SWEEPS = 40  # most coordinate sweeps of one max-sliced ascent (d >= 3)
+_REFINE_TOL = 1e-9  # bracket width at which a max-sliced golden section stops
 
 
 class ConvergenceError(RuntimeError):
@@ -66,15 +67,12 @@ class SlicedConfig:
     p: float = 2.0
     num_directions: int = 64
     seed: int = 0
-    refine_tol: float = 1e-9
 
     def __post_init__(self):
         if not 1.0 <= self.p < np.inf:
             raise ValueError("order p must be finite and >= 1")
         if self.num_directions < 1:
             raise ValueError("num_directions must be >= 1")
-        if self.refine_tol <= 0:
-            raise ValueError("refine_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -192,15 +190,13 @@ def w1_vs_analytic(dist: MeasureBatch, law: AnalyticDistribution1D, shifts=None)
     float for a DiscreteDistribution, and one value per row for a batch.
 
     |F_hat - F| is integrated in closed form segment by segment over each
-    row's atoms, through the law's exact ``integrated_cdf``; a law without
-    one raises ValueError.  The shifted law's integrated CDF is
-    z -> G(z - s) and its quantile u -> Q(u) + s, so for the closed forms
-    of :func:`gaussian_law` a row has the bits of ``gaussian_law(s, sigma)``.
+    row's atoms, through the law's exact ``integrated_cdf``.  The shifted
+    law's integrated CDF is z -> G(z - s) and its quantile u -> Q(u) + s,
+    so for the closed forms of :func:`gaussian_law` a row has the bits of
+    ``gaussian_law(s, sigma)``.
     """
     if dist.dim != 1:
         raise ValueError("discrete measures must be one-dimensional")
-    if law.integrated_cdf is None:
-        raise ValueError("W1 against an analytic law needs its closed-form integrated CDF")
     if shifts is None:
         shifts = np.zeros(len(dist))
     shifts = np.asarray(shifts, dtype=float).reshape(-1)
@@ -622,7 +618,7 @@ def max_sliced_wp(
 
     For d = 2 the angle is scanned on a uniform grid over [0, pi) -- the
     objective is antipodally symmetric -- and the best bracket is refined by
-    golden section to cfg.refine_tol.  For d >= 3 multistart coordinate
+    golden section to a bracket of width 1e-9.  For d >= 3 multistart coordinate
     ascent on the sphere is run from cfg.num_directions random directions.
     The result never exceeds the true maximum.
     """
@@ -643,7 +639,7 @@ def max_sliced_wp(
             lambda t: value(np.array([np.cos(t), np.sin(t)])),
             lo,
             hi,
-            cfg.refine_tol,
+            _REFINE_TOL,
             seed_points=(thetas[best],),
         )
         return float(max(refined, vals[best]))
@@ -653,7 +649,7 @@ def max_sliced_wp(
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
     best_val = -np.inf
     for u in starts:
-        best_val = max(best_val, _sphere_ascent(value, u, cfg.refine_tol))
+        best_val = max(best_val, _sphere_ascent(value, u, _REFINE_TOL))
     return float(best_val)
 
 

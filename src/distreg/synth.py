@@ -25,6 +25,7 @@ from .measures import (
     AnalyticDistribution1D,
     DiscreteDistribution,
     MeasureBatch,
+    dispersion,
     gaussian_law,
     uniform_law,
 )
@@ -69,17 +70,7 @@ class RadialPowerMap:
 @lru_cache(maxsize=1)
 def _std_gaussian_dispersion() -> float:
     """int sqrt(Phi (1 - Phi)) dz for the standard normal, tails cut at 8."""
-    from scipy.integrate import quad
-    from scipy.special import ndtr
-
-    val, _ = quad(
-        lambda z: np.sqrt(max(ndtr(z) * (1.0 - ndtr(z)), 0.0)),
-        -8.0,
-        8.0,
-        epsabs=1e-12,
-        limit=400,
-    )
-    return float(val)
+    return dispersion(gaussian_law(0.0, 1.0))
 
 
 def _check_cube_rows(xs, k: int) -> np.ndarray:

@@ -24,31 +24,21 @@ _STONE_TAG = 83
 class KernelScheme:
     """Bandwidth-h kernel weights; default kernel is the closed unit ball.
 
-    A custom kernel must be boxed: sandwiched between m1 * 1{||x|| <= r1}
-    and m2 * 1{||x|| <= r2} with m2 >= m1 > 0 and r2 >= r1 > 0.  The box
-    constants are declared, not verified pointwise.
+    A given ``kernel`` is assumed boxed: sandwiched between
+    m1 * 1{||x|| <= r1} and m2 * 1{||x|| <= r2} with m2 >= m1 > 0 and
+    r2 >= r1 > 0.  The assumption is not checked.
     """
 
     bandwidth: float
-    kind: str = "uniform"
     kernel: Callable[[np.ndarray], np.ndarray] | None = None
-    box_constants: tuple[float, float, float, float] | None = None  # m1, m2, r1, r2
 
     def __post_init__(self):
         if not 0.0 < self.bandwidth < np.inf:
             raise ValueError("bandwidth must be positive and finite")
-        if self.kind == "uniform":
-            return
-        if self.kind != "boxed":
-            raise ValueError(f"unknown kernel kind: {self.kind!r}")
-        if self.kernel is None or self.box_constants is None:
-            raise ValueError("boxed kernels need a callable and box constants")
-        m1, m2, r1, r2 = self.box_constants
-        if not (m2 >= m1 > 0 and r2 >= r1 > 0):
-            raise ValueError("box constants must satisfy m2 >= m1 > 0, r2 >= r1 > 0")
 
     def describe(self) -> str:
-        return f"kernel({self.kind}, h={self.bandwidth:g})"
+        kind = "uniform" if self.kernel is None else "boxed"
+        return f"kernel({kind}, h={self.bandwidth:g})"
 
 
 @dataclass(frozen=True)
@@ -183,7 +173,7 @@ class NeighbourIndex:
         if isinstance(scheme, KnnScheme):
             return self._nearest(scheme.kappa, qs)
         if isinstance(scheme, KernelScheme):
-            if scheme.kind == "uniform":
+            if scheme.kernel is None:
                 return self._ball(scheme.bandwidth, qs)
             return self._boxed(scheme, qs)
         raise TypeError(f"unsupported scheme type: {type(scheme).__name__}")
@@ -243,8 +233,8 @@ class NeighbourIndex:
         return self._batch(qs.shape[0], rows[inside], cand[inside])
 
     def _boxed(self, scheme: KernelScheme, qs: np.ndarray) -> WeightBatch:
-        # the box constants are declared, not verified, so the kernel is
-        # evaluated on every point
+        # the box is assumed, not known, so the kernel is evaluated on
+        # every point
         rows, cand, mass = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
         for i, q in enumerate(qs):
             scaled = (q[None, :] - self.points) / scheme.bandwidth

@@ -162,7 +162,6 @@ def test_c05_bounds_never_violated():
     grid = tuple(2**e for e in range(9, 14))
     plan1 = ExperimentPlan(
         model=make_preset("binary-k1"),
-        family="kernel",
         schedule=BandwidthPowerSchedule(1.0, -1.0 / 3.0),
         n_grid=grid,
         replications=40,
@@ -172,7 +171,6 @@ def test_c05_bounds_never_violated():
     rows1 = bound_vs_risk(plan1)
     plan2 = ExperimentPlan(
         model=make_preset("binary-k2"),
-        family="knn",
         schedule=NeighborPowerSchedule(1.0, 0.5),
         n_grid=grid,
         replications=40,
@@ -231,16 +229,15 @@ def test_c08_knn_suboptimal_dim1():
 def test_c09_consistency_and_invalid_schedule():
     grid = (2**8, 2**10, 2**12)
     combos = [
-        ("binary-k1", "kernel", BandwidthPowerSchedule(1.0, -1.0 / 3.0)),
-        ("binary-k2", "knn", NeighborPowerSchedule(1.0, 0.5)),
-        ("gaussian-k1", "kernel", BandwidthPowerSchedule(1.0, -1.0 / 3.0)),
-        ("uniform-k1", "knn", NeighborPowerSchedule(1.0, 0.5)),
+        ("binary-k1", BandwidthPowerSchedule(1.0, -1.0 / 3.0)),
+        ("binary-k2", NeighborPowerSchedule(1.0, 0.5)),
+        ("gaussian-k1", BandwidthPowerSchedule(1.0, -1.0 / 3.0)),
+        ("uniform-k1", NeighborPowerSchedule(1.0, 0.5)),
     ]
     monotone_ok = []
-    for name, family, schedule in combos:
+    for name, schedule in combos:
         plan = ExperimentPlan(
             model=make_preset(name),
-            family=family,
             schedule=schedule,
             n_grid=grid,
             replications=16,
@@ -251,7 +248,6 @@ def test_c09_consistency_and_invalid_schedule():
         monotone_ok.append(_nonincreasing_within_pooled_se(points))
     valid_plan = ExperimentPlan(
         model=make_preset("binary-k1"),
-        family="knn",
         schedule=NeighborPowerSchedule(1.0, 0.5),
         n_grid=grid,
         replications=16,
@@ -260,7 +256,6 @@ def test_c09_consistency_and_invalid_schedule():
     )
     frozen_plan = ExperimentPlan(
         model=make_preset("binary-k1"),
-        family="knn",
         schedule=FixedNeighborSchedule(5),
         n_grid=grid,
         replications=16,
@@ -321,7 +316,6 @@ def test_c10_weight_diagnostics():
 def test_c11_functional_plug_in_consistency():
     plan = ExperimentPlan(
         model=make_preset("gaussian-k1"),
-        family="knn",
         schedule=NeighborPowerSchedule(1.0, 0.5),
         n_grid=(2**8, 2**10, 2**12),
         replications=12,
@@ -336,7 +330,6 @@ def test_c11_functional_plug_in_consistency():
         )
     pair_plan = ExperimentPlan(
         model=make_preset("gaussian-pair-k1"),
-        family="knn",
         schedule=NeighborPowerSchedule(1.0, 0.5),
         n_grid=(2**6, 2**9, 2**12, 2**14),
         replications=12,
@@ -360,7 +353,7 @@ def test_c12_sliced_sanity():
     target = np.sqrt(0.5)
     within = abs(est.value - target) <= 3.0 * est.stderr
     max_val = max_sliced_wp(
-        a, b, SlicedConfig(p=2.0, num_directions=64, seed=112, refine_tol=1e-9)
+        a, b, SlicedConfig(p=2.0, num_directions=64, seed=112)
     )
     max_ok = abs(max_val - 1.0) <= 1e-6
     _report(

@@ -223,7 +223,7 @@ def tri(u):
     return np.maximum(0.0, 1.0 - np.linalg.norm(u, axis=1))
 
 
-BOXED = dict(kind="boxed", kernel=tri, box_constants=(0.5, 1.0, 0.5, 1.0))
+BOXED = dict(kernel=tri)
 
 
 def loop_prediction(xs, ys, scheme, q):
@@ -233,7 +233,7 @@ def loop_prediction(xs, ys, scheme, q):
     mass = None
     if isinstance(scheme, KnnScheme):
         idx = scan_knn(xs, q, scheme.kappa)
-    elif scheme.kind == "uniform":
+    elif scheme.kernel is None:
         idx = scan_ball(xs, q, scheme.bandwidth)
     else:
         vals = tri((q[None, :] - xs) / scheme.bandwidth)

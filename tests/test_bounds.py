@@ -94,6 +94,11 @@ class TestKnnBound:
             knn_bound(params_k(2), 100, 10)
         assert knn_bound(params_k(2), 100, 10, neighbor_const=4.0) > 0
 
+    def test_neighbor_const_is_rejected_in_dim1(self):
+        # k = 1 has the constant 8 built in, so a given one would be dropped
+        with pytest.raises(ValueError, match="k = 1"):
+            knn_bound(params_k(1), 100, 10, neighbor_const=4.0)
+
     def test_estimation_term_matches_effective_sample_size(self, rng):
         params = params_k(1, dispersion=1.3)
         xs = rng.random((50, 1))

@@ -738,6 +738,10 @@ BOUNDS = ["bounds", "--family", "kernel", "--holder", "1", "--lipschitz", "1",
 BOUND_CLASS = ["--holder", "1", "--lipschitz", "1", "--dispersion", "1", "--n", "100"]
 KERNEL_BOUNDS = ["bounds", "--family", "kernel", *BOUND_CLASS]
 KNN_BOUNDS = ["bounds", "--family", "knn", *BOUND_CLASS, "--dim", "2", "--param", "10"]
+KNN_K1_BOUNDS = ["bounds", "--family", "knn", *BOUND_CLASS, "--dim", "1", "--param", "10"]
+# "TRAIN" and "QUERIES" stand for small valid files
+PREDICT = ["predict", "--train", "TRAIN", "--queries", "QUERIES"]
+STONE = ["stone-check", "--model", "binary-k1", "--n-grid", "64", "--replications", "2"]
 
 
 class TestOutOfRangeSchedulesAndBounds:
@@ -758,16 +762,39 @@ class TestOutOfRangeSchedulesAndBounds:
             KERNEL_BOUNDS + ["--dim", "2", "--param", "1e300"],
             KERNEL_BOUNDS + ["--dim", "2", "--param", "1e-300"],
             KERNEL_BOUNDS + ["--dim", "400", "--param", "0.1"],
+            # a flag or constant that the command would not read
+            PREDICT + ["--scheme", "knn", "--kappa", "2", "--bandwidth", "0.1"],
+            PREDICT + ["--scheme", "kernel", "--bandwidth", "0.1", "--kappa", "2"],
+            STONE + ["--family", "knn", "--kappa", "3", "--kappa-schedule", "1:0.5"],
+            STONE + ["--family", "knn", "--kappa", "3", "--bandwidth", "0.1"],
+            STONE + ["--family", "kernel", "--bandwidth", "0.1", "--kappa", "3"],
+            STONE + ["--family", "kernel", "--bandwidth", "0.1", "--bandwidth-schedule", "1:-0.3"],
+            STONE + ["--family", "kernel"],
+            KERNEL_BOUNDS + ["--dim", "1", "--param", "0.1", "--tilde-ck", "4"],
+            KNN_K1_BOUNDS + ["--tilde-ck", "4"],
+            KNN_K1_BOUNDS + ["--ck", "2"],
+            KNN_BOUNDS + ["--tilde-ck", "4", "--ck", "3"],
+            ["bound-check", "--preset", "binary-k1-kernel", "--tilde-ck", "4"],
+            ["bound-check", "--preset", "binary-k1-knn", "--tilde-ck", "4"],
         ],
         ids=["kappa-exponent", "kappa-coef", "stone-kappa-coef", "bounds-tilde-ck-negative",
              "bounds-tilde-ck-0", "bound-check-tilde-ck-negative", "bound-check-tilde-ck-0",
-             "ck-negative", "ck-0", "large-bandwidth", "small-bandwidth", "dim-400"],
+             "ck-negative", "ck-0", "large-bandwidth", "small-bandwidth", "dim-400",
+             "predict-knn-bandwidth", "predict-kernel-kappa", "stone-kappa-and-schedule",
+             "stone-knn-bandwidth", "stone-kernel-kappa", "stone-bandwidth-and-schedule",
+             "stone-no-weight-flag", "bounds-kernel-tilde-ck", "bounds-knn-k1-tilde-ck",
+             "bounds-knn-ck", "bounds-knn-k2-ck", "bound-check-kernel-tilde-ck",
+             "bound-check-knn-k1-tilde-ck"],
     )
     def test_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
+        files = {
+            "TRAIN": write(tmp_path / "t.csv", "x1,y1\n0.1,0\n0.5,1\n0.9,1\n"),
+            "QUERIES": write(tmp_path / "q.csv", "x1\n0.5\n"),
+        }
         argv = [
             write(tmp_path / "r.cfg", f"model=binary-k1\n{a}\nn_grid=128,256\n")
-            if a.startswith("schedule=") else a
+            if a.startswith("schedule=") else files.get(a, a)
             for a in argv
         ]
         assert main(argv) == 2

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from distreg import FunctionalSpec, make_preset
+from distreg import FunctionalSpec, kernel_bound, knn_bound, make_preset
+from distreg import experiments
 from distreg.experiments import (
     STUDY_PRESETS,
     BandwidthPowerSchedule,
@@ -21,14 +22,13 @@ from distreg.experiments import (
     rate_study,
     risk_estimate,
 )
-from distreg.weights import KnnScheme
+from distreg.weights import KernelScheme, KnnScheme
 
 
-def tiny_plan(model_name="binary-k1", family="kernel", schedule=None, **kw):
+def tiny_plan(model_name="binary-k1", schedule=None, **kw):
     schedule = schedule or BandwidthPowerSchedule(1.0, -1.0 / 3.0)
     defaults = dict(
         model=make_preset(model_name),
-        family=family,
         schedule=schedule,
         n_grid=(128, 256, 512),
         replications=6,
@@ -50,15 +50,11 @@ class TestPlanValidation:
         schedule = NeighborPowerSchedule(1.0, 0.5) if family == "knn" else None
         for grid in ((0, 128), (-4, 128)):
             with pytest.raises(ValueError, match="sample sizes"):
-                tiny_plan(family=family, schedule=schedule, n_grid=grid)
+                tiny_plan(schedule=schedule, n_grid=grid)
 
     def test_needs_replications(self):
         with pytest.raises(ValueError):
             tiny_plan(replications=1)
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            tiny_plan(family="forest")
 
     @pytest.mark.parametrize("test_points", [0, -3])
     def test_needs_test_points(self, test_points):
@@ -87,10 +83,26 @@ class TestPlanValidation:
         # 1e-300 * n^-50 underflows to 0, so ceil gives 0 neighbours, which
         # the plan rejects
         with pytest.raises(ValueError, match="nonpositive"):
-            tiny_plan(family="knn", schedule=NeighborPowerSchedule(1e-300, -50.0))
+            tiny_plan(schedule=NeighborPowerSchedule(1e-300, -50.0))
+
+    @pytest.mark.parametrize(
+        "schedule, family, scheme_type",
+        [(BandwidthPowerSchedule(1.0, -1.0 / 3.0), "kernel", KernelScheme),
+         (NeighborPowerSchedule(1.0, 0.5), "knn", KnnScheme),
+         (FixedNeighborSchedule(5), "knn", KnnScheme)],
+        ids=["bandwidth", "kappa", "kappa-fixed"],
+    )
+    def test_schedule_fixes_family_scheme_and_bound(self, schedule, family, scheme_type):
+        plan = tiny_plan(schedule=schedule, n_grid=(128, 256), replications=2, test_points=2)
+        assert plan.family == family
+        assert isinstance(plan.scheme_at(128), scheme_type)
+        params = plan.model.params
+        bound = kernel_bound if family == "kernel" else knn_bound
+        expected = [bound(params, n, plan.schedule(n)) for n in plan.n_grid]
+        assert [row.bound for row in bound_vs_risk(plan)] == expected
 
     def test_scheme_at(self):
-        plan = tiny_plan(family="knn", schedule=NeighborPowerSchedule(1.0, 0.5))
+        plan = tiny_plan(schedule=NeighborPowerSchedule(1.0, 0.5))
         assert plan.scheme_at(256) == KnnScheme(kappa=16)
 
 
@@ -220,7 +232,6 @@ class TestReports:
 class TestStudies:
     def test_invalid_schedule_fails_verdict(self):
         plan = tiny_plan(
-            family="knn",
             schedule=FixedNeighborSchedule(5),
             n_grid=(128, 512, 2048),
             replications=8,
@@ -233,7 +244,6 @@ class TestStudies:
     def test_functional_study_decreases(self):
         plan = tiny_plan(
             model_name="gaussian-k1",
-            family="knn",
             schedule=NeighborPowerSchedule(1.0, 0.5),
             n_grid=(128, 1024),
             replications=8,
@@ -244,7 +254,6 @@ class TestStudies:
     def test_pair_model_covariance_study(self):
         plan = tiny_plan(
             model_name="gaussian-pair-k1",
-            family="knn",
             schedule=NeighborPowerSchedule(1.0, 0.5),
             n_grid=(64, 1024),
             replications=8,
@@ -255,16 +264,34 @@ class TestStudies:
     def test_bound_needs_class_params(self):
         plan = tiny_plan(
             model_name="gaussian-pair-k1",
-            family="knn",
             schedule=NeighborPowerSchedule(1.0, 0.5),
         )
         with pytest.raises(ValueError):
             bound_vs_risk(plan)
 
+    @pytest.mark.parametrize(
+        "model_name, schedule, constants",
+        [("binary-k1", BandwidthPowerSchedule(1.0, -1.0 / 3.0), dict(neighbor_const=4.0)),
+         ("binary-k2", NeighborPowerSchedule(1.0, 0.5),
+          dict(neighbor_const=4.0, covering_const=1.0)),
+         ("binary-k1", NeighborPowerSchedule(1.0, 0.5), dict(neighbor_const=4.0))],
+        ids=["kernel-neighbor-const", "knn-covering-const", "knn-k1-neighbor-const"],
+    )
+    def test_unread_constant_is_rejected_before_any_replication(
+        self, monkeypatch, model_name, schedule, constants
+    ):
+        plan = tiny_plan(model_name=model_name, schedule=schedule)
+
+        def no_study(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(experiments, "_run_payloads", no_study)
+        with pytest.raises(ValueError, match="not read"):
+            bound_vs_risk(plan, **constants)
+
     def test_knn_bound_needs_neighbor_const_in_dim2(self):
         plan = tiny_plan(
             model_name="binary-k2",
-            family="knn",
             schedule=NeighborPowerSchedule(1.0, 0.5),
             n_grid=(128, 256),
             replications=4,
@@ -297,9 +324,10 @@ class TestPresets:
         }
         assert sorted(former) == sorted(STUDY_PRESETS)
         for name, (model, family, schedule, n_grid, reps, points, target) in former.items():
-            assert make_experiment_preset(name, seed=seed) == ExperimentPlan(
+            plan = make_experiment_preset(name, seed=seed)
+            assert plan.family == family
+            assert plan == ExperimentPlan(
                 model=make_preset(model),
-                family=family,
                 schedule=schedule,
                 n_grid=n_grid,
                 replications=reps,

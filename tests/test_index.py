@@ -112,9 +112,7 @@ class TestSelectionMatchesScan:
         def tri(u):
             return np.maximum(0.0, 1.0 - np.linalg.norm(u, axis=1))
 
-        scheme = KernelScheme(
-            bandwidth=0.5, kind="boxed", kernel=tri, box_constants=(0.5, 1.0, 0.5, 1.0)
-        )
+        scheme = KernelScheme(bandwidth=0.5, kernel=tri)
         xs = np.array([[0.1], [0.2], [0.9], [0.3]])
         (w,) = NeighbourIndex(xs).select(scheme, [[0.2]])
         assert np.array_equal(w.indices, [0, 1, 3])
@@ -236,10 +234,7 @@ class TestLineIndex:
     @pytest.mark.parametrize("k", [1, 2])
     def test_empty_query_array(self, k):
         index = NeighbourIndex(np.arange(6.0).reshape(-1, k))
-        boxed = KernelScheme(
-            bandwidth=1.0, kind="boxed", kernel=lambda u: np.ones(u.shape[0]),
-            box_constants=(1.0, 1.0, 1.0, 1.0),
-        )
+        boxed = KernelScheme(bandwidth=1.0, kernel=lambda u: np.ones(u.shape[0]))
         for scheme in (KnnScheme(kappa=2), KernelScheme(bandwidth=1.0), boxed):
             batch = index.select(scheme, np.empty((0, k)))
             assert len(batch) == 0 and list(batch) == []
@@ -362,10 +357,7 @@ class TestSparseConsumersMatchDenseWeights:
         model = make_preset(name)
         scheme = data.draw(weight_scheme(min(n_grid)))
         if boxed and isinstance(scheme, KernelScheme):
-            scheme = KernelScheme(
-                bandwidth=scheme.bandwidth, kind="boxed", kernel=tri_kernel,
-                box_constants=(0.5, 1.0, 0.5, 1.0),
-            )
+            scheme = KernelScheme(bandwidth=scheme.bandwidth, kernel=tri_kernel)
         rows = stone_diagnostics(scheme, model, n_grid, eps=eps, replications=3, seed=seed)
         for n_idx, (n, row) in enumerate(zip(n_grid, rows)):
             want = loop_stone_row(scheme, model, n_idx, n, eps, 3, seed, 4)
