@@ -20,8 +20,6 @@ import numpy as np
 from ._table import write_table
 from .bounds import ClassParams, covering_constant, kernel_bound, knn_bound
 from .experiments import (
-    BandwidthPowerSchedule,
-    FixedNeighborSchedule,
     bound_rows_csv,
     bound_vs_risk,
     finite,
@@ -30,6 +28,8 @@ from .experiments import (
     plan_from_config,
     rate_study,
     scheme_at,
+    whole,
+    whole_list,
 )
 from .functionals import FunctionalSpec, evaluate_functional
 from .measures import DiscreteDistribution, make_discrete
@@ -62,11 +62,7 @@ def _finite_floats(text: str) -> list[float]:
 
 
 def _default_seed() -> int:
-    text = os.environ.get("DISTREG_SEED", "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"DISTREG_SEED must be an integer, got {text!r}") from None
+    return whole(os.environ.get("DISTREG_SEED", "1"), "DISTREG_SEED")
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +287,7 @@ def cmd_bounds(args) -> int:
         dispersion=args.dispersion,
         dim=args.dim,
     )
-    ns = [int(v) for v in args.n.split(",")]
+    ns = whole_list(args.n, "--n")
     unread = ("--tilde-ck", args.tilde_ck) if args.family == "kernel" else ("--ck", args.ck)
     if unread[1] is not None:
         raise ValueError(f"{unread[0]} does not apply to {args.family} bounds")
@@ -318,34 +314,10 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-# the weight flags of each stone-check family: a fixed value and a schedule
-_STONE_FLAGS = {"knn": ("--kappa", "--kappa-schedule"),
-                "kernel": ("--bandwidth", "--bandwidth-schedule")}
-
-
-def _stone_schedule(args):
-    """The schedule of the one weight flag given to stone-check."""
-    own = _STONE_FLAGS[args.family]
-    given = [flag for flags in _STONE_FLAGS.values() for flag in flags
-             if getattr(args, flag[2:].replace("-", "_")) is not None]
-    for flag in given:
-        if flag not in own:
-            raise ValueError(f"{flag} does not apply to --family {args.family}")
-    if len(given) != 1:
-        raise ValueError(f"{args.family} diagnostics need exactly one of {own[0]} and {own[1]}")
-    if args.family == "knn":
-        if args.kappa is not None:
-            return FixedNeighborSchedule(args.kappa)
-        return parse_schedule(f"kappa:{args.kappa_schedule}")
-    if args.bandwidth is not None:
-        return BandwidthPowerSchedule(args.bandwidth, 0.0)
-    return parse_schedule(f"h:{args.bandwidth_schedule}")
-
-
 def cmd_stone_check(args) -> int:
     model = make_preset(args.model)
-    schedule = _stone_schedule(args)
-    n_grid = [int(v) for v in args.n_grid.split(",")]
+    schedule = parse_schedule(args.schedule)
+    n_grid = whole_list(args.n_grid, "--n-grid")
     rows = stone_diagnostics(
         lambda n: scheme_at(schedule, n),
         model,
@@ -442,11 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stone-check", help="weight-consistency diagnostics")
     p.add_argument("--model", required=True)
-    p.add_argument("--family", choices=["knn", "kernel"], required=True)
-    p.add_argument("--kappa", type=int)
-    p.add_argument("--kappa-schedule", help="COEF:EXP for kappa(n)")
-    p.add_argument("--bandwidth", type=_finite_float)
-    p.add_argument("--bandwidth-schedule", help="COEF:EXP for h(n)")
+    p.add_argument(
+        "--schedule", required=True,
+        help="h:COEF:EXP (kernel), kappa:COEF:EXP or kappa-fixed:K (k-NN)",
+    )
     p.add_argument("--n-grid", required=True)
     p.add_argument("--eps", type=_finite_float, default=0.1)
     p.add_argument("--replications", type=int, default=16)

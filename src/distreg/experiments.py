@@ -70,20 +70,6 @@ class NeighborPowerSchedule:
         return min(n, int(np.ceil(_power_law("kappa", self.coef, self.exponent, n))))
 
 
-@dataclass(frozen=True)
-class FixedNeighborSchedule:
-    """kappa(n) = const, capped at n; deliberately not a consistent schedule."""
-
-    kappa: int = 5
-
-    def __post_init__(self):
-        if self.kappa < 1:
-            raise ValueError(f"kappa must be >= 1, got {self.kappa}")
-
-    def __call__(self, n: int) -> int:
-        return min(n, self.kappa)
-
-
 def scheme_at(schedule, n: int):
     """Kernel weights of bandwidth h(n) for a bandwidth schedule, else kappa(n)-NN."""
     if isinstance(schedule, BandwidthPowerSchedule):
@@ -117,6 +103,8 @@ class ExperimentPlan:
             raise ValueError(f"need at least 1 test point, got {self.test_points}")
         if not self.tolerance >= 0:
             raise ValueError(f"tolerance must be nonnegative, got {self.tolerance}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for n in grid:
             if self.schedule(n) <= 0:
                 raise ValueError(f"schedule is nonpositive at n = {n}")
@@ -126,9 +114,6 @@ class ExperimentPlan:
     def family(self) -> str:
         """``kernel`` for a bandwidth schedule, ``knn`` otherwise."""
         return "kernel" if isinstance(self.schedule, BandwidthPowerSchedule) else "knn"
-
-    def scheme_at(self, n: int):
-        return scheme_at(self.schedule, n)
 
 
 @dataclass(frozen=True)
@@ -243,7 +228,7 @@ def _grid_study(
 
 
 def _plan_study(plan: ExperimentPlan, worker, extra, workers: int):
-    grid = [(n_index, n, plan.scheme_at(n)) for n_index, n in enumerate(plan.n_grid)]
+    grid = [(n_index, n, scheme_at(plan.schedule, n)) for n_index, n in enumerate(plan.n_grid)]
     return _grid_study(
         worker, plan.model, grid, plan.replications, plan.test_points, plan.seed,
         extra, workers,
@@ -403,19 +388,39 @@ def functional_study(
 # Rate-study configs: ``key=value`` pairs, of which a named preset is one
 
 
+def _parse(convert, text: str, name: str, expected: str):
+    """``convert(text)``; malformed text raises ValueError naming ``name``."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(f"cannot parse {name} {text!r}: expected {expected}") from None
+
+
 def finite(text: str, name: str = "value") -> float:
     """Parse a float; malformed text, nan and infinities raise ValueError."""
-    value = float(text)
+    value = _parse(float, text, name, "a number")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {text!r}")
     return value
+
+
+def whole(text: str, name: str) -> int:
+    """Parse a whole number; malformed text raises ValueError naming ``name``."""
+    return _parse(int, text, name, "a whole number")
+
+
+def whole_list(text: str, name: str) -> list[int]:
+    """Parse comma-separated whole numbers, as :func:`whole` does one."""
+    return _parse(lambda t: [int(v) for v in t.split(",")], text, name,
+                  "comma-separated whole numbers")
 
 
 _SCHEDULE_FORMS = {"h": "h:COEF:EXP", "kappa": "kappa:COEF:EXP", "kappa-fixed": "kappa-fixed:K"}
 
 
 def parse_schedule(text: str):
-    """The schedule ``h:COEF:EXP``, ``kappa:COEF:EXP`` or ``kappa-fixed:K``."""
+    """The schedule ``h:COEF:EXP``, ``kappa:COEF:EXP`` or ``kappa-fixed:K``;
+    a fixed count K is ``kappa:K:0``, capped at n like any other."""
     parts = text.split(":")
     form = _SCHEDULE_FORMS.get(parts[0])
     if form is None:
@@ -424,11 +429,15 @@ def parse_schedule(text: str):
         if len(parts) != form.count(":") + 1:
             raise ValueError(f"expected {form}")
         if parts[0] == "h":
-            return BandwidthPowerSchedule(finite(parts[1]), finite(parts[2]))
+            return BandwidthPowerSchedule(finite(parts[1], "COEF"), finite(parts[2], "EXP"))
         if parts[0] == "kappa":
-            return NeighborPowerSchedule(finite(parts[1]), finite(parts[2]))
-        return FixedNeighborSchedule(int(parts[1]))
-    except ValueError as exc:
+            return NeighborPowerSchedule(finite(parts[1], "COEF"), finite(parts[2], "EXP"))
+        kappa = whole(parts[1], "K")
+        if kappa < 1:
+            raise ValueError(f"kappa must be >= 1, got {kappa}")
+        # a K beyond the double range overflows here, as kappa:1e400:0 fails
+        return NeighborPowerSchedule(float(kappa), 0.0)
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"cannot parse schedule {text!r}: {exc}") from exc
 
 
@@ -485,10 +494,10 @@ def plan_from_config(cfg: dict[str, str], seed: int) -> ExperimentPlan:
     return ExperimentPlan(
         model=make_preset(cfg["model"]),
         schedule=parse_schedule(cfg["schedule"]),
-        n_grid=tuple(int(v) for v in cfg["n_grid"].split(",")),
-        replications=int(cfg.get("replications", "16")),
-        test_points=int(cfg.get("test_points", "16")),
-        seed=int(cfg.get("seed", seed)),
+        n_grid=whole_list(cfg["n_grid"], "n_grid"),
+        replications=whole(cfg.get("replications", "16"), "replications"),
+        test_points=whole(cfg.get("test_points", "16"), "test_points"),
+        seed=whole(cfg["seed"], "seed") if "seed" in cfg else seed,
         p=finite(cfg.get("order", "1"), "order"),
         target_exponent=finite(cfg["target"], "target") if "target" in cfg else None,
         tolerance=finite(cfg.get("tolerance", "0.08"), "tolerance"),

@@ -236,15 +236,14 @@ def wp_exact(
     leaving cell cuts off and recomputes only that subtree's duals, with
     the same recurrence as a full rebuild, so every dual keeps its bits.
 
-    Where the p-th powers come near the top of the double range, or beyond
-    it, the order is checked against what is transported, as on the line:
-    the plan's cost is taken from the unscaled powers, and only a
-    transported distance whose power overflows fails.  On the line the plan
-    is then the monotone coupling, optimal for every order p >= 1.  In
-    higher dimensions it is found on the distances scaled by a power of two,
-    and is rejected where the scaling prices a transported cell too close to
-    0 for the simplex's tolerance to tell it apart.  Returns the distance
-    and an optimal plan.
+    On the line the plan is the monotone coupling, optimal for every order
+    p >= 1, and no simplex runs.  The plan's cost is taken from the unscaled
+    powers, so only a transported distance whose power overflows fails.  In
+    higher dimensions, where the p-th powers come near the top of the double
+    range or beyond it, the plan is found on the distances scaled by a power
+    of two, and is rejected where the scaling prices a transported cell too
+    close to 0 for the simplex's tolerance to tell it apart.  Returns the
+    distance and an optimal plan.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -258,14 +257,13 @@ def wp_exact(
         cost = dists**p
     # a dual is an alternating sum of up to m + n costs, and a reduced cost
     # subtracts two duals from a cost: all of them must stay finite
-    scaled = not math.isfinite(float(cost.max()) * 4 * (m + n))
-    if not scaled:
-        cells, masses = _transport_simplex(cost, a.weights, b.weights)
-    elif a.dim == 1:
-        # the supports are sorted: the northwest corner that starts the
-        # simplex is the monotone coupling
+    scaled = a.dim > 1 and not math.isfinite(float(cost.max()) * 4 * (m + n))
+    if a.dim == 1:
+        # the supports are sorted: the northwest corner is the monotone coupling
         cells = _northwest_corner(*_perturbed(a.weights, b.weights))[0]
         masses = _tree_flow(cells, a.weights, b.weights)
+    elif not scaled:
+        cells, masses = _transport_simplex(cost, a.weights, b.weights)
     else:
         # the largest scaled power stays below 2^1000, and m + n < 2^20
         # under the size guard
@@ -280,7 +278,7 @@ def wp_exact(
         total = float(np.sum(masses * np.where(carried, cost[src, tgt], 0.0)))
     if not math.isfinite(total):
         raise _order_too_large(p, dists[src, tgt][carried].max())
-    if scaled and a.dim > 1:
+    if scaled:
         unpriced = priced[src, tgt] < _tolerance(priced)
         blurred = carried & unpriced & (cost[src, tgt] > 0)
         if blurred.any():

@@ -26,7 +26,6 @@ from distreg import (
 from distreg.experiments import (
     BandwidthPowerSchedule,
     ExperimentPlan,
-    FixedNeighborSchedule,
     NeighborPowerSchedule,
     bound_vs_risk,
     functional_study,
@@ -256,7 +255,7 @@ def test_c09_consistency_and_invalid_schedule():
     )
     frozen_plan = ExperimentPlan(
         model=make_preset("binary-k1"),
-        schedule=FixedNeighborSchedule(5),
+        schedule=NeighborPowerSchedule(5, 0.0),
         n_grid=grid,
         replications=16,
         test_points=16,

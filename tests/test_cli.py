@@ -751,8 +751,9 @@ class TestOutOfRangeSchedulesAndBounds:
         [
             ["rates", "--config", "schedule=kappa:1:1e10", "--dry-run"],
             ["rates", "--config", "schedule=kappa:1e308:2", "--dry-run"],
-            ["stone-check", "--model", "binary-k1", "--family", "knn",
-             "--kappa-schedule", "1e308:2", "--n-grid", "10,20", "--replications", "2"],
+            ["stone-check", "--model", "binary-k1", "--schedule", "kappa:1e308:2",
+             "--n-grid", "10,20", "--replications", "2"],
+            STONE + ["--schedule", "kappa-fixed:" + "9" * 400],
             KNN_BOUNDS + ["--tilde-ck", "-1"],
             KNN_BOUNDS + ["--tilde-ck", "0"],
             ["bound-check", "--preset", "binary-k2-knn", "--tilde-ck", "-1"],
@@ -765,11 +766,6 @@ class TestOutOfRangeSchedulesAndBounds:
             # a flag or constant that the command would not read
             PREDICT + ["--scheme", "knn", "--kappa", "2", "--bandwidth", "0.1"],
             PREDICT + ["--scheme", "kernel", "--bandwidth", "0.1", "--kappa", "2"],
-            STONE + ["--family", "knn", "--kappa", "3", "--kappa-schedule", "1:0.5"],
-            STONE + ["--family", "knn", "--kappa", "3", "--bandwidth", "0.1"],
-            STONE + ["--family", "kernel", "--bandwidth", "0.1", "--kappa", "3"],
-            STONE + ["--family", "kernel", "--bandwidth", "0.1", "--bandwidth-schedule", "1:-0.3"],
-            STONE + ["--family", "kernel"],
             KERNEL_BOUNDS + ["--dim", "1", "--param", "0.1", "--tilde-ck", "4"],
             KNN_K1_BOUNDS + ["--tilde-ck", "4"],
             KNN_K1_BOUNDS + ["--ck", "2"],
@@ -777,14 +773,12 @@ class TestOutOfRangeSchedulesAndBounds:
             ["bound-check", "--preset", "binary-k1-kernel", "--tilde-ck", "4"],
             ["bound-check", "--preset", "binary-k1-knn", "--tilde-ck", "4"],
         ],
-        ids=["kappa-exponent", "kappa-coef", "stone-kappa-coef", "bounds-tilde-ck-negative",
-             "bounds-tilde-ck-0", "bound-check-tilde-ck-negative", "bound-check-tilde-ck-0",
-             "ck-negative", "ck-0", "large-bandwidth", "small-bandwidth", "dim-400",
-             "predict-knn-bandwidth", "predict-kernel-kappa", "stone-kappa-and-schedule",
-             "stone-knn-bandwidth", "stone-kernel-kappa", "stone-bandwidth-and-schedule",
-             "stone-no-weight-flag", "bounds-kernel-tilde-ck", "bounds-knn-k1-tilde-ck",
-             "bounds-knn-ck", "bounds-knn-k2-ck", "bound-check-kernel-tilde-ck",
-             "bound-check-knn-k1-tilde-ck"],
+        ids=["kappa-exponent", "kappa-coef", "stone-kappa-coef", "stone-kappa-fixed-beyond-doubles",
+             "bounds-tilde-ck-negative", "bounds-tilde-ck-0", "bound-check-tilde-ck-negative",
+             "bound-check-tilde-ck-0", "ck-negative", "ck-0", "large-bandwidth", "small-bandwidth",
+             "dim-400", "predict-knn-bandwidth", "predict-kernel-kappa", "bounds-kernel-tilde-ck",
+             "bounds-knn-k1-tilde-ck", "bounds-knn-ck", "bounds-knn-k2-ck",
+             "bound-check-kernel-tilde-ck", "bound-check-knn-k1-tilde-ck"],
     )
     def test_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -817,11 +811,8 @@ class TestNonFiniteFlags:
              "--bandwidth=V"],
             BOUNDS + ["--param", "0.1", "--dispersion=V"],
             BOUNDS + ["--dispersion", "1", "--param=0.1,V"],
-            ["stone-check", "--model", "binary-k1", "--family", "kernel",
-             "--n-grid", "64", "--bandwidth=V"],
         ],
-        ids=["quantile-order", "sliced-order", "bandwidth", "dispersion", "param",
-             "stone-bandwidth"],
+        ids=["quantile-order", "sliced-order", "bandwidth", "dispersion", "param"],
     )
     def test_non_finite_flag_is_a_usage_error(self, tmp_path, capsys, argv, value):
         files = {
@@ -840,6 +831,14 @@ class TestNonFiniteFlags:
         assert captured.out == ""
         assert "must be finite" in captured.err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_stone_bandwidth_is_a_usage_error(self, capsys, value):
+        # a schedule is parsed by the command, not by argparse
+        assert main(STONE + [f"--schedule=h:{value}:0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
     def test_nan_order_with_exact_method_exits_promptly(self, tmp_path):
         a = write(tmp_path / "a.csv", "y1,y2,weight\n0,0,0.5\n1,1,0.5\n")
         b = write(tmp_path / "b.csv", "y1,y2,weight\n0,1,0.5\n1,0,0.5\n")
@@ -854,12 +853,68 @@ class TestNonFiniteFlags:
         assert out.stdout == ""
 
 
+class TestSeedsAndWholeNumbers:
+    # "cfg:LINE" stands for a preset config file that also holds LINE; "A2"
+    # and "B2" for two small measures in the plane
+    @pytest.mark.parametrize(
+        "env_seed, argv, message",
+        [
+            (None, ["rates", "--config", "cfg:seed=-1", "--dry-run"], "seed must be >= 0, got -1"),
+            (None, ["rates", "--config", "cfg:seed=-1"], "seed must be >= 0, got -1"),
+            ("-2", ["rates", "--config", "cfg:", "--dry-run"], "seed must be >= 0, got -2"),
+            (None, ["distance", "A2", "B2", "--method", "sliced", "--seed", "-3"],
+             "seed must be >= 0, got -3"),
+            ("-2", STONE + ["--schedule", "kappa:1:0.5"], "seed must be >= 0, got -2"),
+            (None, STONE + ["--schedule", "kappa:1:0.5", "--seed", "-3"],
+             "seed must be >= 0, got -3"),
+            (None, ["rates", "--config", "cfg:replications=two", "--dry-run"],
+             "cannot parse replications 'two': "),
+            (None, ["rates", "--config", "cfg:test_points=1.5", "--dry-run"],
+             "cannot parse test_points '1.5': "),
+            (None, ["rates", "--config", "cfg:n_grid=64,x", "--dry-run"],
+             "cannot parse n_grid '64,x': "),
+            (None, ["rates", "--config", "cfg:seed=1e3", "--dry-run"], "cannot parse seed '1e3': "),
+            (None, ["rates", "--config", "cfg:tolerance=abc", "--dry-run"],
+             "cannot parse tolerance 'abc': "),
+            (None, ["stone-check", "--model", "binary-k1", "--schedule", "kappa:1:0.5",
+                    "--n-grid", "64,x"], "cannot parse --n-grid '64,x': "),
+            (None, ["bounds", "--family", "kernel", "--holder", "1", "--lipschitz", "1",
+                    "--dispersion", "1", "--dim", "1", "--param", "0.1", "--n", "10,x"],
+             "cannot parse --n '10,x': "),
+        ],
+        ids=["rates-dry-run-seed", "rates-seed", "rates-env-seed", "sliced-seed",
+             "stone-env-seed", "stone-seed", "replications", "test-points", "n-grid",
+             "seed-float", "tolerance", "stone-n-grid", "bounds-n"],
+    )
+    def test_is_a_usage_error_naming_the_value(
+        self, tmp_path, capsys, monkeypatch, env_seed, argv, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        if env_seed is None:
+            monkeypatch.delenv("DISTREG_SEED", raising=False)
+        else:
+            monkeypatch.setenv("DISTREG_SEED", env_seed)
+        files = {
+            "A2": write(tmp_path / "a2.csv", "y1,y2,weight\n0,0,0.5\n1,1,0.5\n"),
+            "B2": write(tmp_path / "b2.csv", "y1,y2,weight\n0,1,0.5\n1,0,0.5\n"),
+        }
+        argv = [
+            write(tmp_path / "r.cfg", f"preset=binary-k1-kernel\n{a[4:]}\n")
+            if a.startswith("cfg:") else files.get(a, a)
+            for a in argv
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+        assert not list(tmp_path.glob("rates.*"))
+
+
 class TestOtherCommands:
     def test_stone_check(self, capsys):
         rc = main(
-            ["stone-check", "--model", "binary-k1", "--family", "knn",
-             "--kappa-schedule", "1:0.5", "--n-grid", "64,256",
-             "--replications", "4", "--seed", "2"]
+            ["stone-check", "--model", "binary-k1", "--schedule", "kappa:1:0.5",
+             "--n-grid", "64,256", "--replications", "4", "--seed", "2"]
         )
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -868,13 +923,13 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--kappa", "0"], ["--kappa", "-4"], ["--kappa-schedule", "0:0.5"],
-         ["--kappa-schedule=-1:0.5"]],
+        [["--schedule", "kappa-fixed:0"], ["--schedule", "kappa-fixed:-4"],
+         ["--schedule", "kappa:0:0.5"], ["--schedule=kappa:-1:0.5"]],
         ids=["kappa-0", "kappa-negative", "schedule-coef-0", "schedule-coef-negative"],
     )
     def test_stone_check_neighbor_count_below_one(self, capsys, flags):
         rc = main(
-            ["stone-check", "--model", "binary-k1", "--family", "knn", *flags,
+            ["stone-check", "--model", "binary-k1", *flags,
              "--n-grid", "64,256", "--replications", "2", "--seed", "2"]
         )
         assert rc == 2
@@ -884,9 +939,8 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--family", "kernel", "--bandwidth-schedule", "1:-0.3:9"],
-         ["--family", "knn", "--kappa-schedule", "1:0.5:2"],
-         ["--family", "knn", "--kappa-schedule", "1"]],
+        [["--schedule", "h:1:-0.3:9"], ["--schedule", "kappa:1:0.5:2"],
+         ["--schedule", "kappa:1"]],
         ids=["bandwidth-extra-field", "kappa-extra-field", "kappa-missing-field"],
     )
     def test_stone_check_schedule_with_wrong_field_count(self, capsys, flags):
@@ -898,6 +952,14 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "cannot parse schedule" in captured.err and flags[-1] in captured.err
+
+    def test_stone_check_needs_a_schedule(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(STONE)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the following arguments are required: --schedule" in captured.err
 
     def test_bound_check_workers_below_one_is_a_usage_error(self, capsys):
         argv = ["bound-check", "--preset", "binary-k1-kernel", "--workers", "0"]

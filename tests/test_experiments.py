@@ -10,7 +10,6 @@ from distreg.experiments import (
     STUDY_PRESETS,
     BandwidthPowerSchedule,
     ExperimentPlan,
-    FixedNeighborSchedule,
     NeighborPowerSchedule,
     _fit_and_predict,
     bound_rows_csv,
@@ -18,9 +17,11 @@ from distreg.experiments import (
     fit_loglog_slope,
     functional_study,
     make_experiment_preset,
+    parse_schedule,
     plan_from_config,
     rate_study,
     risk_estimate,
+    scheme_at,
 )
 from distreg.weights import KernelScheme, KnnScheme
 
@@ -72,7 +73,14 @@ class TestPlanValidation:
     @pytest.mark.parametrize("kappa", [0, -4])
     def test_fixed_neighbor_count_below_one_rejected(self, kappa):
         with pytest.raises(ValueError, match="kappa must be >= 1"):
-            FixedNeighborSchedule(kappa)
+            parse_schedule(f"kappa-fixed:{kappa}")
+
+    def test_fixed_count_is_a_constant_power_law(self):
+        # kappa-fixed:K is kappa:K:0, whose count is K capped at n
+        schedule = parse_schedule("kappa-fixed:3")
+        assert schedule == parse_schedule("kappa:3:0")
+        sizes = [1, 2, 3, 4, 5, 6, 100, 10**6]
+        assert [schedule(n) for n in sizes] == [min(n, 3) for n in sizes]
 
     @pytest.mark.parametrize("coef", [0.0, -1.0, float("nan"), float("inf")])
     def test_neighbor_power_coefficient_must_be_positive(self, coef):
@@ -89,13 +97,13 @@ class TestPlanValidation:
         "schedule, family, scheme_type",
         [(BandwidthPowerSchedule(1.0, -1.0 / 3.0), "kernel", KernelScheme),
          (NeighborPowerSchedule(1.0, 0.5), "knn", KnnScheme),
-         (FixedNeighborSchedule(5), "knn", KnnScheme)],
+         (NeighborPowerSchedule(5, 0.0), "knn", KnnScheme)],
         ids=["bandwidth", "kappa", "kappa-fixed"],
     )
     def test_schedule_fixes_family_scheme_and_bound(self, schedule, family, scheme_type):
         plan = tiny_plan(schedule=schedule, n_grid=(128, 256), replications=2, test_points=2)
         assert plan.family == family
-        assert isinstance(plan.scheme_at(128), scheme_type)
+        assert isinstance(scheme_at(plan.schedule, 128), scheme_type)
         params = plan.model.params
         bound = kernel_bound if family == "kernel" else knn_bound
         expected = [bound(params, n, plan.schedule(n)) for n in plan.n_grid]
@@ -103,7 +111,7 @@ class TestPlanValidation:
 
     def test_scheme_at(self):
         plan = tiny_plan(schedule=NeighborPowerSchedule(1.0, 0.5))
-        assert plan.scheme_at(256) == KnnScheme(kappa=16)
+        assert scheme_at(plan.schedule, 256) == KnnScheme(kappa=16)
 
 
 class TestRiskEstimate:
@@ -232,7 +240,7 @@ class TestReports:
 class TestStudies:
     def test_invalid_schedule_fails_verdict(self):
         plan = tiny_plan(
-            schedule=FixedNeighborSchedule(5),
+            schedule=NeighborPowerSchedule(5, 0.0),
             n_grid=(128, 512, 2048),
             replications=8,
             target_exponent=-1.0 / 3.0,
@@ -317,7 +325,7 @@ class TestPresets:
             "binary-k2-knn": ("binary-k2", *knn, grid(9, 15), 40, 32, -0.25),
             "binary-k1-knn": ("binary-k1", *knn, grid(9, 15), 40, 32, -0.25),
             "binary-k1-knn-fixed": (
-                "binary-k1", "knn", FixedNeighborSchedule(5), grid(9, 14), 24, 32, -1.0 / 3.0
+                "binary-k1", "knn", NeighborPowerSchedule(5, 0.0), grid(9, 14), 24, 32, -1.0 / 3.0
             ),
             "gaussian-k1-kernel": ("gaussian-k1", *kernel, grid(8, 13), 24, 16, -1.0 / 3.0),
             "uniform-k1-knn": ("uniform-k1", *knn, grid(8, 13), 24, 16, -0.25),
@@ -349,7 +357,7 @@ class TestPresets:
         plan = plan_from_config(
             {"model": "binary-k1", "schedule": "kappa-fixed:5", "n_grid": "64,128"}, seed=4
         )
-        assert (plan.family, plan.schedule) == ("knn", FixedNeighborSchedule(5))
+        assert (plan.family, plan.schedule) == ("knn", NeighborPowerSchedule(5, 0.0))
         assert (plan.replications, plan.test_points, plan.seed) == (16, 16, 4)
         assert (plan.p, plan.target_exponent, plan.tolerance) == (1.0, None, 0.08)
 

@@ -21,6 +21,7 @@ from distreg import (
     wp_exact,
     wp_quantile,
 )
+from distreg import ot
 from distreg.ot import _northwest_corner, _tree_flow
 
 from conftest import random_discrete
@@ -118,6 +119,17 @@ def test_exact_matches_quantile_route_near_the_double_range(scale, p):
     for _ in range(5):
         a = random_discrete(rng, max_support=30, scale=scale / 4.0, min_support=10)
         b = random_discrete(rng, max_support=30, scale=scale / 4.0, min_support=10)
+        assert wp_exact(a, b, p)[0] == pytest.approx(wp_quantile(a, b, p), rel=1e-12)
+
+
+def test_exact_on_the_line_runs_no_simplex(monkeypatch, rng):
+    # the monotone coupling is optimal at every order, so it is the plan
+    def simplex(*args):
+        raise AssertionError("the simplex ran on the line")
+
+    monkeypatch.setattr(ot, "_transport_simplex", simplex)
+    for p in (1.0, 1.5, 2.0, 30.0):
+        a, b = random_discrete(rng, max_support=30), random_discrete(rng, max_support=30)
         assert wp_exact(a, b, p)[0] == pytest.approx(wp_quantile(a, b, p), rel=1e-12)
 
 

@@ -1,28 +1,56 @@
-"""The README's library example runs against the package as it is.
+"""The README's examples run against the package as it is.
 
 The fenced python block under "## Library example" is executed as written,
-so a change to the API that it shows fails here instead of leaving the
-README wrong.
+and every ``distreg`` line of the sh block under "## CLI" is parsed by the
+CLI's own parser, so a change to the API or to a flag that they show fails
+here instead of leaving the README wrong.
 """
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from distreg.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def library_example() -> str:
+def fenced_block(heading: str, language: str) -> str:
     text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
-    match = re.search(r"```python\n(.*?)```", section, re.DOTALL)
-    assert match is not None, "no python block under '## Library example'"
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    match = re.search(rf"```{language}\n(.*?)```", section, re.DOTALL)
+    assert match is not None, f"no {language} block under '## {heading}'"
     return match.group(1)
+
+
+def cli_examples() -> list[str]:
+    lines = fenced_block("CLI", "sh").splitlines()
+    return [line for line in lines if line.startswith("distreg ")]
 
 
 def test_library_example_runs():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        exec(compile(library_example(), str(README), "exec"), {"__name__": "readme"})
+        code = fenced_block("Library example", "python")
+        exec(compile(code, str(README), "exec"), {"__name__": "readme"})
     assert out.getvalue()
+
+
+@pytest.mark.parametrize("line", cli_examples(), ids=lambda line: line.split()[1])
+def test_cli_example_parses(line):
+    # "[--flag a|b]" is an optional part: the line must parse without it and
+    # with it, taking the first of the alternatives it lists
+    words = shlex.split(line)[1:]
+    required = re.sub(r"\[[^]]*\]", "", " ".join(words)).split()
+    optional = [word.strip("[]").split("|")[0] for word in words]
+    parser = build_parser()
+    for argv in (required, optional):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README line does not parse: {argv}\n{err.getvalue()}")
