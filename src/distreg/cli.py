@@ -171,6 +171,10 @@ def cmd_distance(args) -> int:
             method = "exact"
         else:
             method = "sliced"
+    given = vars(args)  # holds --seed and --directions only when given
+    unread = [flag for flag in ("seed", "directions") if flag in given]
+    if unread and method not in ("sliced", "max-sliced"):
+        raise ValueError(f"--{unread[0]} does not apply to the {method} method")
     if method in ("quantile", "cdf") and a.dim != 1:
         raise ValueError(f"method {method!r} requires one-dimensional measures")
     if method in ("sliced", "max-sliced") and a.dim < 2:
@@ -187,7 +191,9 @@ def cmd_distance(args) -> int:
             value, _ = wp_exact(a, b, args.order)
         else:
             cfg = SlicedConfig(
-                p=args.order, num_directions=args.directions, seed=args.seed
+                p=args.order,
+                num_directions=given.get("directions", 256),
+                seed=given["seed"] if "seed" in given else _default_seed(),
             )
             if method == "sliced":
                 est = sliced_wp(a, b, cfg)
@@ -269,11 +275,12 @@ def cmd_rates(args) -> int:
         csv_path, json_path = report.write(prefix)
     except OSError as exc:
         raise DataError(f"{prefix}: {exc}") from exc
-    target = report.theoretical
+    target, stderr = report.theoretical, report.slope_stderr
     target_text = "none" if target is None else f"{target:.6g}"
+    stderr_text = "none" if stderr is None else f"{stderr:.6g}"
     verdict = "pass" if report.passed else "fail"
     print(
-        f"slope={report.slope:.6g} stderr={report.slope_stderr:.6g} "
+        f"slope={report.slope:.6g} stderr={stderr_text} "
         f"target={target_text} verdict={verdict}"
     )
     print(f"wrote {csv_path} and {json_path}")
@@ -376,8 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "quantile", "cdf", "exact", "sliced", "max-sliced"],
         default="auto",
     )
-    p.add_argument("--directions", type=int, default=256)
-    p.add_argument("--seed", type=int)
+    # unset unless given, so that the methods which do not read them can
+    # reject them; cmd_distance, not main, reads an omitted seed
+    p.add_argument("--directions", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("predict", help="fit and predict conditional distributions")

@@ -128,7 +128,7 @@ class RiskPoint:
 class RateReport:
     points: tuple[RiskPoint, ...]
     slope: float
-    slope_stderr: float
+    slope_stderr: float | None  # None with 2 grid points: no residual dof
     theoretical: float | None
     tolerance: float
     passed: bool
@@ -155,11 +155,12 @@ class RateReport:
 
     def write(self, prefix: str) -> tuple[str, str]:
         csv_path, json_path = prefix + ".csv", prefix + ".json"
+        # strict JSON: a non-finite value raises here, before a file is opened
+        text = json.dumps(self.json_dict(), indent=2, allow_nan=False)
         with open(csv_path, "w", encoding="utf-8") as handle:
             handle.write(self.csv_text())
         with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(self.json_dict(), handle, indent=2)
-            handle.write("\n")
+            handle.write(text + "\n")
         return csv_path, json_path
 
 
@@ -271,9 +272,10 @@ def _risk_curve(plan: ExperimentPlan, workers: int) -> list[RiskPoint]:
     ]
 
 
-def fit_loglog_slope(ns, means) -> tuple[float, float]:
+def fit_loglog_slope(ns, means) -> tuple[float, float | None]:
     """Ordinary least squares slope of log(mean) on log(n), with its
-    standard error from the residual scatter."""
+    standard error from the residual scatter, or None when two points
+    leave no residual degree of freedom."""
     x = np.log(np.asarray(ns, dtype=float))
     y = np.log(np.asarray(means, dtype=float))
     xc = x - x.mean()
@@ -281,11 +283,9 @@ def fit_loglog_slope(ns, means) -> tuple[float, float]:
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (intercept + slope * x)
     dof = len(x) - 2
-    if dof > 0:
-        slope_se = float(np.sqrt((resid @ resid) / dof / (xc @ xc)))
-    else:
-        slope_se = float("nan")
-    return slope, slope_se
+    if dof < 1:
+        return slope, None
+    return slope, float(np.sqrt((resid @ resid) / dof / (xc @ xc)))
 
 
 def rate_study(plan: ExperimentPlan, workers: int = 1) -> RateReport:

@@ -76,10 +76,6 @@ class MeasureBatch:
     offsets: np.ndarray
     cum_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
-    # a single measure may keep an atom of weight 0, as a two-point law at
-    # p in {0, 1} does; a batch row may not
-    _zero_weights = False
-
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float)
         if atoms.ndim == 1:
@@ -96,9 +92,8 @@ class MeasureBatch:
         if np.any(sizes < 1):
             raise ValueError("every row needs at least one atom")
         _require_finite(atoms, weights)
-        if np.any(weights < 0 if self._zero_weights else weights <= 0):
-            rule = "nonnegative" if self._zero_weights else "positive"
-            raise ValueError(f"weights must be {rule}")
+        if np.any(weights <= 0):
+            raise ValueError("weights must be positive")
         cum = _row_cumsum(weights, offsets)
         last = offsets[1:] - 1
         if np.any(np.abs(cum[last] - 1.0) > WEIGHT_SUM_TOL):
@@ -139,13 +134,10 @@ class DiscreteDistribution(MeasureBatch):
 
     ``atoms`` has shape (m, d) and ``weights`` shape (m,).  Unlike a
     batch, it copies the arrays it is given, so the caller keeps them
-    writable and cannot change the measure through them, and it may hold an
-    atom of weight 0.  Build it through :func:`make_discrete`, which
-    normalizes weights, drops zero-weight atoms and, for d = 1, sorts the
-    support and merges duplicate atoms.
+    writable and cannot change the measure through them.  Build it through
+    :func:`make_discrete`, which normalizes weights, drops zero-weight atoms
+    and, for d = 1, sorts the support and merges duplicate atoms.
     """
-
-    _zero_weights = True
 
     def __init__(self, atoms, weights):
         weights = np.array(weights, dtype=float).reshape(-1)
@@ -191,33 +183,23 @@ def _per_row(values: np.ndarray, *dists):
 class AnalyticDistribution1D:
     """Law on R given by its CDF and generalized-inverse quantile function.
 
-    ``support`` may have infinite endpoints; ``quad_support`` then supplies a
-    finite window outside which the tails are numerically negligible, so
-    quadrature domains stay explicit.  ``integrated_cdf`` is the exact
-    antiderivative z -> E[(z - Y)+] = int_{-inf}^z F(t) dt; it makes
-    CDF-difference integrals closed-form.
+    ``window`` is the finite interval (lo, hi) that holds the law's mass up
+    to numerically negligible tails; quadrature over the law runs on it.
+    ``integrated_cdf`` is the exact antiderivative
+    z -> E[(z - Y)+] = int_{-inf}^z F(t) dt; it makes CDF-difference
+    integrals closed-form.
     """
 
     cdf: Callable[[np.ndarray], np.ndarray]
     quantile: Callable[[np.ndarray], np.ndarray]
-    support: tuple[float, float]
+    window: tuple[float, float]
     mean: float
     integrated_cdf: Callable[[np.ndarray], np.ndarray]
-    quad_support: tuple[float, float] | None = None
 
-    def quad_bounds(self) -> tuple[float, float]:
-        """Finite integration window for this law."""
-        lo, hi = self.support
-        if np.isfinite(lo) and np.isfinite(hi):
-            return float(lo), float(hi)
-        if self.quad_support is None:
-            raise ValueError(
-                "unbounded support with no finite quadrature window declared"
-            )
-        qlo, qhi = self.quad_support
-        lo = qlo if not np.isfinite(lo) else lo
-        hi = qhi if not np.isfinite(hi) else hi
-        return float(lo), float(hi)
+    def __post_init__(self):
+        lo, hi = self.window
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ValueError(f"the window must be finite with lo < hi, got {self.window}")
 
 
 def make_discrete(atoms, weights) -> DiscreteDistribution:
@@ -318,7 +300,7 @@ def dispersion(dist) -> float:
 
     For a discrete measure this is the exact piecewise sum over support gaps;
     zero iff the measure is a Dirac.  For an analytic law it is computed by
-    adaptive quadrature over the declared window to absolute tolerance 1e-12.
+    adaptive quadrature over the law's window to absolute tolerance 1e-12.
     """
     if isinstance(dist, DiscreteDistribution):
         _require_dim(dist)
@@ -330,7 +312,7 @@ def dispersion(dist) -> float:
     if isinstance(dist, AnalyticDistribution1D):
         from scipy.integrate import quad
 
-        lo, hi = dist.quad_bounds()
+        lo, hi = dist.window
         f = dist.cdf
 
         def integrand(z):
@@ -368,10 +350,9 @@ def gaussian_law(mu: float, sigma: float) -> AnalyticDistribution1D:
     return AnalyticDistribution1D(
         cdf=cdf,
         quantile=quantile,
-        support=(-np.inf, np.inf),
+        window=(mu - 8.0 * sigma, mu + 8.0 * sigma),
         mean=mu,
         integrated_cdf=integrated_cdf,
-        quad_support=(mu - 8.0 * sigma, mu + 8.0 * sigma),
     )
 
 
@@ -397,7 +378,7 @@ def uniform_law(lo: float, hi: float) -> AnalyticDistribution1D:
     return AnalyticDistribution1D(
         cdf=cdf,
         quantile=quantile,
-        support=(lo, hi),
+        window=(lo, hi),
         mean=0.5 * (lo + hi),
         integrated_cdf=integrated_cdf,
     )

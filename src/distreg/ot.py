@@ -315,8 +315,10 @@ def _distances(xa, xb):
 
 
 def _tolerance(cost):
-    """The simplex stops once no reduced cost is below minus this."""
-    return 1e-11 * (1.0 + float(np.max(cost)))
+    """The simplex stops once no reduced cost is below minus this.  It is
+    relative to the largest cost, so scaling every atom by one factor
+    scales the tolerance with the costs and leaves the plan unchanged."""
+    return 1e-11 * float(np.max(cost))
 
 
 def _transport_simplex(cost, supply, demand):
@@ -583,14 +585,12 @@ def sliced_wp(
     return SlicedEstimate(value=mean ** (1.0 / cfg.p), stderr=se, power_mean=mean)
 
 
-def _golden_max(f, lo, hi, tol, seed_points=()):
-    """Golden-section maximization; returns the best point ever evaluated."""
+def _golden_max(f, lo, hi, tol):
+    """Golden-section maximization on [lo, hi]; returns the better of the
+    final bracket's two points and its value.  A point the caller has
+    already priced is compared by the caller, not evaluated again."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     best_x, best_v = None, -np.inf
-    for x in seed_points:
-        v = f(x)
-        if v > best_v:
-            best_x, best_v = x, v
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = f(x1), f(x2)
@@ -634,11 +634,7 @@ def max_sliced_wp(
         lo = thetas[best] - np.pi / k
         hi = thetas[best] + np.pi / k
         _, refined = _golden_max(
-            lambda t: value(np.array([np.cos(t), np.sin(t)])),
-            lo,
-            hi,
-            _REFINE_TOL,
-            seed_points=(thetas[best],),
+            lambda t: value(np.array([np.cos(t), np.sin(t)])), lo, hi, _REFINE_TOL
         )
         return float(max(refined, vals[best]))
 
@@ -669,7 +665,7 @@ def _sphere_ascent(f, u, tol):
             def along(phi, u=u, tangent=tangent):
                 return f(np.cos(phi) * u + np.sin(phi) * tangent)
 
-            phi, val = _golden_max(along, -np.pi / 2, np.pi / 2, tol, seed_points=(0.0,))
+            phi, val = _golden_max(along, -np.pi / 2, np.pi / 2, tol)
             if val > best + 1e-14:
                 u = np.cos(phi) * u + np.sin(phi) * tangent
                 u /= np.linalg.norm(u)

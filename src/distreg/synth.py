@@ -106,11 +106,6 @@ class _ModelBase:
         rng = stream(seed)
         return rng.random((n, self.k)), rng
 
-    def exact_w1_to(self, x, x_other) -> float:
-        a = self.param_profile(_check_cube(x, self.k)[None, :])
-        b = self.param_profile(_check_cube(x_other, self.k)[None, :])
-        return float(self.w1_gap(a, b)[0])
-
     def w1_many_to(self, xs, x) -> np.ndarray:
         """Vectorized W1(F_{x_i}, F_x) over rows of xs."""
         prof = self.param_profile(np.atleast_2d(np.asarray(xs, dtype=float)))
@@ -183,11 +178,7 @@ class BinaryModel(_ModelBase):
         return Dataset(xs, ys)
 
     def conditional_law(self, x) -> DiscreteDistribution:
-        p = float(self.param_profile(_check_cube(x, self.k)[None, :])[0])
-        # the support stays {0, high_value}, with a zero-weight atom at p in {0, 1}
-        return DiscreteDistribution(
-            np.array([[0.0], [self.high_value]]), np.array([1.0 - p, p])
-        )
+        return self.conditional_laws(_check_cube(x, self.k)[None, :])[0]
 
     def conditional_laws(self, queries) -> MeasureBatch:
         """The exact two-point laws at the rows of ``queries`` as one batch;
@@ -307,9 +298,6 @@ class IndependentGaussianPair(_ModelBase):
 
     def conditional_laws(self, queries):
         raise ValueError("paired responses have no scalar conditional law")
-
-    def exact_w1_to(self, x, x_other):
-        raise ValueError("exact W1 is not available for paired responses")
 
     def true_functional(self, spec: FunctionalSpec, queries) -> np.ndarray:
         if spec.kind == "cov":

@@ -128,11 +128,10 @@ def line_rows(draw, count):
     return rows
 
 
-def zero_weight_atom(rng):
-    """A measure built directly with a zero-weight atom, as a binary law at
-    p in {0, 1} is; make_discrete and batches would drop it."""
+def direct_measure(rng):
+    """A measure of three atoms built directly, not through make_discrete."""
     atoms = np.sort(rng.choice(np.arange(-4, 5) / 4.0, size=3, replace=False))
-    weights = np.array([0.25, 0.75, 0.0]) if rng.random() < 0.5 else np.array([0.0, 0.5, 0.5])
+    weights = np.array([0.25, 0.5, 0.25]) if rng.random() < 0.5 else np.array([0.125, 0.125, 0.75])
     return DiscreteDistribution(atoms[:, None], weights)
 
 
@@ -173,18 +172,22 @@ class TestRowFormsEqualThePerPairBodies:
 
     def test_a_measure_is_a_batch_of_one_row(self, rng):
         assert issubclass(DiscreteDistribution, MeasureBatch)
-        dist = zero_weight_atom(rng)
+        dist = direct_measure(rng)
         assert len(dist) == 1 and dist.offsets.tolist() == [0, 3]
         assert_same_measure(dist[0], dist)
+        # an atom of weight 0 is rejected by a measure as by a batch
+        zero = np.array([0.25, 0.75, 0.0])
         with pytest.raises(ValueError, match="positive"):
-            MeasureBatch(dist.atoms, dist.weights, dist.offsets)
+            MeasureBatch(dist.atoms, zero, dist.offsets)
+        with pytest.raises(ValueError, match="positive"):
+            DiscreteDistribution(dist.atoms, zero)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), alpha=LEVELS, seed=st.integers(0, 2**31 - 1))
     def test_single_measures_are_one_row_batches(self, data, alpha, seed):
         rng = np.random.default_rng(seed)
         a, b = data.draw(line_rows(2))
-        for dist in (a, zero_weight_atom(rng)):
+        for dist in (a, direct_measure(rng)):
             assert bits(w1_cdf(dist, b)) == bits(ref_w1_cdf(dist, b))
             assert bits(w1_cdf(b, dist)) == bits(ref_w1_cdf(b, dist))
             law = gaussian_law(rng.normal(), rng.uniform(0.1, 2.0))

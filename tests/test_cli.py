@@ -170,7 +170,9 @@ class TestDistanceCommand:
             a = write(tmp_path / "a.csv", "y1,y2,weight\n0,0,0.5\n1,1,0.5\n")
             c = write(tmp_path / "c.csv", "y1,y2,weight\n0,0,0.5\n3,3,0.5\n")
         before = sorted(tmp_path.iterdir())
-        argv = ["distance", a, c, "--method", method, "--order", order, "--seed", "1"]
+        argv = ["distance", a, c, "--method", method, "--order", order]
+        if method in ("sliced", "max-sliced"):
+            argv += ["--seed", "1"]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -298,6 +300,23 @@ class TestDistanceCommand:
         a = dist_csv(tmp_path / "a.csv", make_discrete([0.0, 1.0], [0.5, 0.5]))
         b = dist_csv(tmp_path / "b.csv", make_discrete([0.5], [1.0]))
         assert main(["distance", a, b, "--method", "sliced"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-3"), ("--directions", "-5")])
+    @pytest.mark.parametrize(
+        "method, dim, resolved",
+        [("quantile", 1, "quantile"), ("cdf", 1, "cdf"), ("exact", 2, "exact"),
+         ("auto", 1, "quantile"), ("auto", 2, "exact")],
+    )
+    def test_flag_the_method_does_not_read_is_a_usage_error(
+        self, tmp_path, capsys, method, dim, resolved, flag, value
+    ):
+        # only the sliced methods draw directions from a seed
+        a = dist_csv(tmp_path / "a.csv", make_discrete(np.eye(2)[:, :dim], [0.5, 0.5]))
+        argv = ["distance", a, a, "--method", method, flag, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} does not apply to the {resolved} method\n"
 
     def test_auto_picks_exact_for_small_2d(self, tmp_path, capsys):
         a = dist_csv(tmp_path / "a.csv", make_discrete([[0.0, 0.0]], [1.0]))
@@ -466,6 +485,24 @@ class TestRatesCommand:
         assert payload["passed"] is True
         assert len(payload["points"]) == 3
         assert (tmp_path / "rates.csv").exists()
+
+    def test_two_point_grid_writes_strict_json(self, tmp_path, capsys):
+        # two grid points leave the slope no residual degree of freedom, so
+        # it has no standard error: null in the file, none on stdout
+        cfg = write(
+            tmp_path / "r.cfg",
+            "preset=binary-k1-kernel\nn_grid=4,8\nreplications=3\ntest_points=2\n"
+            f"out_prefix={tmp_path / 'rates'}\n",
+        )
+        main(["rates", "--config", cfg])
+        assert " stderr=none " in capsys.readouterr().out
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        with open(tmp_path / "rates.json") as handle:
+            payload = json.load(handle, parse_constant=reject)
+        assert payload["slope_stderr"] is None
 
     def test_invalid_schedule_exit_code(self, tmp_path, capsys):
         cfg = write(

@@ -304,15 +304,17 @@ class TestDispersion:
             assert dispersion(d) == pytest.approx(oracle, abs=1e-8)
 
     def test_unbounded_support_needs_window(self):
-        law = AnalyticDistribution1D(
-            cdf=lambda z: np.asarray(z) * 0 + 0.5,
-            quantile=lambda u: np.asarray(u) * 0,
-            support=(-np.inf, np.inf),
-            mean=0.0,
-            integrated_cdf=lambda z: 0.5 * np.asarray(z),
-        )
-        with pytest.raises(ValueError, match="window"):
-            dispersion(law)
+        # a law with unbounded support declares a finite, nonempty window
+        # when it is built
+        for window in ((-np.inf, np.inf), (0.0, np.inf), (np.nan, 1.0), (1.0, 1.0), (2.0, 1.0)):
+            with pytest.raises(ValueError, match="window"):
+                AnalyticDistribution1D(
+                    cdf=lambda z: np.asarray(z) * 0 + 0.5,
+                    quantile=lambda u: np.asarray(u) * 0,
+                    window=window,
+                    mean=0.0,
+                    integrated_cdf=lambda z: 0.5 * np.asarray(z),
+                )
 
     def test_gaussian_scaling(self):
         base = dispersion(gaussian_law(0.0, 1.0))

@@ -170,6 +170,23 @@ def test_exact_rejects_a_plan_its_scaled_costs_cannot_tell_apart():
     )
 
 
+@pytest.mark.parametrize("k", [-300, -100, -40, 20, 100, 300])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_exact_keeps_its_plan_whatever_the_units(p, k):
+    # scaling every atom by 2^k scales every cost by 2^(kp) exactly, and the
+    # simplex's stopping tolerance with them, so the distance scales by
+    # 2^k bit for bit; a tolerance with an absolute floor stopped at the
+    # northwest corner once every cost was far below 1
+    rng = np.random.default_rng([k + 300, int(p)])
+    for _ in range(30):
+        a, b = (
+            make_discrete(rng.normal(size=(4, 2)), w / w.sum())
+            for w in rng.random((2, 4)) + 0.05
+        )
+        small_a, small_b = (make_discrete(np.ldexp(d.atoms, k), d.weights) for d in (a, b))
+        assert wp_exact(small_a, small_b, p)[0] == np.ldexp(wp_exact(a, b, p)[0], k)
+
+
 class TestWpExact:
     def test_single_pair_euclidean(self):
         a = make_discrete([[0.0, 0.0]], [1.0])
@@ -310,7 +327,7 @@ def reference_exact(a, b, p):
     demand[-1] += m * eps
     cells, masses = _northwest_corner(supply, demand)
     mass_of = dict(zip(cells, masses))
-    tol = 1e-11 * (1.0 + float(np.max(cost)))
+    tol = 1e-11 * float(np.max(cost))
     for _ in range(2000 + 60 * m * n):
         u, v = reference_duals(cells, cost, m, n)
         reduced = cost - u[:, None] - v[None, :]

@@ -3,15 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 from distreg import ClassParams, dispersion, make_preset, wp_quantile
-from distreg.functionals import (
-    FunctionalSpec,
-    evaluate_functional,
-    pwm,
-    quantile_functional,
-    tail_expectation,
-)
+from distreg.functionals import FunctionalSpec, evaluate_functional
 from distreg.measures import make_discrete
-from distreg.ot import w1_cdf
 from distreg.synth import (
     PRESETS,
     AffineMap,
@@ -113,21 +106,13 @@ class TestBinaryLaw:
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_certain_outcome_matches_make_discrete(self, p):
-        # make_discrete drops the zero-weight atom; the direct law keeps it,
-        # which moves sums by rounding only
+        # the atom of weight 0 is left out, as make_discrete leaves it out
         law = binary_const(p).conditional_law(np.array([0.5]))
         ref = make_discrete([[0.0], [2.0]], [1.0 - p, p])
-        assert law.support_size == 2 and ref.support_size == 1
-        other = make_discrete([[0.5], [1.5], [3.0]], [0.2, 0.5, 0.3])
-        assert w1_cdf(law, ref) == 0.0
-        assert w1_cdf(law, other) == pytest.approx(w1_cdf(ref, other), abs=1e-12)
-        for alpha in (1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-9):
-            assert quantile_functional(law, alpha) == quantile_functional(ref, alpha)
-            assert tail_expectation(law, alpha) == pytest.approx(
-                tail_expectation(ref, alpha), abs=1e-12
-            )
-        for pq in ((1.0, 2.0), (0.5, 1.5), (0.0, 0.0)):
-            assert pwm(law, *pq) == pytest.approx(pwm(ref, *pq), abs=1e-12)
+        assert law.support_size == ref.support_size == 1
+        assert np.array_equal(law.atoms, ref.atoms)
+        assert np.array_equal(law.weights, ref.weights)
+        assert np.array_equal(law.cum_weights, ref.cum_weights)
 
 
 class TestTrueFunctional:
@@ -187,14 +172,14 @@ class TestTrueFunctional:
 class TestExactW1:
     def test_binary_closed_form(self):
         model = make_preset("binary-k1")
-        x, xp = np.array([0.0]), np.array([0.8])
+        x, xp = np.array([0.0]), np.array([[0.8]])
         # p moves from 0.5 to 0.7, high value 2: W1 = 2 * 0.2
-        assert model.exact_w1_to(x, xp) == pytest.approx(0.4, abs=1e-12)
+        assert model.w1_many_to(xp, x) == pytest.approx([0.4], abs=1e-12)
 
     def test_location_shift(self):
         model = make_preset("gaussian-k1")
-        x, xp = np.array([0.2]), np.array([0.6])
-        assert model.exact_w1_to(x, xp) == pytest.approx(0.9 * 0.4, abs=1e-12)
+        x, xp = np.array([0.2]), np.array([[0.6]])
+        assert model.w1_many_to(xp, x) == pytest.approx([0.9 * 0.4], abs=1e-12)
 
     def test_shift_matches_discretized_quantile_distance(self):
         model = make_preset("gaussian-k1")
@@ -204,20 +189,20 @@ class TestExactW1:
         da = make_discrete(law_a.quantile(grid), np.full(50_000, 1 / 50_000))
         db = make_discrete(law_b.quantile(grid), np.full(50_000, 1 / 50_000))
         assert wp_quantile(da, db, 1.0) == pytest.approx(
-            model.exact_w1_to(np.array([0.2]), np.array([0.6])), abs=1e-6
+            model.w1_many_to(np.array([[0.6]]), np.array([0.2]))[0], abs=1e-6
         )
 
     def test_same_point_zero(self):
         model = make_preset("uniform-k1")
         x = np.array([0.3])
-        assert model.exact_w1_to(x, x) == 0.0
+        assert model.w1_many_to(x[None, :], x).tolist() == [0.0]
 
     def test_pair_model_has_no_scalar_law(self):
         model = make_preset("gaussian-pair-k1")
         with pytest.raises(ValueError):
             model.conditional_law(np.array([0.5]))
         with pytest.raises(ValueError):
-            model.exact_w1_to(np.array([0.2]), np.array([0.6]))
+            model.conditional_laws(np.array([[0.2], [0.6]]))
 
 
 class TestCertification:
