@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
@@ -72,30 +73,89 @@ def _default_seed() -> int:
 def _read_table(path: str, expected, columns: str, rows_name: str):
     """Read a CSV file whose header equals ``expected(header)`` (spelled
     ``columns`` in the error) and whose rows, at least one, are finite
-    floats; returns the header and the (rows, columns) array."""
+    floats; returns the header and the (rows, columns) array.
+
+    The file is read and decoded whole, so a byte that is not UTF-8 is
+    reported at its offset in the file.  A plain text is then parsed in
+    bulk (:func:`_plain_table`); any other text, and any plain text that
+    the bulk path does not accept, goes through the csv module's reader a
+    row at a time (:func:`_csv_table`), which gives the error message."""
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file")
-            if header != expected(header):
-                raise DataError(f"{path}: expected columns {columns}")
-            width, rows = len(header), []
-            for line, row in enumerate(reader, start=2):
-                if len(row) != width:
-                    raise DataError(f"{path}: line {line}: expected {width} columns")
-                try:
-                    vals = list(map(float, row))
-                except ValueError as exc:
-                    raise DataError(f"{path}: line {line}: {exc}") from exc
-                if not all(map(math.isfinite, vals)):
-                    raise DataError(f"{path}: line {line}: values must be finite")
-                rows.append(vals)
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    table = _plain_table(text)
+    if table is None or table[0] != expected(table[0]):
+        table = _csv_table(path, text, expected, columns, rows_name)
+    return table
+
+
+def _plain_table(text: str):
+    """The header and the rows of ``text`` as :func:`_csv_table` reads
+    them, or None when the text is not plain or not a table of finite
+    floats with at least one row.
+
+    A plain text is ASCII, holds no ``"`` and ends its lines in ``\\n`` or
+    ``\\r\\n``, never in a lone ``\\r``; the csv reader then splits each
+    line at its commas and nothing else.  Every line, the header included,
+    must have the header's number of commas, and every field must be
+    shorter than the csv field limit.  The fields below the header are
+    converted in one call, which calls ``float`` on each as the row parser
+    does, and must all be finite."""
+    crlf = text.count("\r\n")
+    if not text.isascii() or '"' in text or text.count("\r") != crlf:
+        return None
+    if crlf:
+        text = text.replace("\r\n", "\n")
+    if text.endswith("\n"):
+        text = text[:-1]
+    codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    seps = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
+    # each line ends in a "\n", the last one in the one after the text
+    ends = np.append(codes[seps], ord("\n"))
+    width = int(np.argmax(ends == ord("\n"))) + 1
+    if len(ends) % width or len(ends) == width:
+        return None
+    ends = ends.reshape(-1, width)
+    if np.any(ends[:, :-1] != ord(",")) or np.any(ends[:, -1] != ord("\n")):
+        return None
+    fields = np.diff(seps, prepend=-1, append=len(codes)) - 1
+    if fields.max() >= csv.field_size_limit():
+        return None
+    cells = text.replace("\n", ",").split(",")
+    try:
+        values = np.array(cells[width:], dtype=float).reshape(-1, width)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return cells[:width], values
+
+
+def _csv_table(path: str, text: str, expected, columns: str, rows_name: str):
+    """:func:`_read_table` on the decoded text, a row at a time through the
+    csv module's reader; every fault is a DataError naming its line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        if header != expected(header):
+            raise DataError(f"{path}: expected columns {columns}")
+        width, rows = len(header), []
+        for line, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise DataError(f"{path}: line {line}: expected {width} columns")
+            try:
+                vals = list(map(float, row))
+            except ValueError as exc:
+                raise DataError(f"{path}: line {line}: {exc}") from exc
+            if not all(map(math.isfinite, vals)):
+                raise DataError(f"{path}: line {line}: values must be finite")
+            rows.append(vals)
     except csv.Error as exc:
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:

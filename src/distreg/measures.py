@@ -29,6 +29,9 @@ _FIELDS = ("atoms", "weights", "offsets", "cum_weights")  # of a MeasureBatch
 def _row_blocks(offsets: np.ndarray):
     """Rows of a ragged flat array grouped by size: for each size m, the
     rows of that size and the (rows, m) block of flat positions they hold."""
+    if offsets.shape[0] == 2:  # a single measure: one row, one block
+        yield np.zeros(1, dtype=np.intp), np.arange(offsets[0], offsets[1])[None]
+        return
     sizes = np.diff(offsets)
     for m in np.unique(sizes):
         rows = np.flatnonzero(sizes == m)

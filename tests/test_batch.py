@@ -199,6 +199,36 @@ class TestRowFormsEqualThePerPairBodies:
             ):
                 assert type(got) is float and bits(got) == bits(ref)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), count=st.integers(2, 8), alpha=LEVELS,
+           centre=st.floats(-3.0, 3.0), spread=st.floats(0.05, 5.0))
+    def test_a_single_measure_equals_its_row_in_a_batch(self, data, count, alpha, centre,
+                                                         spread):
+        # a one-row batch takes its own path through the row helpers; each
+        # row of a larger batch goes through the grouping by row size
+        rows, others = data.draw(line_rows(count)), data.draw(line_rows(count))
+        batch, other_batch = as_batch(rows), as_batch(others)
+        law = gaussian_law(centre, spread)
+        batched = [
+            quantile_functional(batch, alpha),
+            tail_expectation(batch, alpha),
+            pwm(batch, 1.0, 2.0),
+            w1_cdf(batch, other_batch),
+            w1_cdf(other_batch, batch),
+            w1_vs_analytic(batch, law, np.zeros(count)),
+        ]
+        for i, (row, other) in enumerate(zip(rows, others)):
+            single = [
+                quantile_functional(row, alpha),
+                tail_expectation(row, alpha),
+                pwm(row, 1.0, 2.0),
+                w1_cdf(row, other),
+                w1_cdf(other, row),
+                w1_vs_analytic(row, law),
+            ]
+            assert bits(single) == bits([values[i] for values in batched])
+            assert bits(row.cum_weights) == bits(batch[i].cum_weights)
+
     def test_covariance_within_rounding(self, rng):
         # per row, a BLAS dot product against a pairwise row sum: only the
         # last bits may differ, relative to the size of the summed terms

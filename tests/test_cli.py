@@ -98,6 +98,19 @@ class TestDistributionIO:
         assert captured.out == ""
         assert files[which] in captured.err and "UTF-8" in captured.err
 
+    def test_bad_byte_is_reported_at_its_offset_in_the_file(self, tmp_path, capsys):
+        # past the first 8 KiB, where a chunked decoder counts from its chunk
+        body = b"y1,weight\n" + b"0,0.001\n" * 3000
+        path = tmp_path / "late.csv"
+        path.write_bytes(body[:16014] + b"\xff" + body[16014:])
+        assert main(["distance", str(path), str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"data error: {path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+            "in position 16014: invalid start byte\n"
+        )
+
     def test_field_over_the_csv_limit(self, tmp_path, capsys):
         huge = write(tmp_path / "huge.csv", "y1,weight\n0,0.5\n" + "1" * 200_000 + ",0.5\n")
         assert main(["distance", huge, huge]) == 3
