@@ -33,7 +33,9 @@ def _row_blocks(offsets: np.ndarray):
         yield np.zeros(1, dtype=np.intp), np.arange(offsets[0], offsets[1])[None]
         return
     sizes = np.diff(offsets)
-    for m in np.unique(sizes):
+    # the distinct sizes in ascending order; np.unique would import numpy.ma
+    ordered = np.sort(sizes)
+    for m in ordered[np.flatnonzero(np.diff(ordered, prepend=-1))]:
         rows = np.flatnonzero(sizes == m)
         yield rows, offsets[rows, None] + np.arange(m)
 

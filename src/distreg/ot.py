@@ -45,13 +45,15 @@ class TransportPlan:
 
     ``sources``/``targets`` index the atoms of the two inputs; ``masses`` is
     the transported mass per pair.  ``cost`` is the total p-power objective
-    sum(mass * ||y_src - y_tgt||^p).
+    sum(mass * ||y_src - y_tgt||^p), and ``pivots`` the number of simplex
+    pivots from the least-cost start to the plan, 0 on the line.
     """
 
     sources: np.ndarray
     targets: np.ndarray
     masses: np.ndarray
     cost: float
+    pivots: int = 0
 
     def marginal_source(self, m: int) -> np.ndarray:
         return np.bincount(self.sources, weights=self.masses, minlength=m)
@@ -229,19 +231,22 @@ def wp_exact(
     """Exact order-p distance between discrete measures of any dimension.
 
     Solves the transportation problem with cost ||y_i - y_j||^p by a
-    network simplex on the transportation polytope: Dantzig's rule picks
-    the entering cell, degeneracy is removed by a supply perturbation and
-    ties are broken lexicographically.  The basis tree keeps its parents,
-    depths and duals across pivots; a pivot re-hangs the subtree that the
-    leaving cell cuts off and recomputes only that subtree's duals, with
-    the same recurrence as a full rebuild, so every dual keeps its bits.
+    network simplex on the transportation polytope.  It starts from the
+    least-cost basis of the classical transportation method, the cheapest
+    cells first; Dantzig's rule picks the entering cell, degeneracy is
+    removed by a supply perturbation and ties are broken lexicographically.
+    The basis tree keeps its parents, depths and duals across pivots; a
+    pivot re-hangs the subtree that the leaving cell cuts off and
+    recomputes only that subtree's duals, with the same recurrence as a
+    full rebuild, so every dual keeps its bits.
 
-    On the line the plan is the monotone coupling, optimal for every order
-    p >= 1, and no simplex runs.  The plan's cost is taken from the unscaled
-    powers, so only a transported distance whose power overflows fails.  In
-    higher dimensions, where the p-th powers come near the top of the double
-    range or beyond it, the plan is found on the distances scaled by a power
-    of two, and is rejected where the scaling prices a transported cell too
+    On the line the plan is the monotone coupling, the northwest corner of
+    the sorted supports, optimal for every order p >= 1, and no simplex
+    runs.  The plan's cost is taken from the unscaled powers, so only a
+    transported distance whose power overflows fails.  In higher
+    dimensions, where the p-th powers come near the top of the double range
+    or beyond it, the plan is found on the distances scaled by a power of
+    two, and is rejected where the scaling prices a transported cell too
     close to 0 for the simplex's tolerance to tell it apart.  Returns the
     distance and an optimal plan.
     """
@@ -262,14 +267,15 @@ def wp_exact(
         # the supports are sorted: the northwest corner is the monotone coupling
         cells = _northwest_corner(*_perturbed(a.weights, b.weights))[0]
         masses = _tree_flow(cells, a.weights, b.weights)
+        pivots = 0
     elif not scaled:
-        cells, masses = _transport_simplex(cost, a.weights, b.weights)
+        cells, masses, pivots = _transport_simplex(cost, a.weights, b.weights)
     else:
         # the largest scaled power stays below 2^1000, and m + n < 2^20
         # under the size guard
         shift = int(np.frexp(dists.max())[1]) - math.floor(1000 / p)
         priced = np.ldexp(dists, -shift) ** p
-        cells, masses = _transport_simplex(priced, a.weights, b.weights)
+        cells, masses, pivots = _transport_simplex(priced, a.weights, b.weights)
     src = np.array([c[0] for c in cells], dtype=int)
     tgt = np.array([c[1] for c in cells], dtype=int)
     masses = np.maximum(masses, 0.0)
@@ -288,7 +294,9 @@ def wp_exact(
                 f"{float(dists[src, tgt][blurred].max()):g} to the power p cannot "
                 "be told from 0"
             )
-    plan = TransportPlan(sources=src, targets=tgt, masses=masses, cost=total)
+    plan = TransportPlan(
+        sources=src, targets=tgt, masses=masses, cost=total, pivots=pivots
+    )
     return float(total ** (1.0 / p)), plan
 
 
@@ -322,8 +330,10 @@ def _tolerance(cost):
 
 
 def _transport_simplex(cost, supply, demand):
+    """The plan's cells, its masses on the true marginals and the number of
+    pivots taken from the least-cost start."""
     m, n = cost.shape
-    cells, masses = _northwest_corner(*_perturbed(supply, demand))
+    cells, masses = _least_cost_start(cost, *_perturbed(supply, demand))
     # The basis is a spanning tree over row nodes 0..m-1 and column nodes
     # m..m+n-1, updated in place; a cell (i, j) is keyed by i * n + j, which
     # orders cells as the (i, j) tuples do.  ``basis`` keeps each cell in
@@ -342,7 +352,7 @@ def _transport_simplex(cost, supply, demand):
     _grow(0, adj, costs, parent, depth, dual, m, n)
     reduced = np.empty_like(cost)
 
-    for _ in range(_PIVOTS_BASE + _PIVOTS_PER_CELL * m * n):
+    for pivots in range(_PIVOTS_BASE + _PIVOTS_PER_CELL * m * n):
         duals = np.array(dual, dtype=float)
         np.subtract(cost, duals[:m, None], out=reduced)
         np.subtract(reduced, duals[None, m:], out=reduced)
@@ -396,7 +406,7 @@ def _transport_simplex(cost, supply, demand):
     # the plan matches the inputs exactly.
     cells = [divmod(cell, n) for cell in basis]
     exact = _tree_flow(cells, np.asarray(supply, float), np.asarray(demand, float))
-    return cells, exact
+    return cells, exact, pivots
 
 
 def _perturbed(supply, demand):
@@ -407,6 +417,41 @@ def _perturbed(supply, demand):
     b = np.asarray(demand, dtype=float).copy()
     b[-1] += len(supply) * eps
     return a, b
+
+
+def _least_cost_start(cost, a, b):
+    """A basic plan of m + n - 1 cells from the cheapest cells first, the
+    least-cost start of the classical transportation method.
+
+    Cells are visited in ascending cost, ties by flat index.  A cell whose
+    row and column are both open takes the smaller of what is left of the
+    two, and the line it exhausts closes; the last open row and the last
+    open column stay open until the final cell, so every cell closes one
+    line and the cells span the row and column nodes.
+    """
+    m, n = cost.shape
+    left_a, left_b = a.tolist(), b.tolist()
+    open_row, open_col = [True] * m, [True] * n
+    rows, cols = m, n  # lines still open
+    cells, masses = [], []
+    for flat in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(flat, n)
+        if not (open_row[i] and open_col[j]):
+            continue
+        ra, rb = left_a[i], left_b[j]
+        t = min(ra, rb)
+        cells.append((i, j))
+        masses.append(t)
+        if len(cells) == m + n - 1:
+            break
+        left_a[i], left_b[j] = ra - t, rb - t
+        if (ra <= rb and rows > 1) or cols == 1:
+            open_row[i] = False
+            rows -= 1
+        else:
+            open_col[j] = False
+            cols -= 1
+    return cells, masses
 
 
 def _northwest_corner(a, b):

@@ -499,3 +499,19 @@ def test_line_index_leaves_scipy_spatial_unloaded():
         "print(isinstance(reg.index.tree, cKDTree))\n"
     )
     assert run_python(code).split("\n") == ["None False", "True"]
+
+
+def test_batch_prediction_and_cte_leave_numpy_ma_unloaded():
+    # rows of several sizes are grouped without np.unique, whose first call
+    # imports numpy.ma
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from distreg import (Dataset, FunctionalSpec, KernelScheme, evaluate_functional,\n"
+        "                     fit, predict_many)\n"
+        "xs = np.linspace(0.0, 1.0, 50)\n"
+        "batch = predict_many(fit(Dataset(xs, xs**2), KernelScheme(bandwidth=0.1)), xs[:7, None])\n"
+        "evaluate_functional(batch, FunctionalSpec.parse('cte:0.9'))\n"
+        "print(len(set(np.diff(batch.offsets).tolist())) > 1, 'numpy.ma' in sys.modules)\n"
+    )
+    assert run_python(code) == "True False"

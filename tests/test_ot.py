@@ -130,7 +130,9 @@ def test_exact_on_the_line_runs_no_simplex(monkeypatch, rng):
     monkeypatch.setattr(ot, "_transport_simplex", simplex)
     for p in (1.0, 1.5, 2.0, 30.0):
         a, b = random_discrete(rng, max_support=30), random_discrete(rng, max_support=30)
-        assert wp_exact(a, b, p)[0] == pytest.approx(wp_quantile(a, b, p), rel=1e-12)
+        dist, plan = wp_exact(a, b, p)
+        assert dist == pytest.approx(wp_quantile(a, b, p), rel=1e-12)
+        assert plan.pivots == 0
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -262,9 +264,43 @@ class TestWpExact:
 
 
 # Reference transportation simplex: a pivot loop that rebuilds the basis
-# graph twice per pivot, once for the duals and once for the cycle.
-# ``wp_exact`` updates one basis tree in place and must reproduce these plans
-# bit for bit.
+# graph twice per pivot, once for the duals and once for the cycle, from a
+# starting basis that it is given.  ``wp_exact`` updates one basis tree in
+# place from the least-cost start, and must reproduce these plans bit for
+# bit when the loop starts there.  From the northwest corner the loop takes
+# other pivots to a plan of the same cost, an oracle for the start itself.
+
+
+def least_cost_start(cost, supply, demand):
+    """The least-cost start written apart from ``ot``: the open cells in
+    ascending (cost, flat index) order each take what is left of the
+    smaller of their row and column, and close the line that runs out,
+    keeping one row and one column open until the m + n - 1st cell."""
+    m, n = cost.shape
+    rows, cols = set(range(m)), set(range(n))
+    left_a, left_b = list(supply), list(demand)
+    cells, masses = [], []
+    for flat in sorted(range(m * n), key=lambda f: (cost.flat[f], f)):
+        i, j = divmod(flat, n)
+        if i not in rows or j not in cols:
+            continue
+        t = min(left_a[i], left_b[j])
+        cells.append((i, j))
+        masses.append(t)
+        if len(cells) == m + n - 1:
+            return cells, masses
+        left_a[i] -= t
+        left_b[j] -= t
+        # a row runs out exactly when its supply was at most the demand
+        if len(cols) == 1 or (len(rows) > 1 and left_a[i] == 0.0):
+            rows.remove(i)
+        else:
+            cols.remove(j)
+    raise AssertionError("the least-cost start did not span the lines")
+
+
+def northwest_corner_start(cost, supply, demand):
+    return _northwest_corner(supply, demand)
 
 
 def reference_duals(cells, cost, m, n):
@@ -318,17 +354,20 @@ def reference_cycle(cells, enter, m):
     return [enter] + path
 
 
-def reference_exact(a, b, p):
+def reference_exact(a, b, p, start):
+    """The distance, the plan's sources, targets, masses and cost, and the
+    number of pivots, from the basis ``start(cost, supply, demand)`` on the
+    perturbed marginals."""
     cost = np.linalg.norm(a.atoms[:, None, :] - b.atoms[None, :, :], axis=2) ** p
     m, n = cost.shape
     eps = 1e-11 / m
     supply = a.weights + eps
     demand = b.weights.copy()
     demand[-1] += m * eps
-    cells, masses = _northwest_corner(supply, demand)
+    cells, masses = start(cost, supply, demand)
     mass_of = dict(zip(cells, masses))
     tol = 1e-11 * float(np.max(cost))
-    for _ in range(2000 + 60 * m * n):
+    for pivots in range(2000 + 60 * m * n):
         u, v = reference_duals(cells, cost, m, n)
         reduced = cost - u[:, None] - v[None, :]
         for (i, j) in cells:
@@ -352,7 +391,7 @@ def reference_exact(a, b, p):
     src = np.array([c[0] for c in cells], dtype=int)
     tgt = np.array([c[1] for c in cells], dtype=int)
     total = float(np.sum(masses * cost[src, tgt]))
-    return float(total ** (1.0 / p)), src, tgt, masses, total
+    return float(total ** (1.0 / p)), src, tgt, masses, total, pivots
 
 
 def reference_instance(rng, dim, ties, uniform, size=None):
@@ -367,25 +406,47 @@ def reference_instance(rng, dim, ties, uniform, size=None):
     return measure(), measure()
 
 
+def pinned_instances(dim, p):
+    """20 small instances, half with tied costs and half with equal
+    weights, and a long pivot run, whose re-hung subtrees are deep."""
+    rng = np.random.default_rng([dim, int(2 * p)])
+    for k in range(20):
+        yield reference_instance(rng, dim, ties=k % 2 == 0, uniform=k % 4 < 2)
+    yield reference_instance(rng, dim, False, False, size=60)
+
+
 def assert_matches_reference(a, b, p):
+    # on the line the plan is the northwest corner, and the loop takes no
+    # pivot from it
+    start = northwest_corner_start if a.dim == 1 else least_cost_start
     dist, plan = wp_exact(a, b, p)
-    ref_dist, src, tgt, masses, total = reference_exact(a, b, p)
+    ref_dist, src, tgt, masses, total, pivots = reference_exact(a, b, p, start)
     assert dist == ref_dist
     assert plan.cost == total
     assert np.array_equal(plan.sources, src)
     assert np.array_equal(plan.targets, tgt)
     assert np.array_equal(plan.masses, masses)
+    assert plan.pivots == (0 if a.dim == 1 else pivots)
+
+
+def assert_cost_matches_the_northwest_corner(a, b, p):
+    cost = wp_exact(a, b, p)[1].cost
+    old = reference_exact(a, b, p, northwest_corner_start)[4]
+    assert abs(cost - old) <= 1e-12 * old
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_exact_matches_reference_pivot_loop(dim, p):
-    rng = np.random.default_rng([dim, int(2 * p)])
-    for k in range(20):
-        a, b = reference_instance(rng, dim, ties=k % 2 == 0, uniform=k % 4 < 2)
+    for a, b in pinned_instances(dim, p):
         assert_matches_reference(a, b, p)
-    # a long pivot run, whose re-hung subtrees are deep
-    assert_matches_reference(*reference_instance(rng, dim, False, False, size=60), p)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_exact_cost_matches_the_northwest_corner_loop(dim, p):
+    for a, b in pinned_instances(dim, p):
+        assert_cost_matches_the_northwest_corner(a, b, p)
 
 
 @st.composite
@@ -416,6 +477,12 @@ def transport_instance(draw):
 @given(instance=transport_instance())
 def test_exact_matches_reference_pivot_loop_on_drawn_instances(instance):
     assert_matches_reference(*instance)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=transport_instance())
+def test_exact_cost_matches_the_northwest_corner_loop_on_drawn_instances(instance):
+    assert_cost_matches_the_northwest_corner(*instance)
 
 
 class TestMetricAxioms:
@@ -562,3 +629,85 @@ class TestW1VsAnalytic:
         law = uniform_law(0.0, 1.0)
         # W1(delta_{1/2}, U(0,1)) = 2 int_0^{1/2} u du = 1/4
         assert w1_vs_analytic(dirac(0.5), law) == pytest.approx(0.25, abs=1e-14)
+
+
+@st.composite
+def start_instance(draw):
+    """A cost matrix of shape 1 x k, k x 1 or k x k with few distinct values
+    (so many ties), and marginals that are uniform or built from weights
+    such as 1/3 and 0.1, whose perturbed totals differ by rounding."""
+    k = draw(st.integers(1, 12))
+    m, n = draw(st.sampled_from([(1, k), (k, 1), (k, k)]))
+    cost = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1 / 3]),
+                                  min_size=m * n, max_size=m * n))).reshape(m, n)
+
+    def marginal(size):
+        if draw(st.booleans()):
+            return np.full(size, 1.0 / size)
+        w = np.array(draw(st.lists(st.sampled_from([1 / 3, 0.1, 0.7, 1.0, 0.05]),
+                                   min_size=size, max_size=size)))
+        return w / w.sum()
+
+    return cost, marginal(m), marginal(n)
+
+
+def assert_spanning_start(cost, a, b):
+    m, n = cost.shape
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    cells, masses = ot._least_cost_start(cost, a, b)
+    assert len(cells) == m + n - 1
+    parent = list(range(m + n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in cells:
+        ri, rj = find(i), find(m + j)
+        assert ri != rj, "the cells close a cycle"
+        parent[ri] = rj
+    assert len({find(x) for x in range(m + n)}) == 1
+    masses = np.array(masses)
+    rows, cols = (np.array(c, dtype=int) for c in zip(*cells))
+    assert masses.min() >= 0.0
+    assert np.abs(np.bincount(rows, masses, minlength=m) - a).max() <= 1e-15
+    assert np.abs(np.bincount(cols, masses, minlength=n) - b).max() <= 1e-15
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=start_instance())
+def test_least_cost_start_is_a_spanning_tree_on_the_perturbed_marginals(instance):
+    cost, supply, demand = instance
+    assert_spanning_start(cost, *ot._perturbed(supply, demand))
+
+
+def test_least_cost_start_keeps_the_last_row_and_column_open():
+    # totals that differ in their last bits: closing the line that runs
+    # out would close the last open row or column and leave a line that
+    # still holds an ulp out of the tree
+    up, down = np.nextafter(0.6, 1.0), np.nextafter(0.4, 0.0)
+    # after cell (0, 1), row 1 is the last open row; it runs out on cell
+    # (1, 0) while column 1 still holds an ulp
+    assert_spanning_start(np.array([[3.0, 0.0], [1.0, 2.0]]), [0.6, 0.4], [0.4, up])
+    # after cell (0, 0), column 1 is the last open column; it runs out on
+    # cell (1, 1) while row 0 still holds an ulp
+    assert_spanning_start(np.array([[0.0, 2.0], [3.0, 1.0]]), [up, 0.4], [0.6, down])
+
+
+def test_least_cost_start_takes_fewer_pivots_than_the_northwest_corner():
+    # a 150 x 150 pair drawn as the benchmark draws its largest: standard
+    # normal atoms in the plane, the second measure shifted by (0.5, 0),
+    # and weights U(0, 1) + 0.05, normalised
+    rng = np.random.default_rng(5)
+
+    def measure(shift):
+        atoms = rng.standard_normal((150, 2)) + shift
+        w = rng.random(150) + 0.05
+        return make_discrete(atoms, w / w.sum())
+
+    a, b = measure((0.0, 0.0)), measure((0.5, 0.0))
+    plan = wp_exact(a, b, 1.0)[1]
+    _, _, _, _, total, pivots = reference_exact(a, b, 1.0, northwest_corner_start)
+    assert 0 < plan.pivots < pivots
+    assert abs(plan.cost - total) <= 1e-12 * total
