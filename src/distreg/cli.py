@@ -299,6 +299,7 @@ def cmd_predict(args) -> int:
 
 def _parse_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as handle:
             for line_no, raw in enumerate(handle, start=1):
@@ -307,8 +308,11 @@ def _parse_config(path: str) -> dict[str, str]:
                     continue
                 if "=" not in line:
                     raise DataError(f"{path}: line {line_no}: expected key=value")
-                key, value = line.split("=", 1)
-                cfg[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key in line_of:
+                    raise DataError(f"{path}: line {line_no}: key {key!r} is already "
+                                    f"set on line {line_of[key]}")
+                cfg[key], line_of[key] = value, line_no
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -105,6 +105,8 @@ class ExperimentPlan:
             raise ValueError(f"tolerance must be nonnegative, got {self.tolerance}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 1.0 <= self.p < np.inf:
+            raise ValueError("order p must be finite and >= 1")
         for n in grid:
             if self.schedule(n) <= 0:
                 raise ValueError(f"schedule is nonpositive at n = {n}")
@@ -176,21 +178,28 @@ def _fit_and_predict(model, scheme, n, test_points, seed, n_index, rep):
     return queries, predict_many(fit(ds, scheme), queries)
 
 
-def _risk_replication(payload) -> float:
-    *setting, p = payload
-    model = setting[0]
-    queries, preds = _fit_and_predict(*setting)
+def _risk_laws(model, queries, p):
+    """The conditional laws at ``queries`` that an order-p risk is measured
+    against; a model without scalar laws raises, and so does p > 1 with
+    laws that are not discrete."""
     laws = model.conditional_laws(queries)
-    if isinstance(laws, MeasureBatch):
-        if p != 1.0:  # no preset uses it: one pair of rows at a time
-            errs = [wp_quantile(pred, law, p) ** p for pred, law in zip(preds, laws)]
-            return float(np.mean(errs))
-        return float(np.mean(w1_cdf(preds, laws)))
-    if p != 1.0:
+    if p != 1.0 and not isinstance(laws, MeasureBatch):
         raise NotImplementedError(
             "orders p > 1 are only evaluated against discrete conditional laws"
         )
-    return float(np.mean(w1_vs_analytic(preds, *laws)))
+    return laws
+
+
+def _risk_replication(payload) -> float:
+    *setting, p = payload
+    queries, preds = _fit_and_predict(*setting)
+    laws = _risk_laws(setting[0], queries, p)
+    if not isinstance(laws, MeasureBatch):
+        return float(np.mean(w1_vs_analytic(preds, *laws)))
+    if p != 1.0:  # no preset uses it: one pair of rows at a time
+        errs = [wp_quantile(pred, law, p) ** p for pred, law in zip(preds, laws)]
+        return float(np.mean(errs))
+    return float(np.mean(w1_cdf(preds, laws)))
 
 
 def _functional_replication(payload) -> float:
@@ -491,7 +500,7 @@ def plan_from_config(cfg: dict[str, str], seed: int) -> ExperimentPlan:
     missing = [key for key in required if key not in cfg]
     if missing:
         raise ValueError(f"config must set preset= or the keys {missing}")
-    return ExperimentPlan(
+    plan = ExperimentPlan(
         model=make_preset(cfg["model"]),
         schedule=parse_schedule(cfg["schedule"]),
         n_grid=whole_list(cfg["n_grid"], "n_grid"),
@@ -502,6 +511,9 @@ def plan_from_config(cfg: dict[str, str], seed: int) -> ExperimentPlan:
         target_exponent=finite(cfg["target"], "target") if "target" in cfg else None,
         tolerance=finite(cfg.get("tolerance", "0.08"), "tolerance"),
     )
+    # the laws at the centre of the cube, before anything is sampled
+    _risk_laws(plan.model, np.full((1, plan.model.k), 0.5), plan.p)
+    return plan
 
 
 def make_experiment_preset(name: str, seed: int = 1) -> ExperimentPlan:

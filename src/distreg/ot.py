@@ -142,12 +142,14 @@ def wp_quantile(a: DiscreteDistribution, b: DiscreteDistribution, p: float) -> f
     _require_pair_dim1(a, b)
     if not 1.0 <= p < np.inf:
         raise ValueError("order p must be finite and >= 1")
-    power = _quantile_power(a.xs, a.cum_weights, b.xs, b.cum_weights, p)
+    power = _quantile_power(a.xs, a.cum_weights, b.xs, b.cum_weights, p)[0]
     return float(power ** (1.0 / p))
 
 
-def _quantile_power(xa, ca, xb, cb, p) -> float:
-    """int_0^1 |Qa(u) - Qb(u)|^p du for sorted atoms with cumulative weights."""
+def _quantile_power(xa, ca, xb, cb, p):
+    """int_0^1 |Qa(u) - Qb(u)|^p du for sorted atoms with cumulative weights,
+    and the monotone coupling: segment s of the merge moves ``lengths[s]``
+    from atom ``ia[s]`` to atom ``ib[s]``."""
     cuts = np.sort(np.concatenate((ca[:-1], cb[:-1])))
     lo = np.concatenate(([0.0], cuts))
     hi = np.concatenate((cuts, [1.0]))
@@ -160,7 +162,7 @@ def _quantile_power(xa, ca, xb, cb, p) -> float:
     top = gaps.max()  # inf or nan when a gap overflowed
     _require_in_range(top)
     _require_power_in_range(top, p)
-    return float(np.sum(lengths * gaps**p))
+    return float(np.sum(lengths * gaps**p)), ia, ib, lengths
 
 
 def _require_in_range(value, what="a distance") -> None:
@@ -228,32 +230,35 @@ def w1_vs_analytic(dist: MeasureBatch, law: AnalyticDistribution1D, shifts=None)
 def wp_exact(
     a: DiscreteDistribution, b: DiscreteDistribution, p: float
 ) -> tuple[float, TransportPlan]:
-    """Exact order-p distance between discrete measures of any dimension.
+    """Exact order-p distance between discrete measures of any dimension,
+    and an optimal plan.
 
-    Solves the transportation problem with cost ||y_i - y_j||^p by a
-    network simplex on the transportation polytope.  It starts from the
-    least-cost basis of the classical transportation method, the cheapest
-    cells first; Dantzig's rule picks the entering cell, degeneracy is
-    removed by a supply perturbation and ties are broken lexicographically.
-    The basis tree keeps its parents, depths and duals across pivots; a
-    pivot re-hangs the subtree that the leaving cell cuts off and
-    recomputes only that subtree's duals, with the same recurrence as a
-    full rebuild, so every dual keeps its bits.
-
-    On the line the plan is the monotone coupling, the northwest corner of
-    the sorted supports, optimal for every order p >= 1, and no simplex
-    runs.  The plan's cost is taken from the unscaled powers, so only a
-    transported distance whose power overflows fails.  In higher
-    dimensions, where the p-th powers come near the top of the double range
-    or beyond it, the plan is found on the distances scaled by a power of
-    two, and is rejected where the scaling prices a transported cell too
-    close to 0 for the simplex's tolerance to tell it apart.  Returns the
-    distance and an optimal plan.
+    On the line the plan is the monotone coupling of the quantile merge,
+    optimal for every p >= 1, less its segments of length 0; the distance is
+    that of :func:`wp_quantile`, bit for bit, and no simplex runs.  For d >= 2
+    a network simplex solves the transportation problem with cost
+    ||y_i - y_j||^p when m * n is at most ``SIZE_GUARD``.  It starts from the
+    least-cost basis, the cheapest cells first; Dantzig's rule picks the
+    entering cell, a supply perturbation removes degeneracy and ties are
+    broken lexicographically.  The basis tree keeps its parents, depths and
+    duals across pivots; a pivot re-hangs the subtree that the leaving cell
+    cuts off and recomputes only that subtree's duals, by the same recurrence
+    as a full rebuild, so every dual keeps its bits.  The plan is paid at the
+    unscaled powers, so only a transported distance whose power overflows
+    fails.  Where the powers come near the top of the double range or beyond
+    it, the plan is found on distances scaled by a power of two, and rejected
+    where the scaling prices a transported cell too close to 0 for the
+    simplex's tolerance to tell apart.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if not 1.0 <= p < np.inf:
         raise ValueError("order p must be finite and >= 1")
+    if a.dim == 1:
+        power, ia, ib, lengths = _quantile_power(a.xs, a.cum_weights, b.xs, b.cum_weights, p)
+        kept = lengths > 0.0
+        plan = TransportPlan(ia[kept], ib[kept], lengths[kept], cost=power)
+        return float(power ** (1.0 / p)), plan
     m, n = a.support_size, b.support_size
     if m * n > SIZE_GUARD:
         raise ValueError(f"support product {m * n} exceeds guard {SIZE_GUARD}")
@@ -262,22 +267,15 @@ def wp_exact(
         cost = dists**p
     # a dual is an alternating sum of up to m + n costs, and a reduced cost
     # subtracts two duals from a cost: all of them must stay finite
-    scaled = a.dim > 1 and not math.isfinite(float(cost.max()) * 4 * (m + n))
-    if a.dim == 1:
-        # the supports are sorted: the northwest corner is the monotone coupling
-        cells = _northwest_corner(*_perturbed(a.weights, b.weights))[0]
-        masses = _tree_flow(cells, a.weights, b.weights)
-        pivots = 0
-    elif not scaled:
-        cells, masses, pivots = _transport_simplex(cost, a.weights, b.weights)
-    else:
+    scaled = not math.isfinite(float(cost.max()) * 4 * (m + n))
+    priced = cost
+    if scaled:
         # the largest scaled power stays below 2^1000, and m + n < 2^20
         # under the size guard
         shift = int(np.frexp(dists.max())[1]) - math.floor(1000 / p)
         priced = np.ldexp(dists, -shift) ** p
-        cells, masses, pivots = _transport_simplex(priced, a.weights, b.weights)
-    src = np.array([c[0] for c in cells], dtype=int)
-    tgt = np.array([c[1] for c in cells], dtype=int)
+    cells, masses, pivots = _transport_simplex(priced, a.weights, b.weights)
+    src, tgt = np.array(cells, dtype=int).T
     masses = np.maximum(masses, 0.0)
     carried = masses > 0.0
     with np.errstate(over="ignore"):
@@ -454,30 +452,6 @@ def _least_cost_start(cost, a, b):
     return cells, masses
 
 
-def _northwest_corner(a, b):
-    m, n = len(a), len(b)
-    cells, masses = [], []
-    i = j = 0
-    ra, rb = a[0], b[0]
-    while True:
-        t = min(ra, rb)
-        cells.append((i, j))
-        masses.append(t)
-        if ra <= rb:
-            i += 1
-            rb -= t
-            if i == m:
-                break
-            ra = a[i]
-        else:
-            j += 1
-            ra -= t
-            if j == n:
-                break
-            rb = b[j]
-    return cells, masses
-
-
 def _grow(top, adj, costs, parent, depth, dual, m, n):
     """Fill in the parents, depths and duals of the basis tree below ``top``,
     whose own are set.
@@ -592,7 +566,7 @@ def _projected(dist: DiscreteDistribution, direction: np.ndarray):
 def _projection_power(a, b, direction, p) -> float:
     xa, ca = _projected(a, direction)
     xb, cb = _projected(b, direction)
-    return _quantile_power(xa, ca, xb, cb, p)
+    return _quantile_power(xa, ca, xb, cb, p)[0]
 
 
 def _require_sliceable(a: DiscreteDistribution, b: DiscreteDistribution) -> None:

@@ -192,6 +192,13 @@ class NeighbourIndex:
             # to the row's first sorted position
             pos = np.arange(rows.shape[0]) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
             return rows, self.order[pos]
+        # the tree cannot search a box whose squared diameter may overflow:
+        # every point is then a candidate, as on the line above _LINE_TOP
+        with np.errstate(over="ignore"):
+            box = np.ptp(np.vstack((self.tree.mins, self.tree.maxes, qs)), axis=0)
+            wide = not np.linalg.norm(box) < _LINE_TOP
+        if wide:
+            return np.divmod(np.arange(qs.shape[0] * self.n), self.n)
         found = self.tree.query_ball_point(qs, radii * _RADIUS_SLACK, return_sorted=False)
         sizes = np.fromiter(map(len, found), np.intp, len(found))
         cand = np.fromiter(chain.from_iterable(found), np.intp, sizes.sum())
@@ -229,7 +236,9 @@ class NeighbourIndex:
 
     def _ball(self, h: float, qs: np.ndarray) -> WeightBatch:
         rows, cand = self._within(qs, h)
-        inside = np.linalg.norm((qs[rows] - self.points[cand]) / h, axis=1) <= 1.0
+        with np.errstate(over="ignore"):
+            # a distance whose square overflows is inf, as in the scan
+            inside = np.linalg.norm((qs[rows] - self.points[cand]) / h, axis=1) <= 1.0
         return self._batch(qs.shape[0], rows[inside], cand[inside])
 
     def _boxed(self, scheme: KernelScheme, qs: np.ndarray) -> WeightBatch:

@@ -212,6 +212,27 @@ class TestDistanceCommand:
             printed.append(captured.out)
         assert printed == ["1.99861418598\n"] * 2
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (7, 5), (40, 40), (1500, 1200)])
+    def test_exact_on_the_line_prints_what_quantile_prints(self, tmp_path, capsys, m, n):
+        # on the line exact is the quantile route: 1500 x 1200 atoms are
+        # beyond the size guard of the simplex, which the line does not run
+        rng = np.random.default_rng([m, n])
+        files, sizes = [], []
+        for name, size in (("a", m), ("b", n)):
+            # atoms on a grid of 1e-4 repeat now and then
+            w = rng.random(size) + 0.05
+            d = make_discrete(np.round(rng.normal(size=size), 4), w / w.sum())
+            files.append(dist_csv(tmp_path / f"{name}.csv", d))
+            sizes.append(d.support_size)
+        assert (sizes[0] * sizes[1] > 10**6) == (m * n > 10**6)
+        for order in ("1", "2", "3.5"):
+            printed = []
+            for method in ("quantile", "exact"):
+                code = main(["distance", *files, "--method", method, "--order", order])
+                printed.append((code, *capsys.readouterr()))
+            assert printed[0] == printed[1]
+            assert printed[0][0] == 0
+
     @pytest.mark.parametrize("method", ["cdf", "exact"])
     @pytest.mark.parametrize(
         "rows_a, rows_b, value",
@@ -695,6 +716,43 @@ class TestRatesCommand:
         assert captured.out == ""
         assert f"--workers must be >= 1, got {workers}" in captured.err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.cfg"]
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("model=binary-k1\nschedule=kappa:1:0.5\nn_grid=16,32\norder=0.5\n",
+             "order p must be finite and >= 1"),
+            ("model=gaussian-k1\nschedule=kappa:1:0.5\nn_grid=16,32\norder=2\n",
+             "orders p > 1 are only evaluated against discrete conditional laws"),
+            ("model=gaussian-pair-k1\nschedule=kappa:1:0.5\nn_grid=16,32\n",
+             "paired responses have no scalar conditional law"),
+        ],
+        ids=["order-below-one", "order-two-analytic-law", "paired-responses"],
+    )
+    def test_dry_run_rejects_what_the_run_rejects(
+        self, tmp_path, capsys, monkeypatch, lines, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = write(tmp_path / "r.cfg", lines)
+
+        def sampled(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(distreg.experiments, "_fit_and_predict", sampled)
+        for dry in (["--dry-run"], []):
+            assert main(["rates", "--config", cfg, *dry]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.cfg"]
+
+    def test_config_key_given_twice_is_a_data_error(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path / "r.cfg", "preset=binary-k1-kernel\nseed=3\n\n# again\nseed = 4\n"
+        )
+        for dry in (["--dry-run"], []):
+            assert main(["rates", "--config", cfg, *dry]) == 3
+            assert capsys.readouterr() == (
+                "", f"data error: {cfg}: line 5: key 'seed' is already set on line 2\n"
+            )
 
     def test_every_documented_preset_override_is_accepted(self, tmp_path, capsys):
         cfg = write(

@@ -67,6 +67,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="tolerance"):
             tiny_plan(tolerance=tolerance)
 
+    @pytest.mark.parametrize("p", [0.5, 0.0, -1.0, float("nan"), float("inf")])
+    def test_order_below_one_rejected(self, p):
+        with pytest.raises(ValueError, match="order p must be finite and >= 1"):
+            tiny_plan(p=p)
+
     def test_zero_tolerance_allowed(self):
         assert tiny_plan(tolerance=0.0, test_points=1).tolerance == 0.0
 

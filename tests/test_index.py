@@ -126,6 +126,29 @@ class TestSelectionMatchesScan:
         with pytest.raises(ValueError, match="finite"):
             index.select(KnnScheme(kappa=1), [[0.0, np.nan]])
 
+    @pytest.mark.parametrize("n", [2, 3, 40])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_box_whose_squared_diameter_overflows(self, k, n):
+        # the k-d tree sums squared gaps, which overflow between (1e154, 0)
+        # and (-1e154, 0): every point is a candidate, and the scan's
+        # distances, inf where their squares overflow, decide
+        rng = np.random.default_rng([k, n])
+        xs = rng.random((n, k))
+        xs[:2, 0] = (1e154, -1e154)
+        queries = np.vstack((xs[:2], rng.random((2, k)), np.full((1, k), 1e200)))
+        index = NeighbourIndex(xs)
+        # selected outside errstate: an overflow in the selection would warn
+        chosen = {kappa: index.select(KnnScheme(kappa=kappa), queries)
+                  for kappa in sorted({1, 2, n})}
+        balls = {h: index.select(KernelScheme(bandwidth=h), queries) for h in (0.5, 1e300)}
+        with np.errstate(over="ignore"):
+            for kappa, batch in chosen.items():
+                for q, w in zip(queries, batch):
+                    assert np.array_equal(w.indices, scan_knn(xs, q, kappa))
+            for h, batch in balls.items():
+                for q, w in zip(queries, batch):
+                    assert np.array_equal(w.indices, scan_ball(xs, q, h))
+
 
 @st.composite
 def line_sample(draw):

@@ -1,3 +1,4 @@
+from bisect import bisect_left
 from collections import deque
 
 import numpy as np
@@ -22,7 +23,7 @@ from distreg import (
     wp_quantile,
 )
 from distreg import ot
-from distreg.ot import _northwest_corner, _tree_flow
+from distreg.ot import _tree_flow
 
 from conftest import random_discrete
 
@@ -123,16 +124,20 @@ def test_exact_matches_quantile_route_near_the_double_range(scale, p):
 
 
 def test_exact_on_the_line_runs_no_simplex(monkeypatch, rng):
-    # the monotone coupling is optimal at every order, so it is the plan
-    def simplex(*args):
-        raise AssertionError("the simplex ran on the line")
+    # the monotone coupling is optimal at every order, so it is the plan:
+    # neither the simplex nor an m x n distance matrix is needed
+    def unused(*args):
+        raise AssertionError("the line took the path of the plane")
 
-    monkeypatch.setattr(ot, "_transport_simplex", simplex)
+    monkeypatch.setattr(ot, "_transport_simplex", unused)
+    monkeypatch.setattr(ot, "_distances", unused)
     for p in (1.0, 1.5, 2.0, 30.0):
         a, b = random_discrete(rng, max_support=30), random_discrete(rng, max_support=30)
         dist, plan = wp_exact(a, b, p)
-        assert dist == pytest.approx(wp_quantile(a, b, p), rel=1e-12)
+        assert dist == wp_quantile(a, b, p)
         assert plan.pivots == 0
+        assert np.abs(plan.marginal_source(a.support_size) - a.weights).max() <= 1e-12
+        assert np.abs(plan.marginal_target(b.support_size) - b.weights).max() <= 1e-12
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -241,7 +246,10 @@ class TestWpExact:
             assert dist == pytest.approx(recomputed**0.5, rel=1e-12)
 
     def test_size_guard(self):
-        big = make_discrete(np.arange(1001.0), np.full(1001, 1 / 1001))
+        # the guard bounds the simplex's cost matrix, which only the plane
+        # and space build
+        atoms = np.column_stack((np.arange(1001.0), np.zeros(1001)))
+        big = make_discrete(atoms, np.full(1001, 1 / 1001))
         with pytest.raises(ValueError, match="guard"):
             wp_exact(big, big, 1.0)
 
@@ -250,12 +258,15 @@ class TestWpExact:
             wp_exact(dirac(0.0), make_discrete([[0.0, 0.0]], [1.0]), 1.0)
 
     def test_degenerate_uniform_weights(self):
-        # equal masses force ties in the initial basis; the perturbation
-        # must keep the pivots nondegenerate
+        # equal masses tie the cumulative weights of the two measures, so the
+        # quantile merge has segments of length 0; the plan leaves them out
+        # and moves each atom to its shifted copy
         a = make_discrete(np.arange(8.0), np.full(8, 1 / 8))
         b = make_discrete(np.arange(8.0) + 0.25, np.full(8, 1 / 8))
-        d_exact, _ = wp_exact(a, b, 1.0)
+        d_exact, plan = wp_exact(a, b, 1.0)
         assert d_exact == pytest.approx(wp_quantile(a, b, 1.0), abs=1e-9)
+        assert np.array_equal(plan.sources, np.arange(8))
+        assert np.array_equal(plan.targets, np.arange(8))
 
     def test_bruteforce_support_guard(self):
         big = make_discrete(np.arange(5.0), np.full(5, 0.2))
@@ -268,7 +279,9 @@ class TestWpExact:
 # starting basis that it is given.  ``wp_exact`` updates one basis tree in
 # place from the least-cost start, and must reproduce these plans bit for
 # bit when the loop starts there.  From the northwest corner the loop takes
-# other pivots to a plan of the same cost, an oracle for the start itself.
+# other pivots to a plan of the same cost, an oracle for the start itself
+# and, on the line, where the northwest corner of the sorted supports is
+# the monotone coupling, for the quantile merge that ``wp_exact`` takes.
 
 
 def least_cost_start(cost, supply, demand):
@@ -299,8 +312,35 @@ def least_cost_start(cost, supply, demand):
     raise AssertionError("the least-cost start did not span the lines")
 
 
+def northwest_corner(a, b):
+    """The northwest-corner basis of marginals ``a`` and ``b``: from cell
+    (0, 0), each cell takes what is left of the smaller of its row and
+    column and steps past the line that runs out."""
+    m, n = len(a), len(b)
+    cells, masses = [], []
+    i = j = 0
+    ra, rb = a[0], b[0]
+    while True:
+        t = min(ra, rb)
+        cells.append((i, j))
+        masses.append(t)
+        if ra <= rb:
+            i += 1
+            rb -= t
+            if i == m:
+                break
+            ra = a[i]
+        else:
+            j += 1
+            ra -= t
+            if j == n:
+                break
+            rb = b[j]
+    return cells, masses
+
+
 def northwest_corner_start(cost, supply, demand):
-    return _northwest_corner(supply, demand)
+    return northwest_corner(supply, demand)
 
 
 def reference_duals(cells, cost, m, n):
@@ -415,18 +455,44 @@ def pinned_instances(dim, p):
     yield reference_instance(rng, dim, False, False, size=60)
 
 
+def quantile_coupling(a, b):
+    """The monotone coupling on the line, written apart from ``ot``: the
+    cumulative weights of both measures but their last cut (0, 1) into
+    segments, and each segment of positive length carries its length from
+    the first atom of ``a`` and the first atom of ``b`` whose cumulative
+    weight reaches its midpoint."""
+    ca, cb = a.cum_weights.tolist(), b.cum_weights.tolist()
+    cuts = [0.0] + sorted(ca[:-1] + cb[:-1]) + [1.0]
+    src, tgt, masses = [], [], []
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi - lo > 0.0:
+            mid = 0.5 * (lo + hi)
+            src.append(min(bisect_left(ca, mid), len(ca) - 1))
+            tgt.append(min(bisect_left(cb, mid), len(cb) - 1))
+            masses.append(hi - lo)
+    return src, tgt, masses
+
+
 def assert_matches_reference(a, b, p):
-    # on the line the plan is the northwest corner, and the loop takes no
-    # pivot from it
-    start = northwest_corner_start if a.dim == 1 else least_cost_start
     dist, plan = wp_exact(a, b, p)
-    ref_dist, src, tgt, masses, total, pivots = reference_exact(a, b, p, start)
+    if a.dim == 1:
+        # the plan is the quantile coupling, and its cost that of the
+        # northwest-corner loop
+        src, tgt, masses = quantile_coupling(a, b)
+        assert dist == wp_quantile(a, b, p)
+        assert plan.sources.tolist() == src
+        assert plan.targets.tolist() == tgt
+        assert plan.masses.tolist() == masses
+        assert plan.pivots == 0
+        assert_cost_matches_the_northwest_corner(a, b, p)
+        return
+    ref_dist, src, tgt, masses, total, pivots = reference_exact(a, b, p, least_cost_start)
     assert dist == ref_dist
     assert plan.cost == total
     assert np.array_equal(plan.sources, src)
     assert np.array_equal(plan.targets, tgt)
     assert np.array_equal(plan.masses, masses)
-    assert plan.pivots == (0 if a.dim == 1 else pivots)
+    assert plan.pivots == pivots
 
 
 def assert_cost_matches_the_northwest_corner(a, b, p):
@@ -483,6 +549,33 @@ def test_exact_matches_reference_pivot_loop_on_drawn_instances(instance):
 @given(instance=transport_instance())
 def test_exact_cost_matches_the_northwest_corner_loop_on_drawn_instances(instance):
     assert_cost_matches_the_northwest_corner(*instance)
+
+
+@st.composite
+def line_instance(draw):
+    """Two measures of 1-4 atoms on the line, drawn from six values (so
+    atoms repeat within and across the measures), with equal weights or
+    weights such as 1/3 and 0.1, and an order."""
+
+    def measure():
+        size = draw(st.integers(1, 4))
+        atoms = draw(st.lists(st.sampled_from([-1.5, -0.5, 0.0, 0.5, 1.0, 2.5]),
+                              min_size=size, max_size=size))
+        if draw(st.booleans()):
+            w = np.ones(size)
+        else:
+            w = np.array(draw(st.lists(st.sampled_from([1 / 3, 0.1, 0.7, 1.0, 0.05]),
+                                       min_size=size, max_size=size)))
+        return make_discrete(np.array(atoms), w / w.sum())
+
+    return measure(), measure(), draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, 30.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=line_instance())
+def test_exact_on_the_line_matches_vertex_enumeration(instance):
+    a, b, p = instance
+    assert wp_exact(a, b, p)[0] == pytest.approx(wp_bruteforce(a, b, p), rel=1e-9, abs=1e-12)
 
 
 class TestMetricAxioms:
