@@ -70,23 +70,28 @@ def _default_seed() -> int:
 # CSV input / output
 
 
+def _read_text(path: str) -> str:
+    """The file at ``path`` read and decoded whole, so a byte that is not
+    UTF-8 is reported at its offset in the file."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read().decode("utf-8")
+    except OSError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _read_table(path: str, expected, columns: str, rows_name: str):
     """Read a CSV file whose header equals ``expected(header)`` (spelled
     ``columns`` in the error) and whose rows, at least one, are finite
     floats; returns the header and the (rows, columns) array.
 
-    The file is read and decoded whole, so a byte that is not UTF-8 is
-    reported at its offset in the file.  A plain text is then parsed in
-    bulk (:func:`_plain_table`); any other text, and any plain text that
-    the bulk path does not accept, goes through the csv module's reader a
-    row at a time (:func:`_csv_table`), which gives the error message."""
-    try:
-        with open(path, "rb") as handle:
-            text = handle.read().decode("utf-8")
-    except OSError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    A plain text is parsed in bulk (:func:`_plain_table`); any other text,
+    and any plain text that the bulk path does not accept, goes through the
+    csv module's reader a row at a time (:func:`_csv_table`), which gives
+    the error message."""
+    text = _read_text(path)
     table = _plain_table(text)
     if table is None or table[0] != expected(table[0]):
         table = _csv_table(path, text, expected, columns, rows_name)
@@ -300,23 +305,19 @@ def cmd_predict(args) -> int:
 def _parse_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
     line_of: dict[str, int] = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for line_no, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise DataError(f"{path}: line {line_no}: expected key=value")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key in line_of:
-                    raise DataError(f"{path}: line {line_no}: key {key!r} is already "
-                                    f"set on line {line_of[key]}")
-                cfg[key], line_of[key] = value, line_no
-    except OSError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    # universal newlines, as a file opened in text mode splits its lines
+    lines = io.StringIO(_read_text(path), newline=None)
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}: line {line_no}: expected key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in line_of:
+            raise DataError(f"{path}: line {line_no}: key {key!r} is already "
+                            f"set on line {line_of[key]}")
+        cfg[key], line_of[key] = value, line_no
     return cfg
 
 

@@ -298,24 +298,29 @@ def wp_exact(
     return float(total ** (1.0 / p)), plan
 
 
+# Below this norm the squares of a pair's differences may be subnormal or 0.
+_NORM_LOW = 2.0**-500
+
+
 def _distances(xa, xb):
     """Euclidean distances between the rows of ``xa`` and those of ``xb``.
 
-    The norm squares each difference.  Where a square overflows, the norm of
-    that pair is taken of its differences scaled by the power of two of its
-    own largest one, which is exact, and scaled back.
+    The norm squares each difference.  Where a square overflows, or the
+    norm is below ``_NORM_LOW`` so that its squares may leave the normal
+    range, the norm of that pair is taken of its differences scaled by the
+    power of two of its own largest one, which is exact, and scaled back.
     """
     with np.errstate(over="ignore"):
         diffs = xa[:, None, :] - xb[None, :, :]
         dists = np.linalg.norm(diffs, axis=2)
-        over = ~np.isfinite(dists)
-        if over.any():
-            wide = diffs[over]
-            widest = np.abs(wide).max(axis=1)
+        odd = ~((dists >= _NORM_LOW) & (dists < np.inf))
+        if odd.any():
+            pairs = diffs[odd]
+            widest = np.abs(pairs).max(axis=1)
             _require_in_range(widest.max())
             shift = np.frexp(widest)[1]
-            norms = np.linalg.norm(np.ldexp(wide, -shift[:, None]), axis=1)
-            dists[over] = np.ldexp(norms, shift)
+            norms = np.linalg.norm(np.ldexp(pairs, -shift[:, None]), axis=1)
+            dists[odd] = np.ldexp(norms, shift)
     _require_in_range(dists.max())
     return dists
 
@@ -519,8 +524,7 @@ def wp_bruteforce(
     m, n = a.support_size, b.support_size
     if m > max_support or n > max_support:
         raise ValueError(f"brute force limited to supports <= {max_support}")
-    diffs = a.atoms[:, None, :] - b.atoms[None, :, :]
-    cost = np.linalg.norm(diffs, axis=2) ** p
+    cost = _distances(a.atoms, b.atoms) ** p
     all_cells = [(i, j) for i in range(m) for j in range(n)]
     best = np.inf
     nodes = m + n
@@ -545,6 +549,8 @@ def wp_bruteforce(
         masses = _tree_flow(list(combo), a.weights, b.weights)
         if masses.min() < -1e-12:
             continue
+        # as in wp_exact, a mass rounded below 0 carries nothing
+        masses = np.maximum(masses, 0.0)
         total = sum(mass * cost[i, j] for mass, (i, j) in zip(masses, combo))
         best = min(best, total)
     return float(best ** (1.0 / p))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import DiscreteDistribution, MeasureBatch, _row_sums
+from .measures import DiscreteDistribution, MeasureBatch
 from .weights import KernelScheme, KnnScheme, NeighbourIndex, WeightBatch, _as_row
 
 
@@ -104,59 +104,37 @@ def predict_many(model: FittedRegressor, queries) -> MeasureBatch:
     ``queries`` (shape (m, k)), as one batch whose row i is the prediction
     at query i.
 
-    Only observations with positive weight enter a prediction, so its
-    support size is the number of observations the scheme uses at that
-    query point.  Equal weights put count / m on each distinct 1-d
-    response; otherwise a row is, bit for bit, what :func:`make_discrete`
-    builds from the selected responses and their weights.
+    A row puts 1/m on each of the m observations the scheme selects at its
+    query point, so a 1-d prediction puts count / m on each distinct
+    response, in ascending order; a d-dimensional one keeps every selected
+    response as an atom.
     """
     selected = model.index.select(model.scheme, queries)
-    offsets = selected.offsets
+    offsets, idx = selected.offsets, selected.indices
     sizes = np.diff(offsets)
-    # equal weights are a count over m; kernel masses, normalized per
-    # query, are a share of each point over 1, except in a fallback row
-    share, denom = None, sizes.astype(float)
-    if selected.mass is not None:
-        weighted = ~selected.fallback
-        totals = np.where(weighted, _row_sums(selected.mass, offsets), 1.0)
-        share = selected.mass / np.repeat(totals, sizes)
-        denom[weighted] = 1.0
-    idx = selected.indices
     # the flat arrays are as large as every selection together, so each is
     # dropped, or overwritten in place, once it is used up
     del selected
     if model.groups is None:
-        atoms = model.dataset.responses[idx]
-        weights = (1.0 if share is None else share) / np.repeat(denom, sizes)
-    else:
-        # one key per (query, distinct response), row * width + rank:
-        # sorted keys put the batch in row order with each row's responses
-        # ascending
-        width = model.levels.shape[0]
-        keys = np.repeat(np.arange(sizes.shape[0]) * width, sizes)
-        keys += model.groups[idx]
-        del idx
-        if share is None:
-            # np.unique with counts, sorting in place instead of on a copy
-            keys.sort()
-            new = np.ones(keys.shape[0], dtype=bool)
-            np.not_equal(keys[1:], keys[:-1], out=new[1:])
-            first = np.flatnonzero(new)
-            sums = np.diff(first, append=keys.shape[0])
-            keys = keys[first]
-            del new, first
-        else:
-            keys, inverse = np.unique(keys, return_inverse=True)
-            sums = np.bincount(inverse, weights=share)
-        offsets = np.searchsorted(keys, np.arange(sizes.shape[0] + 1) * width)
-        atoms = model.levels[keys % width]
-        del keys
-        weights = sums / np.repeat(denom, np.diff(offsets))
-    keep = weights > 0  # a kernel mass may underflow once normalized
-    if not keep.all():
-        offsets = np.concatenate(([0], np.cumsum(keep)))[offsets]
-        atoms, weights = atoms[keep], weights[keep]
-    return MeasureBatch(atoms, weights, offsets)
+        return MeasureBatch(model.dataset.responses[idx], np.repeat(1.0 / sizes, sizes), offsets)
+    # one key per (query, distinct response), row * width + rank: sorted
+    # keys put the batch in row order with each row's responses ascending
+    width = model.levels.shape[0]
+    keys = np.repeat(np.arange(sizes.shape[0]) * width, sizes)
+    keys += model.groups[idx]
+    del idx
+    # np.unique with counts, sorting in place instead of on a copy
+    keys.sort()
+    new = np.ones(keys.shape[0], dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    counts = np.diff(first, append=keys.shape[0])
+    keys = keys[first]
+    del new, first
+    offsets = np.searchsorted(keys, np.arange(sizes.shape[0] + 1) * width)
+    atoms = model.levels[keys % width]
+    del keys
+    return MeasureBatch(atoms, counts / np.repeat(sizes, np.diff(offsets)), offsets)
 
 
 def predict_distribution(model: FittedRegressor, x) -> DiscreteDistribution:

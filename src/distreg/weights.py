@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable
 
 import numpy as np
 
@@ -22,23 +21,17 @@ _STONE_TAG = 83
 
 @dataclass(frozen=True)
 class KernelScheme:
-    """Bandwidth-h kernel weights; default kernel is the closed unit ball.
-
-    A given ``kernel`` is assumed boxed: sandwiched between
-    m1 * 1{||x|| <= r1} and m2 * 1{||x|| <= r2} with m2 >= m1 > 0 and
-    r2 >= r1 > 0.  The assumption is not checked.
-    """
+    """Bandwidth-h weights of the closed unit-ball kernel: uniform over the
+    sample points within distance h of the query."""
 
     bandwidth: float
-    kernel: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not 0.0 < self.bandwidth < np.inf:
             raise ValueError("bandwidth must be positive and finite")
 
     def describe(self) -> str:
-        kind = "uniform" if self.kernel is None else "boxed"
-        return f"kernel({kind}, h={self.bandwidth:g})"
+        return f"kernel(uniform, h={self.bandwidth:g})"
 
 
 @dataclass(frozen=True)
@@ -91,29 +84,23 @@ _LINE_TOP = np.sqrt(np.finfo(float).max) / 2
 class WeightBatch:
     """Sparse weights at a batch of query points, stored flat.
 
-    Row i has the ascending sample indices
-    ``indices[offsets[i]:offsets[i + 1]]`` and, when ``mass`` is not None,
-    their unnormalized kernel values at the same positions of ``mass``.
-    ``fallback[i]`` marks a row whose scheme put no mass on any point: it
-    holds every sample point with weight 1/n (and mass 1).  ``values`` are
-    the normalized weights at the same positions.  ``batch[i]`` (or
-    iterating) gives row i as a batch of one row, made of views of the flat
-    arrays; the weights at a single query point are such a batch.
+    Row i has the m ascending sample indices
+    ``indices[offsets[i]:offsets[i + 1]]``, each with weight 1/m.
+    ``fallback[i]`` marks a row whose scheme selected no point: it holds
+    every sample point with weight 1/n.  ``batch[i]`` (or iterating) gives
+    row i as a batch of one row, made of views of the flat arrays; the
+    weights at a single query point are such a batch.
     """
 
     indices: np.ndarray
     offsets: np.ndarray
     fallback: np.ndarray
-    mass: np.ndarray | None = None
 
     @property
     def values(self) -> np.ndarray:
-        """1/m on each of a row's m points, or each point's mass over its
-        row's total mass."""
+        """1/m on each of a row's m points, at the positions of ``indices``."""
         sizes = np.diff(self.offsets)
-        if self.mass is None:
-            return np.repeat(1.0 / sizes, sizes)
-        return self.mass / np.repeat(_row_sums(self.mass, self.offsets), sizes)
+        return np.repeat(1.0 / sizes, sizes)
 
     def __len__(self) -> int:
         return self.offsets.shape[0] - 1
@@ -121,9 +108,8 @@ class WeightBatch:
     def __getitem__(self, i) -> WeightBatch:
         i = range(len(self))[i]
         start, stop = self.offsets[i], self.offsets[i + 1]
-        mass = None if self.mass is None else self.mass[start:stop]
         offsets = np.array([0, stop - start])
-        return WeightBatch(self.indices[start:stop], offsets, self.fallback[i : i + 1], mass)
+        return WeightBatch(self.indices[start:stop], offsets, self.fallback[i : i + 1])
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -173,9 +159,7 @@ class NeighbourIndex:
         if isinstance(scheme, KnnScheme):
             return self._nearest(scheme.kappa, qs)
         if isinstance(scheme, KernelScheme):
-            if scheme.kernel is None:
-                return self._ball(scheme.bandwidth, qs)
-            return self._boxed(scheme, qs)
+            return self._ball(scheme.bandwidth, qs)
         raise TypeError(f"unsupported scheme type: {type(scheme).__name__}")
 
     def _within(self, qs: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
@@ -241,24 +225,7 @@ class NeighbourIndex:
             inside = np.linalg.norm((qs[rows] - self.points[cand]) / h, axis=1) <= 1.0
         return self._batch(qs.shape[0], rows[inside], cand[inside])
 
-    def _boxed(self, scheme: KernelScheme, qs: np.ndarray) -> WeightBatch:
-        # the box is assumed, not known, so the kernel is evaluated on
-        # every point
-        rows, cand, mass = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
-        for i, q in enumerate(qs):
-            scaled = (q[None, :] - self.points) / scheme.bandwidth
-            vals = np.asarray(scheme.kernel(scaled), dtype=float).reshape(-1)
-            if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-                raise ValueError("kernel returned negative or non-finite values")
-            support = np.flatnonzero(vals)
-            rows.append(np.full(support.shape[0], i))
-            cand.append(support)
-            mass.append(vals[support])
-        return self._batch(
-            qs.shape[0], np.concatenate(rows), np.concatenate(cand), np.concatenate(mass)
-        )
-
-    def _batch(self, m: int, rows, cand, mass=None) -> WeightBatch:
+    def _batch(self, m: int, rows, cand) -> WeightBatch:
         """The selected (row, sample index) pairs as a batch, each row in
         index order; a row with no point falls back to uniform 1/n."""
         n = self.n
@@ -268,17 +235,11 @@ class NeighbourIndex:
             empty = np.flatnonzero(fallback)
             rows = np.concatenate((rows, np.repeat(empty, n)))
             cand = np.concatenate((cand, np.tile(np.arange(n), empty.shape[0])))
-            if mass is not None:
-                mass = np.concatenate((mass, np.ones(empty.shape[0] * n)))
             sizes[fallback] = n
         keys = rows * n + cand
-        if mass is None:
-            keys.sort()
-        else:
-            order = np.argsort(keys)
-            keys, mass = keys[order], mass[order]
+        keys.sort()
         offsets = np.concatenate(([0], np.cumsum(sizes)))
-        return WeightBatch(keys % n, offsets, fallback, mass)
+        return WeightBatch(keys % n, offsets, fallback)
 
 
 def evaluate_weights(scheme, covariates, x) -> WeightBatch:
@@ -287,9 +248,9 @@ def evaluate_weights(scheme, covariates, x) -> WeightBatch:
 
 
 def kernel_weights(scheme: KernelScheme, covariates, x) -> WeightBatch:
-    """Kernel weights K((x - X_i)/h) normalized by their sum.
+    """Weight 1/m on each of the m covariates within distance h of x.
 
-    When every kernel value vanishes the weights fall back to uniform 1/n on
+    When no covariate is that close the weights fall back to uniform 1/n on
     the whole sample, so the output is always a probability vector.
     """
     return evaluate_weights(scheme, covariates, x)

@@ -252,35 +252,19 @@ class TestRowFormsEqualThePerPairBodies:
         assert evaluate_functional(as_batch([]), spec).shape == (0,)
 
 
-def tri(u):
-    return np.maximum(0.0, 1.0 - np.linalg.norm(u, axis=1))
-
-
-BOXED = dict(kernel=tri)
-
-
 def loop_prediction(xs, ys, scheme, q):
     """The prediction at q built on its own: the scanned selection, then
-    count / m on each distinct 1-d response for equal weights, and
-    make_discrete of the selected responses otherwise."""
-    mass = None
+    count / m on each distinct 1-d response, and make_discrete of the
+    selected responses with weight 1/m each otherwise."""
     if isinstance(scheme, KnnScheme):
         idx = scan_knn(xs, q, scheme.kappa)
-    elif scheme.kernel is None:
-        idx = scan_ball(xs, q, scheme.bandwidth)
     else:
-        vals = tri((q[None, :] - xs) / scheme.bandwidth)
-        idx = np.flatnonzero(vals)
-        if idx.size:
-            mass = vals[idx]
-        else:
-            idx = np.arange(xs.shape[0])
+        idx = scan_ball(xs, q, scheme.bandwidth)
     m = idx.shape[0]
-    if mass is None and ys.shape[1] == 1:
+    if ys.shape[1] == 1:
         levels, counts = np.unique(ys[idx, 0], return_counts=True)
         return DiscreteDistribution(levels[:, None], counts / m)
-    weights = np.full(m, 1.0 / m) if mass is None else mass / mass.sum()
-    return make_discrete(ys[idx], weights)
+    return make_discrete(ys[idx], np.full(m, 1.0 / m))
 
 
 def assert_same_measure(got, want):
@@ -299,14 +283,9 @@ class TestPredictionRows:
         # few distinct responses, so 1-d rows merge tied atoms
         ys = rng.integers(0, 4, size=(xs.shape[0], d)) / 2.0
         kappa = data.draw(st.integers(1, xs.shape[0]))
-        # small bandwidths leave some balls and kernels empty: the fallback
+        # small bandwidths leave some balls empty: the fallback
         h = data.draw(st.sampled_from([0.01, 0.1, 0.25, 0.6]))
-        schemes = (
-            KnnScheme(kappa=kappa),
-            KernelScheme(bandwidth=h),
-            KernelScheme(bandwidth=h, **BOXED),
-        )
-        for scheme in schemes:
+        for scheme in (KnnScheme(kappa=kappa), KernelScheme(bandwidth=h)):
             batch = predict_many(fit(Dataset(xs, ys), scheme), queries)
             assert isinstance(batch, MeasureBatch)
             assert len(batch) == len(queries)

@@ -111,6 +111,30 @@ class TestDistributionIO:
             "in position 16014: invalid start byte\n"
         )
 
+    def test_bad_config_byte_is_reported_at_its_offset_in_the_file(self, tmp_path, capsys):
+        # the config is decoded whole, as a table is: past the first 8 KiB a
+        # chunked decoder counts from its chunk
+        body = b"preset=binary-k1-kernel\r\n" + b"# a comment line\r\n" * 1000
+        path = tmp_path / "late.cfg"
+        path.write_bytes(body[:16013] + b"\xff" + body[16013:])
+        for dry in (["--dry-run"], []):
+            assert main(["rates", "--config", str(path), *dry]) == 3
+            assert capsys.readouterr() == (
+                "",
+                f"data error: {path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                "in position 16013: invalid start byte\n",
+            )
+
+    def test_config_lines_are_split_as_in_text_mode(self, tmp_path, capsys):
+        # \r\n, \r and \n end a line; \x1c, on which str.splitlines also
+        # splits, does not
+        path = tmp_path / "r.cfg"
+        path.write_bytes(b"preset=binary-k1-kernel\r\n# one\x1cseed=9\rseed=3\n\r\nseed=4\n")
+        assert main(["rates", "--config", str(path), "--dry-run"]) == 3
+        assert capsys.readouterr() == (
+            "", f"data error: {path}: line 5: key 'seed' is already set on line 3\n"
+        )
+
     def test_field_over_the_csv_limit(self, tmp_path, capsys):
         huge = write(tmp_path / "huge.csv", "y1,weight\n0,0.5\n" + "1" * 200_000 + ",0.5\n")
         assert main(["distance", huge, huge]) == 3

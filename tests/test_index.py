@@ -59,7 +59,7 @@ class TestSelectionMatchesScan:
         chosen = NeighbourIndex(xs).select(KnnScheme(kappa=kappa), queries)
         for q, w in zip(queries, chosen):
             assert np.array_equal(w.indices, scan_knn(xs, q, kappa))
-            assert w.mass is None
+            assert np.array_equal(w.values, np.full(kappa, 1.0 / kappa))
 
     @settings(max_examples=150, deadline=None)
     @given(sample=grid_sample(), eighths=st.integers(1, 12))
@@ -107,17 +107,6 @@ class TestSelectionMatchesScan:
         assert np.array_equal(w.values, np.full(3, 1.0 / 3.0))
         # a row taken from a batch is a one-row batch that keeps its flag
         assert len(w) == 1 and w.fallback.tolist() == [True]
-
-    def test_boxed_kernel_keeps_positive_values_only(self):
-        def tri(u):
-            return np.maximum(0.0, 1.0 - np.linalg.norm(u, axis=1))
-
-        scheme = KernelScheme(bandwidth=0.5, kernel=tri)
-        xs = np.array([[0.1], [0.2], [0.9], [0.3]])
-        (w,) = NeighbourIndex(xs).select(scheme, [[0.2]])
-        assert np.array_equal(w.indices, [0, 1, 3])
-        raw = tri((0.2 - xs) / 0.5)
-        assert np.allclose(w.values, raw[[0, 1, 3]] / raw.sum(), rtol=1e-15, atol=0)
 
     def test_rejects_bad_queries(self):
         index = NeighbourIndex(np.zeros((3, 2)))
@@ -257,8 +246,7 @@ class TestLineIndex:
     @pytest.mark.parametrize("k", [1, 2])
     def test_empty_query_array(self, k):
         index = NeighbourIndex(np.arange(6.0).reshape(-1, k))
-        boxed = KernelScheme(bandwidth=1.0, kernel=lambda u: np.ones(u.shape[0]))
-        for scheme in (KnnScheme(kappa=2), KernelScheme(bandwidth=1.0), boxed):
+        for scheme in (KnnScheme(kappa=2), KernelScheme(bandwidth=1.0)):
             batch = index.select(scheme, np.empty((0, k)))
             assert len(batch) == 0 and list(batch) == []
             assert batch.indices.shape == (0,)
@@ -304,10 +292,7 @@ def loop_stone_row(scheme, model, n_idx, n, eps, replications, seed, test_points
         maxes, fars = [], []
         for q, w in zip(queries, NeighbourIndex(xs).select(scheme, queries)):
             m = w.indices.shape[0]
-            if w.mass is None or w.fallback[0]:
-                values = np.full(m, 1.0 / m)
-            else:
-                values = w.mass / w.mass.sum()
+            values = np.full(m, 1.0 / m)
             far = np.linalg.norm(xs[w.indices] - q[None, :], axis=1) > eps
             maxes.append(values.max())
             fars.append(values[far].sum())
@@ -326,10 +311,6 @@ def weight_scheme(draw, n):
     if kind == "ball":
         return KernelScheme(bandwidth=draw(st.floats(0.02, 0.6)))
     return KernelScheme(bandwidth=1e-9)
-
-
-def tri_kernel(u):
-    return np.maximum(0.0, 1.0 - np.linalg.norm(u, axis=1))
 
 
 def close(value, oracle, abs_tol=0.0):
@@ -371,16 +352,11 @@ class TestSparseConsumersMatchDenseWeights:
         name=st.sampled_from(["binary-k1", "binary-k2", "gaussian-k1", "uniform-k1"]),
         n_grid=st.lists(st.integers(1, 60), min_size=1, max_size=2, unique=True),
         eps=st.floats(0.01, 0.5),
-        boxed=st.booleans(),
         data=st.data(),
     )
-    def test_stone_diagnostics_equals_the_per_query_loop(
-        self, seed, name, n_grid, eps, boxed, data
-    ):
+    def test_stone_diagnostics_equals_the_per_query_loop(self, seed, name, n_grid, eps, data):
         model = make_preset(name)
         scheme = data.draw(weight_scheme(min(n_grid)))
-        if boxed and isinstance(scheme, KernelScheme):
-            scheme = KernelScheme(bandwidth=scheme.bandwidth, kernel=tri_kernel)
         rows = stone_diagnostics(scheme, model, n_grid, eps=eps, replications=3, seed=seed)
         for n_idx, (n, row) in enumerate(zip(n_grid, rows)):
             want = loop_stone_row(scheme, model, n_idx, n, eps, 3, seed, 4)

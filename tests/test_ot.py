@@ -3,7 +3,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance
 
@@ -160,6 +160,41 @@ def test_exact_in_the_plane_matches_bruteforce_near_the_double_range(p):
             assert not np.isfinite(top**p * 4 * (a.support_size + b.support_size))
         expected = np.ldexp(wp_bruteforce(a, b, p), up)
         assert wp_exact(big_a, big_b, p)[0] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("x", [1e-200, 1e-160, 1.0])
+def test_exact_in_the_plane_equals_the_line_on_the_x_axis(x, p):
+    # below about 2^-500 the squares of a pair's differences may underflow,
+    # so that pair's norm is taken on differences scaled by a power of two
+    line = wp_exact(make_discrete([x, 2 * x], [0.25, 0.75]), dirac(0.0), p)[0]
+    plane = wp_exact(
+        make_discrete([[x, 0.0], [2 * x, 0.0]], [0.25, 0.75]), dirac([0.0, 0.0]), p
+    )[0]
+    assert plane == line
+    if p == 1.0:
+        assert plane == 0.25 * x + 0.75 * 2 * x
+
+
+def test_exact_in_the_plane_is_not_below_max_sliced_where_squares_underflow():
+    a = make_discrete([[1e-200, 0.0], [0.0, 1e-200]], [0.5, 0.5])
+    b = dirac([0.0, 0.0])
+    assert wp_exact(a, b, 1.0)[0] == 1e-200
+    assert wp_bruteforce(a, b, 1.0) == 1e-200
+    assert max_sliced_wp(a, b, SlicedConfig(p=1.0)) <= 1e-200
+
+
+def test_distances_keep_the_bits_of_the_norm_where_squares_are_normal(rng):
+    xa = np.vstack((rng.normal(size=(5, 2)), [[0.0, 0.0]]))
+    xb = np.vstack((rng.normal(size=(4, 2)), [[3e-200, 4e-200], [1.1125369292536007e-308, 0.0]]))
+    got = ot._distances(xa, xb)
+    plain = np.linalg.norm(xa[:, None, :] - xb[None, :, :], axis=2)
+    normal = plain >= 2.0**-500
+    assert normal.sum() == 6 * 6 - 2
+    assert np.array_equal(got[normal], plain[normal])
+    assert got[5, 4] == pytest.approx(5e-200, rel=1e-15)
+    assert got[5, 5] == 1.1125369292536007e-308
+    assert wp_bruteforce(dirac(1.1125369292536007e-308), dirac(0.0), 1.0) == 1.1125369292536007e-308
 
 
 def test_exact_rejects_a_plan_its_scaled_costs_cannot_tell_apart():
@@ -394,11 +429,24 @@ def reference_cycle(cells, enter, m):
     return [enter] + path
 
 
+def reference_distances(a, b):
+    """The distances between the atoms of ``a`` and those of ``b``: |x - y|
+    on the line; elsewhere each pair's norm, taken of its differences scaled
+    by the power of two of the largest one, so that no square underflows,
+    and scaled back.  Where the squares are normal the scaling keeps the
+    bits of the plain norm."""
+    diffs = a.atoms[:, None, :] - b.atoms[None, :, :]
+    if a.dim == 1:
+        return np.abs(diffs[:, :, 0])
+    shift = np.frexp(np.abs(diffs).max(axis=2))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(diffs, -shift[:, :, None]), axis=2), shift)
+
+
 def reference_exact(a, b, p, start):
     """The distance, the plan's sources, targets, masses and cost, and the
     number of pivots, from the basis ``start(cost, supply, demand)`` on the
     perturbed marginals."""
-    cost = np.linalg.norm(a.atoms[:, None, :] - b.atoms[None, :, :], axis=2) ** p
+    cost = reference_distances(a, b) ** p
     m, n = cost.shape
     eps = 1e-11 / m
     supply = a.weights + eps
@@ -498,7 +546,12 @@ def assert_matches_reference(a, b, p):
 def assert_cost_matches_the_northwest_corner(a, b, p):
     cost = wp_exact(a, b, p)[1].cost
     old = reference_exact(a, b, p, northwest_corner_start)[4]
-    assert abs(cost - old) <= 1e-12 * old
+    # the two sums round differently: equal measures built two ways may
+    # have cumulative weights an ulp apart, which the two plans may move
+    # as far as the largest distance, or not at all
+    top = float(np.max(reference_distances(a, b) ** p))
+    rounding = (a.support_size + b.support_size) * np.finfo(float).eps * top
+    assert abs(cost - old) <= 1e-12 * old + rounding
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
@@ -539,14 +592,36 @@ def transport_instance(draw):
     return measure(m), measure(n), draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
 
 
+def drawn_line_measure(atoms, w):
+    """A measure on the line built as ``transport_instance`` builds one."""
+    w = np.asarray(w, dtype=float)
+    return make_discrete(np.array(atoms, dtype=float)[:, None], w / w.sum())
+
+
+# drawn instances on which the reference loop was off, not ``wp_exact``:
+# cumulative weights an ulp apart, where the exact W1 of the doubles is an
+# ulp and the loop gave 0 or 2.8e-17; and a distance whose square underflows
+ROUNDING_INSTANCES = [
+    (drawn_line_measure([0, 0, 1], np.ones(3)), drawn_line_measure([0] * 6 + [1] * 3, np.ones(9)), 1.0),
+    (drawn_line_measure([0] * 5 + [1], np.ones(6)), drawn_line_measure([0, 1], [0.25, 0.05]), 1.0),
+    (drawn_line_measure([1.1125369292536007e-308], [1.0]), drawn_line_measure([0.0], [1.0]), 1.0),
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(instance=transport_instance())
+@example(instance=ROUNDING_INSTANCES[0])
+@example(instance=ROUNDING_INSTANCES[1])
+@example(instance=ROUNDING_INSTANCES[2])
 def test_exact_matches_reference_pivot_loop_on_drawn_instances(instance):
     assert_matches_reference(*instance)
 
 
 @settings(max_examples=150, deadline=None)
 @given(instance=transport_instance())
+@example(instance=ROUNDING_INSTANCES[0])
+@example(instance=ROUNDING_INSTANCES[1])
+@example(instance=ROUNDING_INSTANCES[2])
 def test_exact_cost_matches_the_northwest_corner_loop_on_drawn_instances(instance):
     assert_cost_matches_the_northwest_corner(*instance)
 
@@ -573,9 +648,22 @@ def line_instance(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(instance=line_instance())
+# weights 1/3 and 2/3 built two ways, an ulp apart: the enumeration meets a
+# vertex with a mass of about -6e-17, and the exact cost is that ulp, whose
+# p-th root is about 1e-11
+@example(
+    instance=(
+        drawn_line_measure([-0.5, 0.5, 0.5], np.full(3, 0.7)),
+        drawn_line_measure([-0.5, 0.5], [0.05, 0.1]),
+        1.5,
+    )
+)
 def test_exact_on_the_line_matches_vertex_enumeration(instance):
+    # the costs are compared, not their p-th roots, which blow a cost at the
+    # rounding level of the masses up far beyond it
     a, b, p = instance
-    assert wp_exact(a, b, p)[0] == pytest.approx(wp_bruteforce(a, b, p), rel=1e-9, abs=1e-12)
+    cost = wp_exact(a, b, p)[1].cost
+    assert cost == pytest.approx(wp_bruteforce(a, b, p) ** p, rel=1e-9, abs=1e-12)
 
 
 class TestMetricAxioms:

@@ -35,23 +35,8 @@ class TestKernelWeights:
                 assert np.array_equal(w.indices, np.flatnonzero(dist <= 0.3))
                 assert np.all(w.values > 0)
 
-    def test_boxed_kernel_custom(self):
-        def tri(u):
-            return np.maximum(0.0, 1.0 - np.linalg.norm(u, axis=1))
-
-        scheme = KernelScheme(bandwidth=0.5, kernel=tri)
-        w = kernel_weights(scheme, [0.1, 0.2, 0.9], 0.2)
-        # point 2 is outside the kernel's support, so it has weight 0
-        assert list(w.indices) == [0, 1]
-        assert w.values[1] > w.values[0] > 0.0
-        assert w.values.sum() == pytest.approx(1.0, abs=1e-12)
-
     def test_describe_names_the_kernel_kind(self):
-        def tri(u):
-            return np.maximum(0.0, 1.0 - np.linalg.norm(u, axis=1))
-
         assert KernelScheme(bandwidth=0.5).describe() == "kernel(uniform, h=0.5)"
-        assert KernelScheme(bandwidth=0.5, kernel=tri).describe() == "kernel(boxed, h=0.5)"
 
     def test_invalid_bandwidth(self):
         with pytest.raises(ValueError):
