@@ -1,4 +1,5 @@
-"""Deterministic, splittable random streams used across the package."""
+"""Deterministic, splittable random streams, and the one replication loop
+that every Monte-Carlo study runs on them."""
 
 from __future__ import annotations
 
@@ -30,3 +31,34 @@ def stream(seed, *path: int) -> np.random.Generator:
     which keeps replicated experiments bit-reproducible under any scheduler.
     """
     return np.random.Generator(np.random.Philox(seed_sequence(seed, *path)))
+
+
+def grid_study(worker, model, grid, replications, test_points, seed, extra, workers=1):
+    """Run ``worker`` on the payload ``(model, scheme, n, test_points, seed,
+    n_index, rep, extra)`` of every replication at every ``(n_index, n,
+    scheme)`` of ``grid``, in a pool of ``workers`` processes if above 1.
+
+    Payloads are built and results reduced in key order, so the result does
+    not depend on ``workers``: per grid point, the (mean, stderr) of each
+    value the worker returns (one float or a tuple), one pair after another.
+    """
+    payloads = [
+        (model, scheme, n, test_points, seed, n_index, rep, extra)
+        for n_index, n, scheme in grid
+        for rep in range(replications)
+    ]
+    if workers <= 1:
+        values = [worker(pl) for pl in payloads]
+    else:
+        # deferred: the pool's module costs every import otherwise
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            values = list(pool.map(worker, payloads))
+    # (grid point, value, replication), each column contiguous
+    columns = np.array(values).reshape(len(grid), replications, -1).transpose(0, 2, 1).copy()
+    root = np.sqrt(replications)
+    return [
+        tuple(x for col in point for x in (float(col.mean()), float(col.std(ddof=1) / root)))
+        for point in columns
+    ]

@@ -1,26 +1,26 @@
 """Monte-Carlo harness: risk curves, rate-slope fits, bound comparisons.
 
 Every replication is keyed by (grid index, replication index) through a
-counter-based stream, and results are reduced in key order, so a study is
-bit-reproducible for a fixed plan regardless of how many workers run it.
+counter-based stream and run by :func:`distreg._rng.grid_study`, which
+reduces results in key order, so a study is bit-reproducible for a fixed
+plan regardless of how many workers run it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._rng import stream
+from ._rng import grid_study, stream
 from ._table import table_text
 from .bounds import kernel_bound, knn_bound
 from .functionals import FunctionalSpec, evaluate_functional
 from .measures import MeasureBatch
-from .ot import w1_cdf, w1_vs_analytic, wp_quantile
+from .ot import _quantile_power, w1_cdf, w1_vs_analytic
 from .regressor import fit, predict_many
 from .synth import make_preset
 from .weights import KernelScheme, KnnScheme
@@ -197,7 +197,10 @@ def _risk_replication(payload) -> float:
     if not isinstance(laws, MeasureBatch):
         return float(np.mean(w1_vs_analytic(preds, *laws)))
     if p != 1.0:  # no preset uses it: one pair of rows at a time
-        errs = [wp_quantile(pred, law, p) ** p for pred, law in zip(preds, laws)]
+        errs = [
+            _quantile_power(pred.xs, pred.cum_weights, law.xs, law.cum_weights, p)[0]
+            for pred, law in zip(preds, laws)
+        ]
         return float(np.mean(errs))
     return float(np.mean(w1_cdf(preds, laws)))
 
@@ -210,36 +213,9 @@ def _functional_replication(payload) -> float:
     return float(np.mean(np.abs(estimates - model.true_functional(spec, queries))))
 
 
-def _run_payloads(worker, payloads, workers: int):
-    if workers <= 1:
-        return [worker(pl) for pl in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, payloads))
-
-
-def _aggregate(values: np.ndarray) -> tuple[float, float]:
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / np.sqrt(values.shape[0]))
-    return mean, se
-
-
-def _grid_study(
-    worker, model, grid, replications, test_points, seed, extra, workers
-) -> list[tuple[float, float]]:
-    """Run ``worker`` on every replication at every ``(n_index, n, scheme)``
-    of ``grid`` and reduce each grid point's values to (mean, stderr)."""
-    payloads = [
-        (model, scheme, n, test_points, seed, n_index, rep, extra)
-        for n_index, n, scheme in grid
-        for rep in range(replications)
-    ]
-    flat = np.array(_run_payloads(worker, payloads, workers))
-    return [_aggregate(chunk) for chunk in flat.reshape(len(grid), replications)]
-
-
 def _plan_study(plan: ExperimentPlan, worker, extra, workers: int):
     grid = [(n_index, n, scheme_at(plan.schedule, n)) for n_index, n in enumerate(plan.n_grid)]
-    return _grid_study(
+    return grid_study(
         worker, plan.model, grid, plan.replications, plan.test_points, plan.seed,
         extra, workers,
     )
@@ -268,7 +244,7 @@ def risk_estimate(
     mean and standard error over replications are returned.
     """
     grid = [(n_index, n, scheme)]
-    return _grid_study(
+    return grid_study(
         _risk_replication, model, grid, replications, test_points, seed, p, workers
     )[0]
 

@@ -142,14 +142,14 @@ def wp_quantile(a: DiscreteDistribution, b: DiscreteDistribution, p: float) -> f
     _require_pair_dim1(a, b)
     if not 1.0 <= p < np.inf:
         raise ValueError("order p must be finite and >= 1")
-    power = _quantile_power(a.xs, a.cum_weights, b.xs, b.cum_weights, p)[0]
-    return float(power ** (1.0 / p))
+    return _quantile_power(a.xs, a.cum_weights, b.xs, b.cum_weights, p)[1]
 
 
 def _quantile_power(xa, ca, xb, cb, p):
-    """int_0^1 |Qa(u) - Qb(u)|^p du for sorted atoms with cumulative weights,
-    and the monotone coupling: segment s of the merge moves ``lengths[s]``
-    from atom ``ia[s]`` to atom ``ib[s]``."""
+    """int_0^1 |Qa(u) - Qb(u)|^p du and its p-th root, as :func:`_power_sum`
+    gives them, for sorted atoms with cumulative weights, and the monotone
+    coupling: segment s of the merge moves ``lengths[s]`` from atom
+    ``ia[s]`` to atom ``ib[s]``."""
     cuts = np.sort(np.concatenate((ca[:-1], cb[:-1])))
     lo = np.concatenate(([0.0], cuts))
     hi = np.concatenate((cuts, [1.0]))
@@ -162,7 +162,29 @@ def _quantile_power(xa, ca, xb, cb, p):
     top = gaps.max()  # inf or nan when a gap overflowed
     _require_in_range(top)
     _require_power_in_range(top, p)
-    return float(np.sum(lengths * gaps**p)), ia, ib, lengths
+    return *_power_sum(lengths, gaps, p), ia, ib, lengths
+
+
+# The smallest normal double.  A power below it is rounded to within 2^-1075,
+# half the last bit of any sum at or above it, so only a smaller sum of
+# powers has lost digits to underflow.
+_POWER_LOW = 2.0**-1022
+
+
+def _power_sum(masses, gaps, p) -> tuple[float, float]:
+    """sum(masses * gaps**p) and its p-th root, for masses summing to at
+    most 1.  Where the sum is below ``_POWER_LOW`` it is taken again of the
+    gaps scaled by the power of two that brings the largest into [1/2, 1),
+    and the root of that sum near 1 is scaled back, which keeps its digits;
+    the sum is then the root to the power p."""
+    with np.errstate(over="ignore"):
+        power = float(np.sum(masses * gaps**p))
+    top = gaps.max()
+    if not (power < _POWER_LOW and top > 0):
+        return power, power ** (1.0 / p)
+    shift = int(np.frexp(top)[1])
+    root = math.ldexp(float(np.sum(masses * np.ldexp(gaps, -shift) ** p)) ** (1.0 / p), shift)
+    return root**p, root
 
 
 def _require_in_range(value, what="a distance") -> None:
@@ -248,17 +270,18 @@ def wp_exact(
     fails.  Where the powers come near the top of the double range or beyond
     it, the plan is found on distances scaled by a power of two, and rejected
     where the scaling prices a transported cell too close to 0 for the
-    simplex's tolerance to tell apart.
+    simplex's tolerance to tell apart.  Where the largest power is below
+    ``_POWER_LOW`` the plan is found on the same scaled distances, and a
+    plan whose cost is below it is paid as :func:`_power_sum` pays it.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if not 1.0 <= p < np.inf:
         raise ValueError("order p must be finite and >= 1")
     if a.dim == 1:
-        power, ia, ib, lengths = _quantile_power(a.xs, a.cum_weights, b.xs, b.cum_weights, p)
+        power, root, ia, ib, lengths = _quantile_power(a.xs, a.cum_weights, b.xs, b.cum_weights, p)
         kept = lengths > 0.0
-        plan = TransportPlan(ia[kept], ib[kept], lengths[kept], cost=power)
-        return float(power ** (1.0 / p)), plan
+        return root, TransportPlan(ia[kept], ib[kept], lengths[kept], cost=power)
     m, n = a.support_size, b.support_size
     if m * n > SIZE_GUARD:
         raise ValueError(f"support product {m * n} exceeds guard {SIZE_GUARD}")
@@ -267,9 +290,10 @@ def wp_exact(
         cost = dists**p
     # a dual is an alternating sum of up to m + n costs, and a reduced cost
     # subtracts two duals from a cost: all of them must stay finite
-    scaled = not math.isfinite(float(cost.max()) * 4 * (m + n))
+    top_cost = float(cost.max())
+    scaled = not math.isfinite(top_cost * 4 * (m + n))
     priced = cost
-    if scaled:
+    if scaled or (top_cost < _POWER_LOW and dists.max() > 0):
         # the largest scaled power stays below 2^1000, and m + n < 2^20
         # under the size guard
         shift = int(np.frexp(dists.max())[1]) - math.floor(1000 / p)
@@ -278,8 +302,7 @@ def wp_exact(
     src, tgt = np.array(cells, dtype=int).T
     masses = np.maximum(masses, 0.0)
     carried = masses > 0.0
-    with np.errstate(over="ignore"):
-        total = float(np.sum(masses * np.where(carried, cost[src, tgt], 0.0)))
+    total, root = _power_sum(masses, np.where(carried, dists[src, tgt], 0.0), p)
     if not math.isfinite(total):
         raise _order_too_large(p, dists[src, tgt][carried].max())
     if scaled:
@@ -295,7 +318,7 @@ def wp_exact(
     plan = TransportPlan(
         sources=src, targets=tgt, masses=masses, cost=total, pivots=pivots
     )
-    return float(total ** (1.0 / p)), plan
+    return root, plan
 
 
 # Below this norm the squares of a pair's differences may be subnormal or 0.
@@ -569,12 +592,6 @@ def _projected(dist: DiscreteDistribution, direction: np.ndarray):
     return xs, cum
 
 
-def _projection_power(a, b, direction, p) -> float:
-    xa, ca = _projected(a, direction)
-    xb, cb = _projected(b, direction)
-    return _quantile_power(xa, ca, xb, cb, p)[0]
-
-
 def _require_sliceable(a: DiscreteDistribution, b: DiscreteDistribution) -> None:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -596,7 +613,9 @@ def sliced_wp(
     rng = stream(cfg.seed, _STREAM_TAG)
     dirs = rng.standard_normal((cfg.num_directions, a.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    powers = np.array([_projection_power(a, b, u, cfg.p) for u in dirs])
+    powers = np.array(
+        [_quantile_power(*_projected(a, u), *_projected(b, u), cfg.p)[0] for u in dirs]
+    )
     # the mean sums the powers and the standard deviation squares them, and
     # either may overflow; scaling by a power of two that brings the largest
     # power near 1 is exact, so finite results keep every bit
@@ -649,7 +668,7 @@ def max_sliced_wp(
     d = a.dim
 
     def value(u):
-        return _projection_power(a, b, u, cfg.p) ** (1.0 / cfg.p)
+        return _quantile_power(*_projected(a, u), *_projected(b, u), cfg.p)[1]
 
     if d == 2:
         k = max(cfg.num_directions, 2)

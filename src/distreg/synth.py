@@ -374,63 +374,30 @@ def certify_class(model, resolution: int = 64) -> CertificationReport:
 # Shipped presets
 
 
-def _binary_k1() -> BinaryModel:
-    params = ClassParams(holder=1.0, lipschitz=1.0, dispersion=1.1, dim=1)
-    # p(x) = 1/2 + (L / (2 B)) x1 keeps the W1 ratio at one half of L.
-    return BinaryModel(
-        name="binary-k1",
-        high_value=2.0,
-        prob=AffineMap(0.5, (0.25,)),
-        params=params,
-    )
+def _lipschitz(dispersion: float, dim: int) -> ClassParams:
+    """The class every preset declares: Hoelder exponent 1 and scale 1."""
+    return ClassParams(holder=1.0, lipschitz=1.0, dispersion=dispersion, dim=dim)
 
 
-def _binary_k2() -> BinaryModel:
-    params = ClassParams(holder=1.0, lipschitz=1.0, dispersion=1.1, dim=2)
-    return BinaryModel(
-        name="binary-k2",
-        high_value=2.0,
-        prob=AffineMap(0.5, (0.125, 0.125)),
-        params=params,
-    )
-
-
-def _gaussian_k1() -> GaussianLocationModel:
-    params = ClassParams(holder=1.0, lipschitz=1.0, dispersion=0.45, dim=1)
-    return GaussianLocationModel(
-        name="gaussian-k1",
-        mean=AffineMap(0.0, (0.9,)),
-        sigma=0.25,
-        params=params,
-    )
-
-
-def _uniform_k1() -> UniformLocationModel:
-    params = ClassParams(holder=1.0, lipschitz=1.0, dispersion=0.45, dim=1)
-    return UniformLocationModel(
-        name="uniform-k1",
-        mean=AffineMap(0.0, (0.9,)),
-        width=1.0,
-        params=params,
-    )
-
-
-def _gaussian_pair_k1() -> IndependentGaussianPair:
-    return IndependentGaussianPair(
-        name="gaussian-pair-k1",
-        mean_first=AffineMap(0.1, (0.8,)),
-        mean_second=AffineMap(0.9, (-0.8,)),
-        sigma=0.3,
-        dim_x=1,
-    )
-
-
+# p(x) = 1/2 + (L / (2 B)) x1 keeps the binary-k1 W1 ratio at one half of L.
 PRESETS: dict[str, Callable[[], object]] = {
-    "binary-k1": _binary_k1,
-    "binary-k2": _binary_k2,
-    "gaussian-k1": _gaussian_k1,
-    "uniform-k1": _uniform_k1,
-    "gaussian-pair-k1": _gaussian_pair_k1,
+    "binary-k1": lambda: BinaryModel(
+        "binary-k1", high_value=2.0, prob=AffineMap(0.5, (0.25,)), params=_lipschitz(1.1, 1)
+    ),
+    "binary-k2": lambda: BinaryModel(
+        "binary-k2", high_value=2.0, prob=AffineMap(0.5, (0.125, 0.125)),
+        params=_lipschitz(1.1, 2),
+    ),
+    "gaussian-k1": lambda: GaussianLocationModel(
+        "gaussian-k1", mean=AffineMap(0.0, (0.9,)), sigma=0.25, params=_lipschitz(0.45, 1)
+    ),
+    "uniform-k1": lambda: UniformLocationModel(
+        "uniform-k1", mean=AffineMap(0.0, (0.9,)), width=1.0, params=_lipschitz(0.45, 1)
+    ),
+    "gaussian-pair-k1": lambda: IndependentGaussianPair(
+        "gaussian-pair-k1", mean_first=AffineMap(0.1, (0.8,)),
+        mean_second=AffineMap(0.9, (-0.8,)), sigma=0.3, dim_x=1,
+    ),
 }
 
 

@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._rng import stream
+from ._rng import grid_study, stream
 from .measures import _row_sums
 
 _STONE_TAG = 83
@@ -283,7 +283,9 @@ def stone_diagnostics(
 
     For each sample size the table reports E[max_i W_i(X)] and the expected
     weight mass E[sum_i W_i(X) 1{||X_i - X|| > eps}] placed outside the
-    eps-ball, with standard errors over replications.  Both must vanish
+    eps-ball, with standard errors over replications.  The replications run
+    on :func:`distreg._rng.grid_study` with the streams keyed by
+    ``(seed, 83, n index, replication)``, serially.  Both must vanish
     along valid schedules for the local-averaging estimator to be
     universally consistent; the remaining (bounded-operator) condition is
     not estimable from samples and is not diagnosed.
@@ -298,31 +300,25 @@ def stone_diagnostics(
     if replications < 2:
         raise ValueError("need at least 2 replications for standard errors")
     schemer = scheme_for_n if callable(scheme_for_n) else (lambda _n: scheme_for_n)
-    rows = []
-    for n_idx, n in enumerate(n_grid):
-        scheme = schemer(n)
-        max_vals = np.empty(replications)
-        far_vals = np.empty(replications)
-        for rep in range(replications):
-            ds = model.sample(n, seed=(seed, _STONE_TAG, n_idx, rep, 0))
-            rng = stream(seed, _STONE_TAG, n_idx, rep, 1)
-            queries = rng.random((test_points, model.k))
-            selected = NeighbourIndex(ds.covariates).select(scheme, queries)
-            values, offsets = selected.values, selected.offsets
-            row_of = np.repeat(np.arange(test_points), np.diff(offsets))
-            gaps = ds.covariates[selected.indices] - queries[row_of]
-            far = np.linalg.norm(gaps, axis=1) > eps
-            # every row holds at least one point, so no reduceat slice is empty
-            max_vals[rep] = np.mean(np.maximum.reduceat(values, offsets[:-1]))
-            far_offsets = np.concatenate(([0], np.cumsum(far)))[offsets]
-            far_vals[rep] = np.mean(_row_sums(values[far], far_offsets))
-        rows.append(
-            DiagnosticsRow(
-                n=n,
-                max_weight=float(max_vals.mean()),
-                max_weight_se=float(max_vals.std(ddof=1) / np.sqrt(replications)),
-                far_weight=float(far_vals.mean()),
-                far_weight_se=float(far_vals.std(ddof=1) / np.sqrt(replications)),
-            )
-        )
-    return rows
+    grid = [(n_idx, n, schemer(n)) for n_idx, n in enumerate(n_grid)]
+    stats = grid_study(_stone_replication, model, grid, replications, test_points, seed, eps)
+    return [DiagnosticsRow(n, *row) for n, row in zip(n_grid, stats)]
+
+
+def _stone_replication(payload) -> tuple[float, float]:
+    """One replication's mean largest weight and mean weight beyond eps over
+    fresh test points, from a fresh sample keyed under ``_STONE_TAG``."""
+    model, scheme, n, test_points, seed, n_idx, rep, eps = payload
+    ds = model.sample(n, seed=(seed, _STONE_TAG, n_idx, rep, 0))
+    queries = stream(seed, _STONE_TAG, n_idx, rep, 1).random((test_points, model.k))
+    selected = NeighbourIndex(ds.covariates).select(scheme, queries)
+    values, offsets = selected.values, selected.offsets
+    row_of = np.repeat(np.arange(test_points), np.diff(offsets))
+    gaps = ds.covariates[selected.indices] - queries[row_of]
+    far = np.linalg.norm(gaps, axis=1) > eps
+    far_offsets = np.concatenate(([0], np.cumsum(far)))[offsets]
+    # every row holds at least one point, so no reduceat slice is empty
+    return (
+        float(np.mean(np.maximum.reduceat(values, offsets[:-1]))),
+        float(np.mean(_row_sums(values[far], far_offsets))),
+    )

@@ -1054,6 +1054,26 @@ class TestOtherCommands:
         assert len(lines) == 3
 
     @pytest.mark.parametrize(
+        "flags, rows",
+        [(["--model", "binary-k2", "--schedule", "h:1:-0.25", "--n-grid", "64,512",
+           "--replications", "5", "--seed", "3"],
+          ["64,0.052565656517118288,0.0034024599109846298,0.91192978498263355,"
+           "0.0073747395875134155",
+           "512,0.016748158830598561,0.00071918085521474389,0.73287150762161857,"
+           "0.015694814686238994"]),
+         # a bandwidth so small that some rows fall back to the whole sample
+         (["--model", "binary-k1", "--schedule", "h:0.01:0", "--n-grid", "50",
+           "--replications", "2"],
+          ["50,0.36166666666666669,0.023333333333333341,0.29000000000000004,"
+           "0.054999999999999986"])],
+        ids=["kernel-k2", "fallback"],
+    )
+    def test_stone_check_prints_pinned_rows(self, capsys, flags, rows):
+        assert main(["stone-check", *flags]) == 0
+        header = "n,max_weight,max_weight_se,far_weight,far_weight_se"
+        assert capsys.readouterr().out == "\r\n".join([header, *rows, ""])
+
+    @pytest.mark.parametrize(
         "flags",
         [["--schedule", "kappa-fixed:0"], ["--schedule", "kappa-fixed:-4"],
          ["--schedule", "kappa:0:0.5"], ["--schedule=kappa:-1:0.5"]],

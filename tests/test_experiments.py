@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from distreg import FunctionalSpec, kernel_bound, knn_bound, make_preset
-from distreg import experiments
+from distreg import experiments, ot
 from distreg.experiments import (
     STUDY_PRESETS,
     BandwidthPowerSchedule,
     ExperimentPlan,
     NeighborPowerSchedule,
     _fit_and_predict,
+    _risk_replication,
     bound_rows_csv,
     bound_vs_risk,
     fit_loglog_slope,
@@ -162,6 +163,21 @@ class TestRiskEstimate:
         assert w2_mean == pytest.approx(2.0 * w1_mean, rel=1e-12)
         assert w2_se == pytest.approx(2.0 * w1_se, rel=1e-12)
 
+    def test_higher_order_takes_the_power_of_the_merge(self):
+        # the p-th power comes from the quantile merge as it sums it, not
+        # from its p-th root raised to the power p again
+        model, scheme = make_preset("binary-k2"), KnnScheme(kappa=5)
+        setting = (model, scheme, 64, 9, 2, 0, 1)
+        queries, preds = _fit_and_predict(*setting)
+        laws = model.conditional_laws(queries)
+        powers = [
+            ot._quantile_power(pred.xs, pred.cum_weights, law.xs, law.cum_weights, 2.0)[0]
+            for pred, law in zip(preds, laws)
+        ]
+        assert _risk_replication((*setting, 2.0)) == float(np.mean(powers))
+        roots = [ot.wp_quantile(pred, law, 2.0) for pred, law in zip(preds, laws)]
+        assert powers == pytest.approx(np.square(roots), rel=1e-14)
+
     def test_higher_order_rejects_analytic_law(self):
         model = make_preset("gaussian-k1")
         with pytest.raises(NotImplementedError):
@@ -298,7 +314,7 @@ class TestStudies:
         def no_study(*args):
             raise AssertionError("a replication ran")
 
-        monkeypatch.setattr(experiments, "_run_payloads", no_study)
+        monkeypatch.setattr(experiments, "grid_study", no_study)
         with pytest.raises(ValueError, match="not read"):
             bound_vs_risk(plan, **constants)
 

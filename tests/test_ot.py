@@ -162,18 +162,76 @@ def test_exact_in_the_plane_matches_bruteforce_near_the_double_range(p):
         assert wp_exact(big_a, big_b, p)[0] == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
 @pytest.mark.parametrize("x", [1e-200, 1e-160, 1.0])
 def test_exact_in_the_plane_equals_the_line_on_the_x_axis(x, p):
     # below about 2^-500 the squares of a pair's differences may underflow,
-    # so that pair's norm is taken on differences scaled by a power of two
+    # so that pair's norm is taken on differences scaled by a power of two;
+    # p-th powers that leave the normal range are summed scaled the same way
     line = wp_exact(make_discrete([x, 2 * x], [0.25, 0.75]), dirac(0.0), p)[0]
     plane = wp_exact(
         make_discrete([[x, 0.0], [2 * x, 0.0]], [0.25, 0.75]), dirac([0.0, 0.0]), p
     )[0]
     assert plane == line
+    assert line == wp_quantile(make_discrete([x, 2 * x], [0.25, 0.75]), dirac(0.0), p)
     if p == 1.0:
         assert plane == 0.25 * x + 0.75 * 2 * x
+    assert plane == pytest.approx(x * (0.25 + 0.75 * 2**p) ** (1 / p), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "atoms, weights, p, expected",
+    [([1e-200], [1.0], 2.0, 1e-200),
+     ([1e-160], [1.0], 2.0, 1e-160),
+     ([1e-110], [1.0], 3.0, 1e-110),
+     ([1e-200, 1.0], [0.5, 0.5], 2.0, 1e-200 / np.sqrt(2.0))],
+    ids=["1e-200-p2", "1e-160-p2", "1e-110-p3", "half-1e-200-p2"],
+)
+def test_line_distances_whose_powers_underflow(atoms, weights, p, expected):
+    # the same measure with each atom rounded to a whole number
+    a, b = make_discrete(atoms, weights), make_discrete(np.round(atoms), weights)
+    assert wp_quantile(a, b, p) == pytest.approx(expected, rel=1e-15, abs=0.0)
+    value, plan = wp_exact(a, b, p)
+    assert value == wp_quantile(a, b, p)
+    assert plan.cost == value**p
+
+
+@pytest.mark.parametrize(
+    "atoms, weights, exact, max_sliced",
+    [([[1e-200, 0.0], [0.0, 1e-200]], [0.5, 0.5], 1e-200, 1e-200 / np.sqrt(2.0)),
+     ([[1e-160, 0.0]], [1.0], 1e-160, 1e-160)],
+    ids=["two-1e-200", "1e-160"],
+)
+def test_plane_distances_whose_powers_underflow(atoms, weights, exact, max_sliced):
+    a, b = make_discrete(atoms, weights), dirac([0.0, 0.0])
+    assert wp_exact(a, b, 2.0)[0] == pytest.approx(exact, rel=1e-15, abs=0.0)
+    got = max_sliced_wp(a, b, SlicedConfig(p=2.0))
+    assert got == pytest.approx(max_sliced, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_scaling_the_atoms_by_a_power_of_two_scales_the_distance(rng, p):
+    # scaled by 2^-k the powers leave the normal range, and the distance is
+    # still 2^-k times the unscaled one
+    for k in (600, 900):
+        for dim in (1, 2):
+            a, b = random_discrete(rng, 5, dim), random_discrete(rng, 5, dim)
+            small_a = make_discrete(np.ldexp(a.atoms, -k), a.weights)
+            small_b = make_discrete(np.ldexp(b.atoms, -k), b.weights)
+            expected = np.ldexp(wp_exact(a, b, p)[0], -k)
+            got = wp_exact(small_a, small_b, p)[0]
+            assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_exact_prices_the_plan_where_every_cost_underflows():
+    # every squared distance is 0 as a double; the plan that keeps each atom
+    # in place costs 0, the crossing one does not
+    a = make_discrete([[0.0, 0.0], [1e-200, 0.0]], [0.5, 0.5])
+    b = make_discrete([[1e-200, 0.0], [0.0, 0.0]], [0.5, 0.5])
+    value, plan = wp_exact(a, b, 2.0)
+    assert value == 0.0
+    carried = plan.masses > 0
+    assert sorted(zip(plan.sources[carried], plan.targets[carried])) == [(0, 1), (1, 0)]
 
 
 def test_exact_in_the_plane_is_not_below_max_sliced_where_squares_underflow():
@@ -192,7 +250,7 @@ def test_distances_keep_the_bits_of_the_norm_where_squares_are_normal(rng):
     normal = plain >= 2.0**-500
     assert normal.sum() == 6 * 6 - 2
     assert np.array_equal(got[normal], plain[normal])
-    assert got[5, 4] == pytest.approx(5e-200, rel=1e-15)
+    assert got[5, 4] == pytest.approx(5e-200, rel=1e-15, abs=0.0)
     assert got[5, 5] == 1.1125369292536007e-308
     assert wp_bruteforce(dirac(1.1125369292536007e-308), dirac(0.0), 1.0) == 1.1125369292536007e-308
 

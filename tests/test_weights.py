@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from distreg import KernelScheme, KnnScheme, kernel_weights, knn_weights
 from distreg.synth import make_preset
-from distreg.weights import evaluate_weights, stone_diagnostics
+from distreg._rng import grid_study
+from distreg.weights import _stone_replication, evaluate_weights, stone_diagnostics
 
 
 class TestKernelWeights:
@@ -160,3 +161,17 @@ class TestStoneDiagnostics:
             stone_diagnostics(
                 KnnScheme(1), model, [32], eps=0.1, replications=3, seed=0, test_points=0
             )
+
+    def test_runner_gives_the_same_rows_with_two_workers(self):
+        # the worker returns a tuple; each of its values is reduced in key
+        # order, so a pool of two processes changes no bit
+        model = make_preset("binary-k2")
+        schemes = {64: KernelScheme(0.3), 256: KnnScheme(kappa=7)}
+        grid = [(i, n, scheme) for i, (n, scheme) in enumerate(schemes.items())]
+        serial = grid_study(_stone_replication, model, grid, 5, 4, 3, 0.1)
+        assert grid_study(_stone_replication, model, grid, 5, 4, 3, 0.1, workers=2) == serial
+        assert [len(row) for row in serial] == [4, 4]
+        rows = stone_diagnostics(
+            schemes.get, model, list(schemes), eps=0.1, replications=5, seed=3
+        )
+        assert [tuple(vars(row).values())[1:] for row in rows] == serial
