@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import ceil
 
 import numpy as np
 
 from .regressor import FittedRegressor, weights_at
+from .weights import BandwidthPowerSchedule, NeighborPowerSchedule
 
 
 @dataclass(frozen=True)
@@ -155,36 +155,28 @@ class RateInfo:
     exponent: float
     knn_exponent: float
     knn_attains_rate: bool
-    _holder: float
-    _dim: int
-
-    def kernel_bandwidth(self, n: int) -> float:
-        return float(n) ** (-1.0 / (2.0 * self._holder + self._dim))
-
-    def knn_neighbors(self, n: int) -> int:
-        if self._dim == 1:
-            power = self._holder / (self._holder + 1.0)
-        else:
-            power = self._holder / (self._holder + self._dim / 2.0)
-        return max(1, min(n, ceil(float(n) ** power)))
+    kernel_schedule: BandwidthPowerSchedule
+    knn_schedule: NeighborPowerSchedule
 
 
 def minimax_rate(params: ClassParams) -> RateInfo:
     """Best attainable worst-case risk order n^exponent over the class.
 
-    Kernel weights with bandwidth n^(-1/(2H+k)) attain the exponent
-    -H/(2H+k) in every dimension; neighbor weights with the returned
-    schedule attain it only for k >= 2, dropping to -H/(2H+2) at k = 1.
+    Kernel weights with bandwidth n^(-1/(2H+k)) (``kernel_schedule``)
+    attain the exponent -H/(2H+k) in every dimension; neighbor weights with
+    kappa = ceil(n^(H/(H+k/2))) (``knn_schedule``, n^(H/(H+1)) at k = 1)
+    attain it only for k >= 2, dropping to -H/(2H+2) at k = 1.
     """
     hh, k = params.holder, params.dim
     exponent = -hh / (2.0 * hh + k)
     knn_exponent = -hh / (2.0 * hh + 2.0) if k == 1 else exponent
+    knn_power = hh / (hh + 1.0) if k == 1 else hh / (hh + k / 2.0)
     return RateInfo(
         exponent=exponent,
         knn_exponent=knn_exponent,
         knn_attains_rate=k >= 2,
-        _holder=hh,
-        _dim=k,
+        kernel_schedule=BandwidthPowerSchedule(1.0, -1.0 / (2.0 * hh + k)),
+        knn_schedule=NeighborPowerSchedule(1.0, knn_power),
     )
 
 

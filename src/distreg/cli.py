@@ -28,7 +28,6 @@ from .experiments import (
     parse_schedule,
     plan_from_config,
     rate_study,
-    scheme_at,
     whole,
     whole_list,
 )
@@ -325,7 +324,7 @@ def cmd_rates(args) -> int:
     cfg = _parse_config(args.config)
     plan = plan_from_config(cfg, _default_seed())
     if args.dry_run:
-        print(f"model={plan.model.name} family={plan.family}")
+        print(f"model={plan.model.name} family={plan.schedule.family}")
         print(f"n_grid={','.join(str(n) for n in plan.n_grid)}")
         print(
             f"replications={plan.replications} test_points={plan.test_points} "
@@ -387,13 +386,10 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_stone_check(args) -> int:
-    model = make_preset(args.model)
-    schedule = parse_schedule(args.schedule)
-    n_grid = whole_list(args.n_grid, "--n-grid")
     rows = stone_diagnostics(
-        lambda n: scheme_at(schedule, n),
-        model,
-        n_grid,
+        parse_schedule(args.schedule),
+        make_preset(args.model),
+        whole_list(args.n_grid, "--n-grid"),
         eps=args.eps,
         replications=args.replications,
         seed=args.seed,

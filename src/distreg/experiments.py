@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -23,58 +22,10 @@ from .measures import MeasureBatch
 from .ot import _quantile_power, w1_cdf, w1_vs_analytic
 from .regressor import fit, predict_many
 from .synth import make_preset
-from .weights import KernelScheme, KnnScheme
+from .weights import BandwidthPowerSchedule, NeighborPowerSchedule, study_grid
 
 _TAG_TRAIN = 11
 _TAG_TEST = 12
-
-
-# ---------------------------------------------------------------------------
-# Schedules (picklable so studies can run in worker processes)
-
-
-def _power_law(name: str, coef: float, exponent: float, n: int) -> float:
-    """coef * n^exponent; a value beyond the double range raises ValueError."""
-    try:
-        value = coef * float(n) ** exponent
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"schedule {name}(n) = {coef:g} * n^{exponent:g} overflows at n = {n}")
-    return value
-
-
-@dataclass(frozen=True)
-class BandwidthPowerSchedule:
-    """h(n) = coef * n^exponent."""
-
-    coef: float = 1.0
-    exponent: float = -1.0 / 3.0
-
-    def __call__(self, n: int) -> float:
-        return _power_law("h", self.coef, self.exponent, n)
-
-
-@dataclass(frozen=True)
-class NeighborPowerSchedule:
-    """kappa(n) = ceil(coef * n^exponent), capped at n."""
-
-    coef: float = 1.0
-    exponent: float = 0.5
-
-    def __post_init__(self):
-        if not 0 < self.coef < np.inf:
-            raise ValueError(f"kappa coefficient must be positive and finite, got {self.coef}")
-
-    def __call__(self, n: int) -> int:
-        return min(n, int(np.ceil(_power_law("kappa", self.coef, self.exponent, n))))
-
-
-def scheme_at(schedule, n: int):
-    """Kernel weights of bandwidth h(n) for a bandwidth schedule, else kappa(n)-NN."""
-    if isinstance(schedule, BandwidthPowerSchedule):
-        return KernelScheme(bandwidth=float(schedule(n)))
-    return KnnScheme(kappa=int(schedule(n)))
 
 
 @dataclass(frozen=True)
@@ -82,7 +33,7 @@ class ExperimentPlan:
     """A full study: model, schedule (which fixes the weights), grid and budgets."""
 
     model: object
-    schedule: Callable[[int], float]
+    schedule: BandwidthPowerSchedule | NeighborPowerSchedule
     n_grid: tuple[int, ...]
     replications: int
     test_points: int = 32
@@ -95,27 +46,16 @@ class ExperimentPlan:
         grid = tuple(int(n) for n in self.n_grid)
         if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be strictly increasing with >= 2 points")
-        if grid[0] < 1:
-            raise ValueError(f"sample sizes must be >= 1, got {grid[0]}")
-        if self.replications < 2:
-            raise ValueError("need at least 2 replications")
-        if self.test_points < 1:
-            raise ValueError(f"need at least 1 test point, got {self.test_points}")
+        # the checks of every study and of the schedule at each n, made
+        # before anything is sampled
+        study_grid(self.schedule, grid, self.replications, self.test_points)
         if not self.tolerance >= 0:
             raise ValueError(f"tolerance must be nonnegative, got {self.tolerance}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 1.0 <= self.p < np.inf:
             raise ValueError("order p must be finite and >= 1")
-        for n in grid:
-            if self.schedule(n) <= 0:
-                raise ValueError(f"schedule is nonpositive at n = {n}")
         object.__setattr__(self, "n_grid", grid)
-
-    @property
-    def family(self) -> str:
-        """``kernel`` for a bandwidth schedule, ``knn`` otherwise."""
-        return "kernel" if isinstance(self.schedule, BandwidthPowerSchedule) else "knn"
 
 
 @dataclass(frozen=True)
@@ -214,7 +154,7 @@ def _functional_replication(payload) -> float:
 
 
 def _plan_study(plan: ExperimentPlan, worker, extra, workers: int):
-    grid = [(n_index, n, scheme_at(plan.schedule, n)) for n_index, n in enumerate(plan.n_grid)]
+    grid = study_grid(plan.schedule, plan.n_grid, plan.replications, plan.test_points)
     return grid_study(
         worker, plan.model, grid, plan.replications, plan.test_points, plan.seed,
         extra, workers,
@@ -320,17 +260,17 @@ def bound_vs_risk(
     constant may be given: ``covering_const`` for kernel weights,
     ``neighbor_const`` for k-NN weights.
     """
-    params = plan.model.params
+    params, family = plan.model.params, plan.schedule.family
     if params is None:
         raise ValueError("bound comparison needs a model with declared class params")
-    if (covering_const if plan.family == "knn" else neighbor_const) is not None:
-        unread = "covering_const" if plan.family == "knn" else "neighbor_const"
-        raise ValueError(f"{unread} is not read by the {plan.family} bound")
+    if (covering_const if family == "knn" else neighbor_const) is not None:
+        unread = "covering_const" if family == "knn" else "neighbor_const"
+        raise ValueError(f"{unread} is not read by the {family} bound")
     # the bounds come first, so a constant they reject costs no study
     bounds = [
-        kernel_bound(params, n, float(plan.schedule(n)), covering_const)
-        if plan.family == "kernel"
-        else knn_bound(params, n, int(plan.schedule(n)), neighbor_const)
+        kernel_bound(params, n, plan.schedule(n), covering_const)
+        if family == "kernel"
+        else knn_bound(params, n, plan.schedule(n), neighbor_const)
         for n in plan.n_grid
     ]
     return [

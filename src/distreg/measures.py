@@ -10,6 +10,7 @@ piecewise computations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -293,11 +294,55 @@ def quantile_eval(dist: DiscreteDistribution, u):
 
 
 def moment(dist: DiscreteDistribution, p: float) -> float:
-    """Moment of order p >= 1: (sum_i w_i ||y_i||^p)^(1/p)."""
+    """Moment of order p >= 1: (sum_i w_i ||y_i||^p)^(1/p), of the norms
+    of :func:`_norms` and summed as :func:`_power_sum` sums."""
     if p < 1:
         raise ValueError("moment order must be >= 1")
-    norms = np.linalg.norm(dist.atoms, axis=1)
-    return float((dist.weights @ norms**p) ** (1.0 / p))
+    return _power_sum(dist.weights, _norms(dist.atoms), p)[1]
+
+
+# The smallest normal double.  A power below it is rounded to within 2^-1075,
+# half the last bit of any sum at or above it, so only a smaller sum of
+# powers has lost digits to underflow.
+_POWER_LOW = 2.0**-1022
+
+
+def _power_sum(masses, gaps, p) -> tuple[float, float]:
+    """sum(masses * gaps**p) and its p-th root, for masses summing to at
+    most 1.  Where the sum is below ``_POWER_LOW`` it is taken again of the
+    gaps scaled by the power of two that brings the largest into [1/2, 1),
+    and the root of that sum near 1 is scaled back, which keeps its digits;
+    the sum is then the root to the power p."""
+    with np.errstate(over="ignore"):
+        power = float(np.sum(masses * gaps**p))
+    top = gaps.max()
+    if not (power < _POWER_LOW and top > 0):
+        return power, power ** (1.0 / p)
+    shift = int(np.frexp(top)[1])
+    root = math.ldexp(float(np.sum(masses * np.ldexp(gaps, -shift) ** p)) ** (1.0 / p), shift)
+    return root**p, root
+
+
+# Below this norm the squares of a vector's entries may be subnormal or 0.
+_NORM_LOW = 2.0**-500
+
+
+def _norms(vectors):
+    """Euclidean norms along the last axis of ``vectors``.
+
+    The norm squares each entry.  Where a square overflows, or the norm is
+    below ``_NORM_LOW`` so that its squares may leave the normal range, the
+    norm of that vector is taken of its entries scaled by the power of two
+    of its own largest one, which is exact, and scaled back.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(vectors, axis=-1)
+        odd = ~((norms >= _NORM_LOW) & (norms < np.inf))
+        if odd.any():
+            rows = vectors[odd]
+            shift = np.frexp(np.abs(rows).max(axis=1))[1]
+            norms[odd] = np.ldexp(np.linalg.norm(np.ldexp(rows, -shift[:, None]), axis=1), shift)
+    return norms
 
 
 def dispersion(dist) -> float:

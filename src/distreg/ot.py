@@ -20,10 +20,13 @@ import numpy as np
 
 from ._rng import stream
 from .measures import (
+    _POWER_LOW,
     AnalyticDistribution1D,
     DiscreteDistribution,
     MeasureBatch,
+    _norms,
     _per_row,
+    _power_sum,
     _row_sums,
 )
 
@@ -165,28 +168,6 @@ def _quantile_power(xa, ca, xb, cb, p):
     return *_power_sum(lengths, gaps, p), ia, ib, lengths
 
 
-# The smallest normal double.  A power below it is rounded to within 2^-1075,
-# half the last bit of any sum at or above it, so only a smaller sum of
-# powers has lost digits to underflow.
-_POWER_LOW = 2.0**-1022
-
-
-def _power_sum(masses, gaps, p) -> tuple[float, float]:
-    """sum(masses * gaps**p) and its p-th root, for masses summing to at
-    most 1.  Where the sum is below ``_POWER_LOW`` it is taken again of the
-    gaps scaled by the power of two that brings the largest into [1/2, 1),
-    and the root of that sum near 1 is scaled back, which keeps its digits;
-    the sum is then the root to the power p."""
-    with np.errstate(over="ignore"):
-        power = float(np.sum(masses * gaps**p))
-    top = gaps.max()
-    if not (power < _POWER_LOW and top > 0):
-        return power, power ** (1.0 / p)
-    shift = int(np.frexp(top)[1])
-    root = math.ldexp(float(np.sum(masses * np.ldexp(gaps, -shift) ** p)) ** (1.0 / p), shift)
-    return root**p, root
-
-
 def _require_in_range(value, what="a distance") -> None:
     """Raise OverflowError when ``what`` between atoms was beyond the double
     range and came out inf or nan."""
@@ -321,29 +302,12 @@ def wp_exact(
     return root, plan
 
 
-# Below this norm the squares of a pair's differences may be subnormal or 0.
-_NORM_LOW = 2.0**-500
-
-
 def _distances(xa, xb):
-    """Euclidean distances between the rows of ``xa`` and those of ``xb``.
-
-    The norm squares each difference.  Where a square overflows, or the
-    norm is below ``_NORM_LOW`` so that its squares may leave the normal
-    range, the norm of that pair is taken of its differences scaled by the
-    power of two of its own largest one, which is exact, and scaled back.
-    """
+    """Euclidean distances between the rows of ``xa`` and those of ``xb``,
+    each pair's as :func:`_norms` takes it; a difference or a distance
+    beyond the double range raises OverflowError."""
     with np.errstate(over="ignore"):
-        diffs = xa[:, None, :] - xb[None, :, :]
-        dists = np.linalg.norm(diffs, axis=2)
-        odd = ~((dists >= _NORM_LOW) & (dists < np.inf))
-        if odd.any():
-            pairs = diffs[odd]
-            widest = np.abs(pairs).max(axis=1)
-            _require_in_range(widest.max())
-            shift = np.frexp(widest)[1]
-            norms = np.linalg.norm(np.ldexp(pairs, -shift[:, None]), axis=1)
-            dists[odd] = np.ldexp(norms, shift)
+        dists = _norms(xa[:, None, :] - xb[None, :, :])
     _require_in_range(dists.max())
     return dists
 
@@ -547,7 +511,7 @@ def wp_bruteforce(
     m, n = a.support_size, b.support_size
     if m > max_support or n > max_support:
         raise ValueError(f"brute force limited to supports <= {max_support}")
-    cost = _distances(a.atoms, b.atoms) ** p
+    dists = _distances(a.atoms, b.atoms)
     all_cells = [(i, j) for i in range(m) for j in range(n)]
     best = np.inf
     nodes = m + n
@@ -572,11 +536,12 @@ def wp_bruteforce(
         masses = _tree_flow(list(combo), a.weights, b.weights)
         if masses.min() < -1e-12:
             continue
-        # as in wp_exact, a mass rounded below 0 carries nothing
+        # as in wp_exact, a mass rounded below 0 carries nothing, and a plan
+        # is paid as _power_sum pays it
         masses = np.maximum(masses, 0.0)
-        total = sum(mass * cost[i, j] for mass, (i, j) in zip(masses, combo))
-        best = min(best, total)
-    return float(best ** (1.0 / p))
+        gaps = dists[tuple(np.array(combo).T)]
+        best = min(best, _power_sum(masses, np.where(masses > 0.0, gaps, 0.0), p)[1])
+    return float(best)
 
 
 # ---------------------------------------------------------------------------
@@ -607,26 +572,33 @@ def sliced_wp(
     Directions are i.i.d. uniform on the unit sphere (normalized Gaussians
     from a counter-based stream keyed by cfg.seed, so estimates are
     reproducible bit for bit).  Returns the p-th root of the average
-    together with the standard error of the mean of the p-th powers.
+    together with the standard error of the mean of the p-th powers.  An
+    average below ``_POWER_LOW`` may have lost digits to underflow; it is
+    then taken again from each direction's distance, as :func:`_power_sum`
+    takes a sum of powers.
     """
     _require_sliceable(a, b)
     rng = stream(cfg.seed, _STREAM_TAG)
     dirs = rng.standard_normal((cfg.num_directions, a.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    powers = np.array(
-        [_quantile_power(*_projected(a, u), *_projected(b, u), cfg.p)[0] for u in dirs]
-    )
+    powers, roots = np.array(
+        [_quantile_power(*_projected(a, u), *_projected(b, u), cfg.p)[:2] for u in dirs]
+    ).T
     # the mean sums the powers and the standard deviation squares them, and
     # either may overflow; scaling by a power of two that brings the largest
     # power near 1 is exact, so finite results keep every bit
     shift = np.frexp(powers.max())[1]
     scaled = np.ldexp(powers, -shift)
     mean = float(np.ldexp(scaled.mean(), shift))
+    value = mean ** (1.0 / cfg.p)
+    if mean < _POWER_LOW:  # the powers may have lost digits to underflow
+        share = np.full(cfg.num_directions, 1.0 / cfg.num_directions)
+        mean, value = _power_sum(share, roots, cfg.p)
     if cfg.num_directions > 1:
         se = float(np.ldexp(scaled.std(ddof=1), shift) / np.sqrt(cfg.num_directions))
     else:
         se = 0.0
-    return SlicedEstimate(value=mean ** (1.0 / cfg.p), stderr=se, power_mean=mean)
+    return SlicedEstimate(value=value, stderr=se, power_mean=mean)
 
 
 def _golden_max(f, lo, hi, tol):

@@ -3,11 +3,13 @@
 A weight scheme turns a covariate sample and a query point into nonnegative
 weights summing to one.  By construction the weights never see the response
 values, only the covariates (the X-property), so any scheme built here is a
-valid local-averaging scheme.
+valid local-averaging scheme.  A schedule maps each sample size n to its
+scheme, and :func:`study_grid` lays one out along the n grid of a study.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -50,6 +52,80 @@ class KnnScheme:
 
     def describe(self) -> str:
         return f"knn(kappa={self.kappa})"
+
+
+# ---------------------------------------------------------------------------
+# Schedules (picklable so studies can run in worker processes)
+
+
+def _power_law(name: str, coef: float, exponent: float, n: int) -> float:
+    """coef * n^exponent; a value beyond the double range raises ValueError."""
+    try:
+        value = coef * float(n) ** exponent
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"schedule {name}(n) = {coef:g} * n^{exponent:g} overflows at n = {n}")
+    return value
+
+
+def _checked(schedule, n: int):
+    """``schedule(n)`` for a sample size n >= 1, which must be positive."""
+    if n < 1:
+        raise ValueError(f"sample sizes must be >= 1, got {n}")
+    value = schedule(n)
+    if value <= 0:
+        raise ValueError(f"schedule is nonpositive at n = {n}")
+    return value
+
+
+@dataclass(frozen=True)
+class BandwidthPowerSchedule:
+    """Kernel weights of bandwidth h(n) = coef * n^exponent."""
+
+    coef: float = 1.0
+    exponent: float = -1.0 / 3.0
+    family = "kernel"
+
+    def __call__(self, n: int) -> float:
+        return _power_law("h", self.coef, self.exponent, n)
+
+    def scheme(self, n: int) -> KernelScheme:
+        """The weights at sample size n, the one place the schedule is checked."""
+        return KernelScheme(_checked(self, n))
+
+
+@dataclass(frozen=True)
+class NeighborPowerSchedule:
+    """kappa(n)-NN weights, kappa(n) = ceil(coef * n^exponent) capped at n."""
+
+    coef: float = 1.0
+    exponent: float = 0.5
+    family = "knn"
+
+    def __post_init__(self):
+        if not 0 < self.coef < np.inf:
+            raise ValueError(f"kappa coefficient must be positive and finite, got {self.coef}")
+
+    def __call__(self, n: int) -> int:
+        return min(n, int(np.ceil(_power_law("kappa", self.coef, self.exponent, n))))
+
+    def scheme(self, n: int) -> KnnScheme:
+        """The weights at sample size n, the one place the schedule is checked."""
+        return KnnScheme(_checked(self, n))
+
+
+def study_grid(schedule, n_grid, replications: int, test_points: int) -> list:
+    """The ``(n_index, n, scheme)`` points of a study of ``schedule`` along
+    ``n_grid``, after the checks that every study makes before it samples."""
+    sizes = [int(n) for n in n_grid]
+    if not sizes:
+        raise ValueError("n_grid must be nonempty")
+    if replications < 2:
+        raise ValueError("need at least 2 replications for standard errors")
+    if test_points < 1:
+        raise ValueError(f"need at least 1 test point, got {test_points}")
+    return [(n_index, n, schedule.scheme(n)) for n_index, n in enumerate(sizes)]
 
 
 def _as_matrix(covariates) -> np.ndarray:
@@ -271,7 +347,7 @@ class DiagnosticsRow:
 
 
 def stone_diagnostics(
-    scheme_for_n,
+    schedule,
     model,
     n_grid,
     eps: float,
@@ -279,7 +355,8 @@ def stone_diagnostics(
     seed: int,
     test_points: int = 4,
 ) -> list[DiagnosticsRow]:
-    """Monte-Carlo estimates of the two checkable weight-consistency limits.
+    """Monte-Carlo estimates of the two checkable weight-consistency limits
+    of ``schedule``'s weights along ``n_grid``.
 
     For each sample size the table reports E[max_i W_i(X)] and the expected
     weight mass E[sum_i W_i(X) 1{||X_i - X|| > eps}] placed outside the
@@ -292,17 +369,9 @@ def stone_diagnostics(
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if test_points < 1:
-        raise ValueError(f"need at least 1 test point, got {test_points}")
-    n_grid = [int(n) for n in n_grid]
-    if not n_grid:
-        raise ValueError("n_grid must be nonempty")
-    if replications < 2:
-        raise ValueError("need at least 2 replications for standard errors")
-    schemer = scheme_for_n if callable(scheme_for_n) else (lambda _n: scheme_for_n)
-    grid = [(n_idx, n, schemer(n)) for n_idx, n in enumerate(n_grid)]
+    grid = study_grid(schedule, n_grid, replications, test_points)
     stats = grid_study(_stone_replication, model, grid, replications, test_points, seed, eps)
-    return [DiagnosticsRow(n, *row) for n, row in zip(n_grid, stats)]
+    return [DiagnosticsRow(n, *row) for (_, n, _), row in zip(grid, stats)]
 
 
 def _stone_replication(payload) -> tuple[float, float]:

@@ -33,7 +33,7 @@ from distreg.experiments import (
     rate_study,
 )
 from distreg.functionals import FunctionalSpec
-from distreg.weights import KernelScheme, KnnScheme, stone_diagnostics
+from distreg.weights import stone_diagnostics
 
 
 def _report(criterion, passed, detail=""):
@@ -292,15 +292,14 @@ def test_c10_weight_diagnostics():
         return True
 
     knn_rows = stone_diagnostics(
-        lambda n: KnnScheme(kappa=int(np.ceil(np.sqrt(n)))),
-        model, n_grid, eps=0.05, replications=12, seed=110,
+        NeighborPowerSchedule(1.0, 0.5), model, n_grid, eps=0.05, replications=12, seed=110,
     )
     kern_rows = stone_diagnostics(
-        lambda n: KernelScheme(bandwidth=float(n) ** (-1.0 / 3.0)),
-        model, n_grid, eps=0.05, replications=12, seed=110,
+        BandwidthPowerSchedule(1.0, -1.0 / 3.0), model, n_grid, eps=0.05, replications=12,
+        seed=110,
     )
     single = stone_diagnostics(
-        KnnScheme(kappa=1), model, [2**8, 2**11, 2**14],
+        NeighborPowerSchedule(1.0, 0.0), model, [2**8, 2**11, 2**14],
         eps=0.05, replications=4, seed=110,
     )
     unit_max = all(r.max_weight == 1.0 for r in single)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -145,10 +147,31 @@ class TestMinimaxRate:
 
     def test_schedules(self):
         info = minimax_rate(params_k(1))
-        assert info.kernel_bandwidth(1000) == pytest.approx(1000 ** (-1 / 3))
+        assert info.kernel_schedule(1000) == pytest.approx(1000 ** (-1 / 3))
+        assert info.kernel_schedule.family == "kernel"
         info2 = minimax_rate(params_k(2))
-        assert info2.knn_neighbors(10_000) == int(np.ceil(10_000**0.5))
-        assert 1 <= info2.knn_neighbors(1) <= 1
+        assert info2.knn_schedule(10_000) == int(np.ceil(10_000**0.5))
+        assert 1 <= info2.knn_schedule(1) <= 1
+        assert info2.knn_schedule.scheme(10_000) == KnnScheme(kappa=100)
+
+    @pytest.mark.parametrize("holder", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_schedules_equal_the_closed_forms_they_replaced(self, holder, k):
+        # the former RateInfo.kernel_bandwidth and knn_neighbors, as written
+        def kernel_bandwidth(n):
+            return float(n) ** (-1.0 / (2.0 * holder + k))
+
+        def knn_neighbors(n):
+            power = holder / (holder + 1.0) if k == 1 else holder / (holder + k / 2.0)
+            return max(1, min(n, math.ceil(float(n) ** power)))
+
+        info = minimax_rate(params_k(k, holder=holder))
+        edges = [m * 2**e + d for e in range(31) for m in (1, 3) for d in (-1, 0, 1)]
+        drawn = np.random.default_rng(k).integers(1, 2**31, size=500).tolist()
+        for n in sorted({*range(1, 2049), *edges, *drawn, 2**31} - {0}):
+            assert info.kernel_schedule(n).hex() == kernel_bandwidth(n).hex()
+            kappa = info.knn_schedule(n)
+            assert type(kappa) is int and kappa == knn_neighbors(n)
 
     def test_monotone_in_holder_and_dim(self):
         hs = [0.3, 0.5, 0.8, 1.0]

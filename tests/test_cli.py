@@ -279,6 +279,18 @@ class TestDistanceCommand:
             printed.append(captured.out)
         assert printed == [f"{value}\n"] * 2
 
+    @pytest.mark.parametrize(
+        "method, printed",
+        [("exact", "1e-200\n"), ("max-sliced", "7.07106781187e-201\n"),
+         ("sliced", "7.07106781187e-201 0\n")],
+        ids=["exact", "max-sliced", "sliced"],
+    )
+    def test_distance_whose_powers_underflow_in_the_plane(self, tmp_path, capsys, method, printed):
+        a = write(tmp_path / "a.csv", "y1,y2,weight\n1e-200,0,0.5\n0,1e-200,0.5\n")
+        b = write(tmp_path / "b.csv", "y1,y2,weight\n0,0,1\n")
+        assert main(["distance", a, b, "--method", method, "--order", "2"]) == 0
+        assert capsys.readouterr() == (printed, "")
+
     def test_exact_distance_whose_squares_overflow_in_the_plane(self, tmp_path, capsys):
         # both coordinates differ by 3e200: the gap is 3e200 sqrt 2
         a = write(tmp_path / "a.csv", "y1,y2,weight\n-1e200,-1e200,1\n")
@@ -1040,6 +1052,29 @@ class TestSeedsAndWholeNumbers:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
         assert not list(tmp_path.glob("rates.*"))
+
+
+class TestSampleSizesBelowOne:
+    # every study checks its sample sizes in one place, with one message
+    SCHEDULES = ["h:1:-0.25", "h:1:0.5", "kappa:1:0.5", "kappa-fixed:3"]
+
+    @pytest.mark.parametrize("n_grid, n", [("0", 0), ("-5", -5), ("64,0", 0)])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_stone_check(self, capsys, schedule, n_grid, n):
+        argv = ["stone-check", "--model", "binary-k1", "--replications", "2",
+                "--schedule", schedule, f"--n-grid={n_grid}"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: sample sizes must be >= 1, got {n}\n")
+
+    @pytest.mark.parametrize("dry", [["--dry-run"], []], ids=["dry-run", "run"])
+    @pytest.mark.parametrize("n_grid, n", [("0,8", 0), ("-5,8", -5)])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_rates(self, tmp_path, capsys, monkeypatch, schedule, n_grid, n, dry):
+        monkeypatch.chdir(tmp_path)
+        cfg = write(tmp_path / "r.cfg", f"model=binary-k1\nschedule={schedule}\nn_grid={n_grid}\n")
+        assert main(["rates", "--config", cfg, *dry]) == 2
+        assert capsys.readouterr() == ("", f"error: sample sizes must be >= 1, got {n}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.cfg"]
 
 
 class TestOtherCommands:

@@ -22,7 +22,6 @@ from distreg.experiments import (
     plan_from_config,
     rate_study,
     risk_estimate,
-    scheme_at,
 )
 from distreg.weights import KernelScheme, KnnScheme
 
@@ -108,8 +107,8 @@ class TestPlanValidation:
     )
     def test_schedule_fixes_family_scheme_and_bound(self, schedule, family, scheme_type):
         plan = tiny_plan(schedule=schedule, n_grid=(128, 256), replications=2, test_points=2)
-        assert plan.family == family
-        assert isinstance(scheme_at(plan.schedule, 128), scheme_type)
+        assert plan.schedule.family == family
+        assert isinstance(plan.schedule.scheme(128), scheme_type)
         params = plan.model.params
         bound = kernel_bound if family == "kernel" else knn_bound
         expected = [bound(params, n, plan.schedule(n)) for n in plan.n_grid]
@@ -117,7 +116,7 @@ class TestPlanValidation:
 
     def test_scheme_at(self):
         plan = tiny_plan(schedule=NeighborPowerSchedule(1.0, 0.5))
-        assert scheme_at(plan.schedule, 256) == KnnScheme(kappa=16)
+        assert plan.schedule.scheme(256) == KnnScheme(kappa=16)
 
 
 class TestRiskEstimate:
@@ -354,7 +353,7 @@ class TestPresets:
         assert sorted(former) == sorted(STUDY_PRESETS)
         for name, (model, family, schedule, n_grid, reps, points, target) in former.items():
             plan = make_experiment_preset(name, seed=seed)
-            assert plan.family == family
+            assert plan.schedule.family == family
             assert plan == ExperimentPlan(
                 model=make_preset(model),
                 schedule=schedule,
@@ -378,7 +377,7 @@ class TestPresets:
         plan = plan_from_config(
             {"model": "binary-k1", "schedule": "kappa-fixed:5", "n_grid": "64,128"}, seed=4
         )
-        assert (plan.family, plan.schedule) == ("knn", NeighborPowerSchedule(5, 0.0))
+        assert (plan.schedule.family, plan.schedule) == ("knn", NeighborPowerSchedule(5, 0.0))
         assert (plan.replications, plan.test_points, plan.seed) == (16, 16, 4)
         assert (plan.p, plan.target_exponent, plan.tolerance) == (1.0, None, 0.08)
 

@@ -23,7 +23,14 @@ from distreg import Dataset, KernelScheme, KnnScheme, fit, make_discrete, pointw
 from distreg._rng import stream
 from distreg.regressor import predict_distribution, predict_many
 from distreg.synth import make_preset
-from distreg.weights import _STONE_TAG, NeighbourIndex, evaluate_weights, stone_diagnostics
+from distreg.weights import (
+    _STONE_TAG,
+    BandwidthPowerSchedule,
+    NeighborPowerSchedule,
+    NeighbourIndex,
+    evaluate_weights,
+    stone_diagnostics,
+)
 
 
 def scan_knn(xs, q, kappa):
@@ -313,6 +320,13 @@ def weight_scheme(draw, n):
     return KernelScheme(bandwidth=1e-9)
 
 
+def constant_schedule(scheme):
+    """The schedule whose scheme is ``scheme`` at every n it is drawn for."""
+    if isinstance(scheme, KnnScheme):
+        return NeighborPowerSchedule(scheme.kappa, 0)
+    return BandwidthPowerSchedule(scheme.bandwidth, 0)
+
+
 def close(value, oracle, abs_tol=0.0):
     return abs(value - oracle) <= max(1e-12 * abs(oracle), abs_tol)
 
@@ -332,8 +346,8 @@ class TestSparseConsumersMatchDenseWeights:
         model = make_preset(name)
         scheme = data.draw(weight_scheme(min(n_grid)))
         rows = stone_diagnostics(
-            scheme, model, n_grid, eps=eps, replications=replications, seed=seed,
-            test_points=test_points,
+            constant_schedule(scheme), model, n_grid, eps=eps, replications=replications,
+            seed=seed, test_points=test_points,
         )
         for n_idx, (n, row) in enumerate(zip(n_grid, rows)):
             max_w, max_se, far_w, far_se = dense_stone_row(
@@ -357,7 +371,9 @@ class TestSparseConsumersMatchDenseWeights:
     def test_stone_diagnostics_equals_the_per_query_loop(self, seed, name, n_grid, eps, data):
         model = make_preset(name)
         scheme = data.draw(weight_scheme(min(n_grid)))
-        rows = stone_diagnostics(scheme, model, n_grid, eps=eps, replications=3, seed=seed)
+        rows = stone_diagnostics(
+            constant_schedule(scheme), model, n_grid, eps=eps, replications=3, seed=seed
+        )
         for n_idx, (n, row) in enumerate(zip(n_grid, rows)):
             want = loop_stone_row(scheme, model, n_idx, n, eps, 3, seed, 4)
             got = (row.max_weight, row.max_weight_se, row.far_weight, row.far_weight_se)

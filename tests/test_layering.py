@@ -56,3 +56,13 @@ def test_the_command_line_leaves_the_process_pool_unloaded():
     # the study loop imports its pool only when a study asks for workers
     code = "import sys, distreg.cli; print(sorted(m for m in sys.modules if 'concurrent' in m))"
     assert fresh_interpreter(code) == "[]"
+
+
+def test_the_schedules_leave_the_study_harness_unloaded():
+    # the schedules live with the schemes they produce, below the studies
+    code = (
+        "import sys, importlib; importlib.import_module(sys.argv[1]); "
+        "print('distreg.experiments' in sys.modules)"
+    )
+    for name in ("distreg.weights", "distreg.bounds"):
+        assert fresh_interpreter(code, name) == "False", name

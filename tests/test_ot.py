@@ -221,6 +221,11 @@ def test_scaling_the_atoms_by_a_power_of_two_scales_the_distance(rng, p):
             expected = np.ldexp(wp_exact(a, b, p)[0], -k)
             got = wp_exact(small_a, small_b, p)[0]
             assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+            if dim == 2:
+                cfg = SlicedConfig(p=p, num_directions=16, seed=k)
+                expected = np.ldexp(sliced_wp(a, b, cfg).value, -k)
+                got = sliced_wp(small_a, small_b, cfg).value
+                assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_exact_prices_the_plan_where_every_cost_underflows():
@@ -232,6 +237,18 @@ def test_exact_prices_the_plan_where_every_cost_underflows():
     assert value == 0.0
     carried = plan.masses > 0
     assert sorted(zip(plan.sources[carried], plan.targets[carried])) == [(0, 1), (1, 0)]
+
+
+def test_powers_that_underflow_in_the_plane_keep_their_digits():
+    # every projection of the pair has W2 = 1e-200 / sqrt 2, and its norms
+    # are 1e-200: their squares underflow to 0 as doubles
+    a = make_discrete([[1e-200, 0.0], [0.0, 1e-200]], [0.5, 0.5])
+    b = dirac([0.0, 0.0])
+    assert wp_bruteforce(a, b, 2.0) == pytest.approx(1e-200, rel=1e-15, abs=0.0)
+    assert moment(a, 2.0) == pytest.approx(1e-200, rel=1e-15, abs=0.0)
+    assert moment(dirac(1e-200), 2.0) == 1e-200
+    got = sliced_wp(a, b, SlicedConfig(p=2.0)).value
+    assert got == pytest.approx(1e-200 / np.sqrt(2.0), rel=1e-15, abs=0.0)
 
 
 def test_exact_in_the_plane_is_not_below_max_sliced_where_squares_underflow():

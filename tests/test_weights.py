@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 from distreg import KernelScheme, KnnScheme, kernel_weights, knn_weights
 from distreg.synth import make_preset
 from distreg._rng import grid_study
-from distreg.weights import _stone_replication, evaluate_weights, stone_diagnostics
+from distreg.weights import (
+    BandwidthPowerSchedule,
+    NeighborPowerSchedule,
+    _stone_replication,
+    evaluate_weights,
+    stone_diagnostics,
+)
 
 
 class TestKernelWeights:
@@ -109,17 +115,14 @@ class TestStoneDiagnostics:
     def test_single_neighbor_max_weight_is_one(self):
         model = make_preset("binary-k1")
         rows = stone_diagnostics(
-            KnnScheme(kappa=1), model, [128, 512], eps=0.1, replications=3, seed=2
+            NeighborPowerSchedule(1, 0), model, [128, 512], eps=0.1, replications=3, seed=2
         )
         assert all(row.max_weight == 1.0 for row in rows)
         assert all(row.max_weight_se == 0.0 for row in rows)
 
     def test_valid_schedules_shrink(self):
         model = make_preset("binary-k1")
-
-        def knn_sqrt(n):
-            return KnnScheme(kappa=int(np.ceil(np.sqrt(n))))
-
+        knn_sqrt = NeighborPowerSchedule(1, 0.5)
         rows = stone_diagnostics(
             knn_sqrt, model, [64, 512, 4096], eps=0.05, replications=6, seed=4
         )
@@ -142,24 +145,26 @@ class TestStoneDiagnostics:
     def test_validation(self):
         model = make_preset("binary-k1")
         with pytest.raises(ValueError):
-            stone_diagnostics(KnnScheme(1), model, [], eps=0.1, replications=3, seed=0)
+            stone_diagnostics(NeighborPowerSchedule(1, 0), model, [], eps=0.1, replications=3, seed=0)
         with pytest.raises(ValueError):
-            stone_diagnostics(KnnScheme(1), model, [32], eps=-1.0, replications=3, seed=0)
+            stone_diagnostics(NeighborPowerSchedule(1, 0), model, [32], eps=-1.0, replications=3, seed=0)
         with pytest.raises(ValueError):
-            stone_diagnostics(KnnScheme(1), model, [32], eps=0.1, replications=1, seed=0)
+            stone_diagnostics(NeighborPowerSchedule(1, 0), model, [32], eps=0.1, replications=1, seed=0)
 
     def test_nan_eps_rejected(self):
         model = make_preset("binary-k1")
         with pytest.raises(ValueError, match="eps"):
             stone_diagnostics(
-                KnnScheme(1), model, [32], eps=float("nan"), replications=3, seed=0
+                NeighborPowerSchedule(1, 0), model, [32], eps=float("nan"), replications=3,
+                seed=0,
             )
 
     def test_zero_test_points_rejected(self):
         model = make_preset("binary-k1")
         with pytest.raises(ValueError, match="test point"):
             stone_diagnostics(
-                KnnScheme(1), model, [32], eps=0.1, replications=3, seed=0, test_points=0
+                NeighborPowerSchedule(1, 0), model, [32], eps=0.1, replications=3, seed=0,
+                test_points=0,
             )
 
     def test_runner_gives_the_same_rows_with_two_workers(self):
@@ -171,7 +176,10 @@ class TestStoneDiagnostics:
         serial = grid_study(_stone_replication, model, grid, 5, 4, 3, 0.1)
         assert grid_study(_stone_replication, model, grid, 5, 4, 3, 0.1, workers=2) == serial
         assert [len(row) for row in serial] == [4, 4]
-        rows = stone_diagnostics(
-            schemes.get, model, list(schemes), eps=0.1, replications=5, seed=3
+        # each scheme is a constant schedule, whose row at its own n index
+        # has the keys of the grid above
+        kernel, knn = (
+            stone_diagnostics(schedule, model, list(schemes), eps=0.1, replications=5, seed=3)
+            for schedule in (BandwidthPowerSchedule(0.3, 0), NeighborPowerSchedule(7, 0))
         )
-        assert [tuple(vars(row).values())[1:] for row in rows] == serial
+        assert [tuple(vars(row).values())[1:] for row in (kernel[0], knn[1])] == serial
