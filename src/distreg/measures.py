@@ -24,7 +24,8 @@ WEIGHT_SUM_TOL = 1e-12
 
 DISPERSION_QUAD_TOL = 1e-12
 
-_FIELDS = ("atoms", "weights", "offsets", "cum_weights")  # of a MeasureBatch
+# the types of one real number, of Python or numpy; an array is none of them
+_REAL = (int, float, np.integer, np.floating)
 
 
 def _row_blocks(offsets: np.ndarray):
@@ -84,8 +85,8 @@ class MeasureBatch:
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float)
-        if atoms.ndim == 1:
-            atoms = atoms[:, None]
+        if atoms.ndim < 2:  # a scalar is one atom, a vector m atoms, on the line
+            atoms = atoms.reshape(-1, 1)
         weights = np.asarray(self.weights, dtype=float).reshape(-1)
         offsets = np.asarray(self.offsets, dtype=np.intp).reshape(-1)
         if atoms.ndim != 2 or atoms.shape[0] != weights.shape[0]:
@@ -110,9 +111,7 @@ class MeasureBatch:
             steps[last[:-1]] = 1.0  # a step across a row boundary may go down
             if np.any(steps <= 0):
                 raise ValueError("1-d rows must be strictly increasing")
-        for name, arr in zip(_FIELDS, (atoms, weights, offsets, cum)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, atoms=atoms, weights=weights, offsets=offsets, cum_weights=cum)
 
     @property
     def dim(self) -> int:
@@ -138,19 +137,18 @@ class MeasureBatch:
 class DiscreteDistribution(MeasureBatch):
     """Finitely supported probability measure on R^d: a batch of one row.
 
-    ``atoms`` has shape (m, d) and ``weights`` shape (m,).  Unlike a
-    batch, it copies the arrays it is given, so the caller keeps them
-    writable and cannot change the measure through them.  Build it through
-    :func:`make_discrete`, which normalizes weights, drops zero-weight atoms
-    and, for d = 1, sorts the support and merges duplicate atoms.
+    ``weights`` has shape (m,), and ``atoms`` shape (m, d), or (m,) for m
+    atoms on the line, as for a batch; a scalar is one atom on the line.
+    Unlike a batch, it copies the arrays it is given, so the caller keeps
+    them writable and cannot change the measure through them.  Build it
+    through :func:`make_discrete`, which normalizes weights, drops
+    zero-weight atoms and, for d = 1, sorts the support and merges
+    duplicate atoms.
     """
 
     def __init__(self, atoms, weights):
         weights = np.array(weights, dtype=float).reshape(-1)
-        atoms = np.atleast_2d(np.array(atoms, dtype=float))
-        for name, value in zip(_FIELDS, (atoms, weights, [0, weights.shape[0]])):
-            object.__setattr__(self, name, value)
-        self.__post_init__()
+        MeasureBatch.__init__(self, np.array(atoms, dtype=float), weights, [0, weights.shape[0]])
 
     @property
     def support_size(self) -> int:
@@ -166,15 +164,21 @@ class DiscreteDistribution(MeasureBatch):
         return self.weights @ self.atoms
 
 
+def _freeze(frozen, **arrays: np.ndarray):
+    """Set each of ``arrays`` as the field of that name of the frozen
+    dataclass ``frozen``, made read-only, and return ``frozen``."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(frozen, name, arr)
+    return frozen
+
+
 def _unchecked(atoms, weights, cum_weights) -> DiscreteDistribution:
-    """A DiscreteDistribution from read-only arrays that already satisfy
-    every check of ``__post_init__``, built without running them again."""
-    dist = object.__new__(DiscreteDistribution)
+    """A DiscreteDistribution from arrays that already satisfy every check
+    of ``__post_init__``, built without running them again."""
     offsets = np.array([0, weights.shape[0]], dtype=np.intp)
-    offsets.setflags(write=False)
-    for name, arr in zip(_FIELDS, (atoms, weights, offsets, cum_weights)):
-        object.__setattr__(dist, name, arr)
-    return dist
+    return _freeze(object.__new__(DiscreteDistribution), atoms=atoms, weights=weights,
+                   offsets=offsets, cum_weights=cum_weights)
 
 
 def _per_row(values: np.ndarray, *dists):
@@ -216,10 +220,8 @@ def make_discrete(atoms, weights) -> DiscreteDistribution:
     merged by summing their weights.
     """
     pts = np.asarray(atoms, dtype=float)
-    if pts.ndim == 0:
-        pts = pts.reshape(1, 1)
-    elif pts.ndim == 1:
-        pts = pts[:, None]
+    if pts.ndim < 2:  # read as MeasureBatch reads them
+        pts = pts.reshape(-1, 1)
     elif pts.ndim != 2:
         raise ValueError("atoms must be scalars, a vector, or an (m, d) array")
     w = np.asarray(weights, dtype=float).reshape(-1)
@@ -250,9 +252,18 @@ def make_discrete(atoms, weights) -> DiscreteDistribution:
     # the checks above are those of DiscreteDistribution, so skip its own
     cum = np.cumsum(w)
     cum[-1] = 1.0
-    for arr in (pts, w, cum):
-        arr.setflags(write=False)
     return _unchecked(pts, w, cum)
+
+
+def _whole_count(value, name: str) -> int:
+    """``value`` as an int, where it is one whole number >= 1: an int, a
+    numpy integer or an integral float.  Anything else, such as 2.5 or a
+    one-entry array, raises ValueError naming the field ``name``."""
+    if not (isinstance(value, _REAL) and abs(value) < math.inf and value == int(value)):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return int(value)
 
 
 def _require_finite(atoms: np.ndarray, weights: np.ndarray) -> None:

@@ -28,6 +28,7 @@ from .measures import (
     _per_row,
     _power_sum,
     _row_sums,
+    _whole_count,
 )
 
 SIZE_GUARD = 1_000_000
@@ -76,8 +77,8 @@ class SlicedConfig:
     def __post_init__(self):
         if not 1.0 <= self.p < np.inf:
             raise ValueError("order p must be finite and >= 1")
-        if self.num_directions < 1:
-            raise ValueError("num_directions must be >= 1")
+        count = _whole_count(self.num_directions, "num_directions")
+        object.__setattr__(self, "num_directions", count)
 
 
 @dataclass(frozen=True)

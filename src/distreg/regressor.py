@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import DiscreteDistribution, MeasureBatch
+from .measures import DiscreteDistribution, MeasureBatch, _freeze
 from .weights import KernelScheme, KnnScheme, NeighbourIndex, WeightBatch, _as_row
 
 
@@ -40,10 +40,7 @@ class Dataset:
             raise ValueError("dataset must contain at least one observation")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
             raise ValueError("covariates and responses must be finite")
-        xs.setflags(write=False)
-        ys.setflags(write=False)
-        object.__setattr__(self, "covariates", xs)
-        object.__setattr__(self, "responses", ys)
+        _freeze(self, covariates=xs, responses=ys)
 
     @property
     def n(self) -> int:
@@ -120,10 +117,9 @@ def predict_many(model: FittedRegressor, queries) -> MeasureBatch:
         # the L m row counts, about a third of what gathering and sorting a
         # selected point costs, and hold no more than the gather's three
         # selection-long arrays: take them while there are at most three
-        # such entries per selected point
-        if model.levels.shape[0] * (index.n + 1 + lo.shape[0]) <= 3 * sizes.sum():
-            return _prefix_counts(model, lo, hi)
-        idx = index.slice_indices(lo, hi)
+        # such entries per selected point, and gather the slices otherwise
+        prefix = model.levels.shape[0] * (index.n + 1 + lo.shape[0]) <= 3 * sizes.sum()
+        idx = None if prefix else index.slice_indices(lo, hi)
     else:
         selected = index.select(scheme, queries)
         offsets, idx = selected.offsets, selected.indices
@@ -134,29 +130,34 @@ def predict_many(model: FittedRegressor, queries) -> MeasureBatch:
         if model.groups is None:
             return MeasureBatch(model.dataset.responses[idx], np.repeat(1.0 / sizes, sizes), offsets)
     # one key per (query, distinct response), row * width + rank: sorted
-    # keys put the batch in row order with each row's responses ascending
+    # keys put the batch in row order with each row's responses ascending;
+    # both counting routes give the distinct keys and the count of each
     width = model.levels.shape[0]
-    keys = np.repeat(np.arange(sizes.shape[0]) * width, sizes)
-    keys += model.groups[idx]
-    del idx
-    # np.unique with counts, sorting in place instead of on a copy
-    keys.sort()
-    new = np.ones(keys.shape[0], dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    first = np.flatnonzero(new)
-    counts = np.diff(first, append=keys.shape[0])
-    keys = keys[first]
-    del new, first
+    if idx is None:
+        keys, counts = _prefix_counts(model, lo, hi)
+    else:
+        keys = np.repeat(np.arange(sizes.shape[0]) * width, sizes)
+        keys += model.groups[idx]
+        del idx
+        # np.unique with counts, sorting in place instead of on a copy
+        keys.sort()
+        new = np.ones(keys.shape[0], dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        first = np.flatnonzero(new)
+        counts = np.diff(first, append=keys.shape[0])
+        keys = keys[first]
+        del new, first
     offsets = np.searchsorted(keys, np.arange(sizes.shape[0] + 1) * width)
     atoms = model.levels[keys % width]
     del keys
     return MeasureBatch(atoms, counts / np.repeat(sizes, np.diff(offsets)), offsets)
 
 
-def _prefix_counts(model: FittedRegressor, lo, hi) -> MeasureBatch:
-    """Predictions from the slices [lo, hi) of the sorted line, each row's
-    counts being prefix[hi] - prefix[lo] of the (n + 1) x L prefix counts
-    of the response ranks in line order."""
+def _prefix_counts(model: FittedRegressor, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending keys row * L + rank of the slices [lo, hi) of the
+    sorted line, and the count of each, row i's counts being
+    prefix[hi] - prefix[lo] of the (n + 1) x L prefix counts of the
+    response ranks in line order."""
     index, width = model.index, model.levels.shape[0]
     prefix = np.zeros((index.n + 1, width), dtype=np.intp)
     # a 1 at (line position + 1, rank), set through the flat view
@@ -164,9 +165,9 @@ def _prefix_counts(model: FittedRegressor, lo, hi) -> MeasureBatch:
     np.cumsum(prefix, axis=0, out=prefix)
     counts = prefix[hi] - prefix[lo]
     del prefix
-    rows, ranks = np.nonzero(counts)
-    offsets = np.searchsorted(rows, np.arange(lo.shape[0] + 1))
-    return MeasureBatch(model.levels[ranks], counts[rows, ranks] / (hi - lo)[rows], offsets)
+    # the flat place of (row, rank) in the q x L counts is its key
+    keys = np.flatnonzero(counts)
+    return keys, counts.reshape(-1)[keys]
 
 
 def predict_distribution(model: FittedRegressor, x) -> DiscreteDistribution:

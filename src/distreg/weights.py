@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from ._rng import grid_study, stream
-from .measures import _row_sums
+from .measures import _REAL, _row_sums, _whole_count
 
 _STONE_TAG = 83
 
@@ -29,6 +29,8 @@ class KernelScheme:
     bandwidth: float
 
     def __post_init__(self):
+        if not isinstance(self.bandwidth, _REAL):
+            raise ValueError(f"bandwidth must be a real number, got {self.bandwidth!r}")
         if not 0.0 < self.bandwidth < np.inf:
             raise ValueError("bandwidth must be positive and finite")
 
@@ -47,8 +49,7 @@ class KnnScheme:
     kappa: int
 
     def __post_init__(self):
-        if self.kappa < 1:
-            raise ValueError("kappa must be >= 1")
+        object.__setattr__(self, "kappa", _whole_count(self.kappa, "kappa"))
 
     def describe(self) -> str:
         return f"knn(kappa={self.kappa})"
@@ -333,7 +334,7 @@ class NeighbourIndex:
 
     def _nearest(self, kappa: int, qs: np.ndarray) -> WeightBatch:
         if kappa > self.n:
-            raise ValueError(f"kappa = {kappa} exceeds sample size {self.n}")
+            raise ValueError(f"kappa = {kappa} exceeds sample size n = {self.n}")
         rows, cand = self._within(qs, self._kth_distance(kappa, qs))
         with np.errstate(over="ignore"):
             # a distance whose square overflows is inf, as in the scan
@@ -453,8 +454,8 @@ def _stone_replication(payload) -> tuple[float, float]:
     gaps = ds.covariates[selected.indices] - queries[row_of]
     far = np.linalg.norm(gaps, axis=1) > eps
     far_offsets = np.concatenate(([0], np.cumsum(far)))[offsets]
-    # every row holds at least one point, so no reduceat slice is empty
+    # each of a row's m weights is 1/m, so 1/m is also the largest
     return (
-        float(np.mean(np.maximum.reduceat(values, offsets[:-1]))),
+        float(np.mean(1.0 / np.diff(offsets))),
         float(np.mean(_row_sums(values[far], far_offsets))),
     )

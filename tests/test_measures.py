@@ -6,17 +6,23 @@ from scipy.integrate import quad
 
 from distreg import (
     AnalyticDistribution1D,
+    Dataset,
     DiscreteDistribution,
+    KernelScheme,
     MeasureBatch,
     cdf_eval,
     dirac,
     dispersion,
+    fit,
     gaussian_law,
     make_discrete,
     moment,
+    predict_many,
     quantile_eval,
     uniform_law,
 )
+from distreg import regressor
+from distreg.synth import make_preset
 
 from conftest import random_discrete
 
@@ -112,6 +118,23 @@ class TestMakeDiscrete:
         assert list(d.weights) == [0.5, 0.5]
         assert list(d.cum_weights) == [0.5, 1.0]
 
+    @pytest.mark.parametrize(
+        "atoms, weights",
+        [([0.0, 1.0], [0.5, 0.5]), ([-2.0, 0.5, 3.0], [0.25, 0.25, 0.5]), (2.0, [1.0])],
+    )
+    def test_direct_construction_reads_atoms_as_make_discrete_does(self, atoms, weights):
+        # a vector is m atoms on the line, a scalar one atom
+        got = DiscreteDistribution(atoms, weights)
+        want = make_discrete(atoms, weights)
+        batch = MeasureBatch(atoms, weights, [0, len(weights)])
+        for name in ("atoms", "weights", "offsets", "cum_weights"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert np.array_equal(getattr(got, name), getattr(batch, name)), name
+
+    def test_direct_construction_rejects_a_vector_as_one_atom(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            DiscreteDistribution([0.0, 1.0], [1.0])
+
     def test_equals_direct_construction(self, rng):
         # make_discrete skips the checks of __post_init__, not its results
         for dim in (1, 2):
@@ -185,6 +208,43 @@ class TestMeasureBatch:
     def test_rows_may_decrease_across_a_boundary(self):
         batch = MeasureBatch([1.0, 0.0], [1.0, 1.0], [0, 1, 2])
         assert batch[1].xs.tolist() == [0.0]
+
+
+def line_prediction(ys_of, h):
+    """A kernel prediction on the line: 200 points, 40 queries, bandwidth h,
+    responses ``ys_of(rng)``."""
+    rng = np.random.default_rng(5)
+    xs, queries = rng.random((200, 1)), rng.random((40, 1))
+    return predict_many(fit(Dataset(xs, ys_of(rng)), KernelScheme(bandwidth=h)), queries)
+
+
+# every way a measure is built, and whether it takes the prefix counts
+BUILD_ROUTES = {
+    "MeasureBatch": (lambda: MeasureBatch([0.0, 1.0, -3.0], [0.25, 0.75, 1.0], [0, 2, 3]), False),
+    "DiscreteDistribution": (
+        lambda: DiscreteDistribution([[0.0, 1.0], [2.0, 0.0]], [0.5, 0.5]), False),
+    "make_discrete": (lambda: make_discrete([2.0, 0.0, 2.0], [0.25, 0.5, 0.25]), False),
+    "row view": (lambda: MeasureBatch([0.0, 1.0, -3.0], [0.5, 0.5, 1.0], [0, 2, 3])[0], False),
+    "prefix counts": (
+        lambda: line_prediction(lambda rng: rng.integers(0, 2, (200, 1)) * 2.0, 0.3), True),
+    "gather": (lambda: line_prediction(lambda rng: rng.random((200, 1)), 0.01), False),
+    "conditional_laws": (
+        lambda: make_preset("binary-k1").conditional_laws(np.array([[0.1], [0.5], [0.9]])), False),
+}
+
+
+@pytest.mark.parametrize("route", sorted(BUILD_ROUTES))
+def test_every_build_route_freezes_the_measure(monkeypatch, route):
+    build, prefix = BUILD_ROUTES[route]
+    calls = []
+    counted = regressor._prefix_counts
+    monkeypatch.setattr(regressor, "_prefix_counts", lambda *a: calls.append(1) or counted(*a))
+    measure = build()
+    assert bool(calls) == prefix
+    for name in ("atoms", "weights", "offsets", "cum_weights"):
+        assert not getattr(measure, name).flags.writeable, name
+    last = measure.cum_weights[measure.offsets[1:] - 1]
+    assert last.shape == (len(measure),) and np.all(last == 1.0)
 
 
 class TestCdfQuantile:

@@ -812,6 +812,21 @@ class TestSliced:
         e2 = sliced_wp(a, b, cfg)
         assert e1 == e2
 
+    def test_integral_direction_count_estimates_as_the_int(self):
+        a = make_discrete([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
+        b = make_discrete([[0.5, 0.5], [2.0, 0.0]], [0.25, 0.75])
+        want = SlicedConfig(p=2.0, num_directions=3, seed=11)
+        for count in (3.0, np.int64(3), np.float64(3.0)):
+            cfg = SlicedConfig(p=2.0, num_directions=count, seed=11)
+            assert type(cfg.num_directions) is int and cfg == want
+            assert sliced_wp(a, b, cfg) == sliced_wp(a, b, want)
+            assert max_sliced_wp(a, b, cfg) == max_sliced_wp(a, b, want)
+
+    @pytest.mark.parametrize("count", [2.5, 0.5, np.array([3]), "3", float("inf")])
+    def test_direction_count_that_is_not_one_whole_number_rejected(self, count):
+        with pytest.raises(ValueError, match="num_directions must be a whole number"):
+            SlicedConfig(num_directions=count)
+
     def test_dim_errors(self):
         a = dirac(0.0)
         cfg = SlicedConfig()

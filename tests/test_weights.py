@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distreg import KernelScheme, KnnScheme, kernel_weights, knn_weights
+from distreg import Dataset, KernelScheme, KnnScheme, fit, kernel_weights, knn_weights
 from distreg.synth import make_preset
 from distreg._rng import grid_study
 from distreg.weights import (
     BandwidthPowerSchedule,
     NeighborPowerSchedule,
+    NeighbourIndex,
     _stone_replication,
     evaluate_weights,
     stone_diagnostics,
@@ -54,6 +55,11 @@ class TestKernelWeights:
         with pytest.raises(ValueError, match="finite"):
             KernelScheme(bandwidth=h)
 
+    @pytest.mark.parametrize("h", [np.array([0.2]), np.array(0.2), [0.2], "0.2", 0.2j])
+    def test_bandwidth_that_is_not_one_real_number_rejected(self, h):
+        with pytest.raises(ValueError, match="bandwidth must be a real number"):
+            KernelScheme(bandwidth=h)
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -93,6 +99,32 @@ class TestKnnWeights:
             knn_weights(KnnScheme(kappa=4), [0.0, 1.0], 0.5)
         with pytest.raises(ValueError):
             KnnScheme(kappa=0)
+
+    def test_kappa_beyond_n_has_one_message(self):
+        message = "kappa = 4 exceeds sample size n = 2"
+        with pytest.raises(ValueError, match=message):
+            knn_weights(KnnScheme(kappa=4), [0.0, 1.0], 0.5)
+        with pytest.raises(ValueError, match=message):
+            fit(Dataset([0.0, 1.0], [0.0, 1.0]), KnnScheme(kappa=4))
+
+    @pytest.mark.parametrize(
+        "kappa", [2.5, 0.5, np.array([3]), np.array(3), "3", float("nan"), float("inf")]
+    )
+    def test_kappa_that_is_not_one_whole_number_rejected(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be a whole number"):
+            KnnScheme(kappa=kappa)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("kappa", [3.0, np.int64(3), np.float32(3.0)])
+    def test_integral_kappa_selects_what_the_int_selects(self, rng, k, kappa):
+        # k = 1 is the sorted line, k = 2 the tree
+        xs, queries = rng.random((30, k)), rng.random((6, k))
+        index = NeighbourIndex(xs)
+        scheme = KnnScheme(kappa=kappa)
+        assert type(scheme.kappa) is int and scheme == KnnScheme(kappa=3)
+        got, want = index.select(scheme, queries), index.select(KnnScheme(kappa=3), queries)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.offsets, want.offsets)
 
     def test_tie_broken_by_smallest_index(self):
         # both 0.4 and 0.6 are at distance 0.1 from the query
