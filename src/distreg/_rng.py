@@ -5,22 +5,26 @@ from __future__ import annotations
 
 import numpy as np
 
+from .measures import _whole_number
+
 
 def seed_sequence(seed, *path: int) -> np.random.SeedSequence:
     """SeedSequence for a root seed and an integer stream path.
 
     ``seed`` may itself be a tuple ``(root, p1, p2, ...)``, in which case the
-    extra entries are prepended to ``path``.  A negative root seed raises
-    ValueError.
+    extra entries are prepended to ``path``.  The root and every entry must
+    each be one whole number (an int, a numpy integer or an integral float,
+    which keeps the int's stream), and the root must be >= 0; anything else
+    raises ValueError.
     """
     if isinstance(seed, tuple):
         root, pre = seed[0], tuple(seed[1:])
     else:
         root, pre = seed, ()
-    root = int(root)
+    root = _whole_number(root, "seed")
     if root < 0:
         raise ValueError(f"seed must be >= 0, got {root}")
-    key = tuple(int(p) for p in pre + path)
+    key = tuple(_whole_number(p, "seed path entry") for p in pre + path)
     return np.random.SeedSequence(entropy=root, spawn_key=key)
 
 

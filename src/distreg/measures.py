@@ -255,15 +255,21 @@ def make_discrete(atoms, weights) -> DiscreteDistribution:
     return _unchecked(pts, w, cum)
 
 
-def _whole_count(value, name: str) -> int:
-    """``value`` as an int, where it is one whole number >= 1: an int, a
-    numpy integer or an integral float.  Anything else, such as 2.5 or a
+def _whole_number(value, name: str) -> int:
+    """``value`` as an int, where it is one whole number: an int, a numpy
+    integer or an integral float.  Anything else, such as 2.5 or a
     one-entry array, raises ValueError naming the field ``name``."""
     if not (isinstance(value, _REAL) and abs(value) < math.inf and value == int(value)):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
     return int(value)
+
+
+def _whole_count(value, name: str) -> int:
+    """``value`` as an int, where it is one whole number >= 1."""
+    count = _whole_number(value, name)
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return count
 
 
 def _require_finite(atoms: np.ndarray, weights: np.ndarray) -> None:

@@ -21,6 +21,7 @@ import numpy as np
 from ._rng import stream
 from .measures import (
     _POWER_LOW,
+    _REAL,
     AnalyticDistribution1D,
     DiscreteDistribution,
     MeasureBatch,
@@ -75,6 +76,8 @@ class SlicedConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.p, _REAL):
+            raise ValueError(f"order p must be a real number, got {self.p!r}")
         if not 1.0 <= self.p < np.inf:
             raise ValueError("order p must be finite and >= 1")
         count = _whole_count(self.num_directions, "num_directions")

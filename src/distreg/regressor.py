@@ -107,7 +107,7 @@ def predict_many(model: FittedRegressor, queries) -> MeasureBatch:
     response as an atom.
     """
     index, scheme = model.index, model.scheme
-    if model.groups is not None and index.tree is None and isinstance(scheme, KernelScheme):
+    if model.groups is not None and model.dataset.k == 1 and isinstance(scheme, KernelScheme):
         lo, hi = index.ball_slices(scheme.bandwidth, queries)
         # an empty ball is the whole line, the 1/n fallback
         empty = lo == hi

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -143,18 +142,18 @@ def _as_row(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))[None, :]
 
 
-# Radii handed to the k-d tree or the sorted line are widened by this factor,
-# so rounding in their distances can only add candidates; the exact tests
-# below then decide.
+# Radii on the sorted line are widened by this factor, so rounding in their
+# distances can only add candidates; the exact tests below then decide.
 _RADIUS_SLACK = 1.0 + 1e-12
-# On the line a radius is also widened by this much: below it squared
-# distances leave the normal range, where their square roots lose the
-# relative accuracy that the factor above covers.
+# A radius is also widened by this much: below it squared distances leave
+# the normal range, where their square roots lose the relative accuracy
+# that the factor above covers.
 _LINE_REACH = 1e-150
-# A line radius at or above this is taken as infinite: the squares of
-# distances near it overflow to inf, where the scan ties them, so the ball
-# takes every point and the exact ranking decides.
-_LINE_TOP = np.sqrt(np.finfo(float).max) / 2
+# k-NN windows and k >= 2 balls are priced a block of queries at a time, so
+# that the work arrays of a block hold about this many entries whatever the
+# number of queries is: 16 kappa per query for a window, the slab's points
+# for a ball
+_WINDOW_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -196,28 +195,24 @@ class NeighbourIndex:
     """The covariate sample indexed once, and queried for the support of
     each weight vector.
 
-    For k = 1 covariates the index is the sorted sample (an argsort and the
-    sorted values), on which a ball is a slice; for k >= 2 it is a k-d tree
-    (Bentley 1975).  Either one only proposes candidates; membership is
-    decided by the same numpy distances, comparisons and smallest-index tie
-    rule as a full scan over the sample, so the selected points are exactly
-    those of the scan.
+    The index is the sample sorted by its first coordinate: the argsort
+    ``order`` and the covariate columns in that order, one row each of
+    ``columns``, whose first row is the sorted ``line``.  A unit ball lies
+    in the slab of the line within its radius, one slice, which at k = 1 is
+    the ball itself.  The kappa nearest points lie in a window of the line
+    that grows until it holds the slab within the kappa-th distance.  The
+    index only proposes candidates; membership is decided by the same
+    distances, comparisons and smallest-index tie rule as a full scan over
+    the sample, so the selected points are exactly those of the scan.
     """
 
     def __init__(self, covariates):
         self.points = _as_matrix(covariates)
-        self.tree = None
-        if self.points.shape[1] == 1:
-            # every row is put in index order at the end, so ties may come
-            # out of the sort in any order
-            self.order = np.argsort(self.points[:, 0])
-            self.line = self.points[:, 0][self.order]
-        else:
-            from scipy.spatial import cKDTree  # deferred: costs import time otherwise
-
-            # a tree answers a few dozen queries per fit, so the cheaper
-            # sliding-midpoint build beats a median-balanced one
-            self.tree = cKDTree(self.points, balanced_tree=False, compact_nodes=False)
+        # every row is put in index order at the end, so ties may come out
+        # of the sort in any order
+        self.order = np.argsort(self.points[:, 0])
+        self.columns = self.points.T[:, self.order]
+        self.line = self.columns[0]
 
     @property
     def n(self) -> int:
@@ -241,9 +236,9 @@ class NeighbourIndex:
         if isinstance(scheme, KnnScheme):
             return self._nearest(scheme.kappa, qs)
         if isinstance(scheme, KernelScheme):
-            if self.tree is None:
+            if qs.shape[1] == 1:
                 lo, hi = self.ball_slices(scheme.bandwidth, qs)
-                return self._batch(qs.shape[0], *self._slice_pairs(lo, hi))
+                return self._batch(qs.shape[0], _slice_rows(lo, hi), self.slice_indices(lo, hi))
             return self._ball(scheme.bandwidth, qs)
         raise TypeError(f"unsupported scheme type: {type(scheme).__name__}")
 
@@ -278,81 +273,131 @@ class NeighbourIndex:
 
     def _reach(self, qs: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
         """The slices of the sorted line within a slightly widened radius of
-        each query."""
+        each query along the first coordinate: every point whose distance
+        from the query is within the radius lies in its slice."""
         with np.errstate(over="ignore"):
             reach = radii * _RADIUS_SLACK + _LINE_REACH
             bottom, top = qs[:, 0] - reach, qs[:, 0] + reach
         return (np.searchsorted(self.line, bottom, side="left"),
                 np.searchsorted(self.line, top, side="right"))
 
-    def slice_indices(self, lo, hi) -> np.ndarray:
-        """The sample indices of the sorted-line slices [lo, hi), one slice
-        after another."""
+    def _positions(self, lo, hi) -> np.ndarray:
+        """The sorted-line positions of the slices [lo, hi), one slice after
+        another."""
         sizes = hi - lo
         # the flat place of each entry, moved from its slice's flat start to
         # the slice's first sorted position
-        pos = np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
-        return self.order[pos]
+        return np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
 
-    def _slice_pairs(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        """Flat (row, sample index) pairs of the sorted-line slices [lo, hi)."""
-        return np.repeat(np.arange(lo.shape[0]), hi - lo), self.slice_indices(lo, hi)
+    def slice_indices(self, lo, hi) -> np.ndarray:
+        """The sample indices of the sorted-line slices [lo, hi), one slice
+        after another."""
+        return self.order[self._positions(lo, hi)]
 
-    def _within(self, qs: np.ndarray, radii) -> tuple[np.ndarray, np.ndarray]:
-        """Flat (row, sample index) pairs of the points within a slightly
-        widened radius of each query."""
-        if self.tree is None:
-            return self._slice_pairs(*self._reach(qs, radii))
-        # the tree cannot search a box whose squared diameter may overflow:
-        # every point is then a candidate, as on the line above _LINE_TOP
+    def _distances(self, q: np.ndarray, pos, scale=1.0) -> np.ndarray:
+        """The scan's distances ``‖(q - X)/scale‖`` from the query rows
+        ``q`` (..., k) to the points at line positions ``pos``, which
+        broadcast against ``q[..., 0]``; nan at a position off the line.  A
+        distance whose square overflows is inf, as in the scan."""
         with np.errstate(over="ignore"):
-            box = np.ptp(np.vstack((self.tree.mins, self.tree.maxes, qs)), axis=0)
-            wide = not np.linalg.norm(box) < _LINE_TOP
-        if wide:
-            return np.divmod(np.arange(qs.shape[0] * self.n), self.n)
-        with np.errstate(over="ignore"):
-            found = self.tree.query_ball_point(qs, radii * _RADIUS_SLACK, return_sorted=False)
-        sizes = np.fromiter(map(len, found), np.intp, len(found))
-        cand = np.fromiter(chain.from_iterable(found), np.intp, sizes.sum())
-        return np.repeat(np.arange(len(found)), sizes), cand
+            gaps = [q[..., j] - column.take(pos, mode="clip")
+                    for j, column in enumerate(self.columns)]
+            for gap in gaps:
+                gap /= scale
+            dist = _norm(gaps)
+        dist[(pos < 0) | (pos >= self.n)] = np.nan
+        return dist
 
-    def _kth_distance(self, kappa: int, qs: np.ndarray) -> np.ndarray:
-        """The distance from each query to its kappa-th nearest point."""
-        if self.tree is not None:
-            return self.tree.query(qs, k=[kappa])[0][:, 0]
-        # the kappa nearest points are among the kappa on either side of
-        # the insertion point; the window gives their radius, and the ball
-        # of that radius the members, ties at the radius included
-        width = min(2 * kappa, self.n)
-        start = np.searchsorted(self.line, qs[:, 0]) - kappa
-        start = np.clip(start, 0, self.n - width)
-        window = self.line[start[:, None] + np.arange(width)]
-        with np.errstate(over="ignore"):
-            dists = np.abs(window - qs)
-        kth = np.partition(dists, kappa - 1, axis=1)[:, kappa - 1]
-        return np.where(kth < _LINE_TOP, kth, np.inf)
+    def _ball(self, h: float, qs: np.ndarray) -> WeightBatch:
+        """The unit ball at k >= 2: the exact test on every point of the
+        slab within h along the first coordinate, a block of queries at a
+        time whose slabs hold about ``_WINDOW_ENTRIES`` points together."""
+        lo, hi = self._reach(qs, h)
+        total = np.concatenate(([0], np.cumsum(hi - lo)))
+        rows, cand = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        start = 0
+        while start < qs.shape[0]:
+            stop = np.searchsorted(total, total[start] + _WINDOW_ENTRIES, side="right") - 1
+            stop = max(start + 1, int(stop))
+            block_rows = start + _slice_rows(lo[start:stop], hi[start:stop])
+            pos = self._positions(lo[start:stop], hi[start:stop])
+            inside = self._distances(qs[block_rows], pos, h) <= 1.0
+            rows.append(block_rows[inside])
+            cand.append(self.order[pos[inside]])
+            start = stop
+        return self._batch(qs.shape[0], np.concatenate(rows), np.concatenate(cand))
 
     def _nearest(self, kappa: int, qs: np.ndarray) -> WeightBatch:
         if kappa > self.n:
             raise ValueError(f"kappa = {kappa} exceeds sample size n = {self.n}")
-        rows, cand = self._within(qs, self._kth_distance(kappa, qs))
-        with np.errstate(over="ignore"):
-            # a distance whose square overflows is inf, as in the scan
-            dists = np.linalg.norm(self.points[cand] - qs[rows], axis=1)
-        # by row, then distance, then index: the smallest-index tie rule
-        order = np.lexsort((cand, dists, rows))
-        sizes = np.bincount(rows, minlength=qs.shape[0])
-        rank = np.arange(order.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        first = order[rank < kappa]
-        return self._batch(qs.shape[0], rows[first], cand[first])
+        step = max(1, _WINDOW_ENTRIES // (16 * kappa))
+        rows, cand = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        for start in range(0, qs.shape[0], step):
+            block_rows, block_cand = self._window(kappa, qs[start : start + step])
+            rows.append(block_rows + start)
+            cand.append(block_cand)
+        return self._batch(qs.shape[0], np.concatenate(rows), np.concatenate(cand))
 
-    def _ball(self, h: float, qs: np.ndarray) -> WeightBatch:
-        """The unit ball on the tree: the exact test on every candidate."""
-        rows, cand = self._within(qs, h)
-        with np.errstate(over="ignore"):
-            # a distance whose square overflows is inf, as in the scan
-            inside = np.linalg.norm((qs[rows] - self.points[cand]) / h, axis=1) <= 1.0
-        return self._batch(qs.shape[0], rows[inside], cand[inside])
+    def _window(self, kappa: int, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat (row, sample index) pairs of the kappa nearest points to each
+        of one or more queries.
+
+        A row's window is the positions [c - w, c + w) of the sorted line
+        around its query's insertion point c, from w = kappa.  Each round
+        takes the kappa-th distance r over the entries that the row carries,
+        which are the window's points within the last round's r and the
+        flanks just priced, and then carries only the entries within r.
+        Once the window holds the slice of the line within r (``_reach``),
+        every point outside it is farther than r, so the row's entries are
+        every point within r: it keeps those strictly within r and, of those
+        at r, the smallest sample indices.  Otherwise w doubles, and the row
+        prices the new flanks [c - 2w, c - w) and [c + w, c + 2w).  Entries
+        are kept in (row, slot) arrays, padded with nan distances, which
+        ``np.partition`` puts last and no radius holds.
+        """
+        n, m = self.n, qs.shape[0]
+        live, mid, half = np.arange(m), np.searchsorted(self.line, qs[:, 0]), kappa
+        pos = mid[:, None] + np.arange(-half, half)
+        dist = self._distances(qs[:, None], pos)
+        # the entries of the rows that are done, and each row's last r
+        kept, radius = [], np.empty(m)
+        while True:
+            kth = np.partition(dist, kappa - 1, axis=1)[:, kappa - 1]
+            bottom, top = self._reach(qs[live], kth)
+            done = (mid - half <= bottom) & (top <= mid + half)
+            within = dist <= kth[:, None]
+            flat = np.flatnonzero(within & done[:, None])
+            rows = live[flat // dist.shape[1]]
+            kept.append((rows, pos.reshape(-1)[flat], dist.reshape(-1)[flat]))
+            radius[live[done]] = kth[done]
+            if done.all():
+                break
+            live, mid, within = live[~done], mid[~done], within[~done]
+            # the entries within r, moved to the front of their rows
+            flat = np.flatnonzero(within)
+            count = np.count_nonzero(within, axis=1)
+            carried = np.zeros((live.shape[0], count.max()), dtype=np.intp)
+            slot = np.arange(flat.shape[0]) + np.repeat(
+                np.arange(live.shape[0]) * carried.shape[1] - np.cumsum(count) + count, count
+            )
+            carried.reshape(-1)[slot] = pos[~done].reshape(-1)[flat]
+            carried_dist = np.full(carried.shape, np.nan)
+            carried_dist.reshape(-1)[slot] = dist[~done].reshape(-1)[flat]
+            flanks = mid[:, None] + np.concatenate((np.arange(-2 * half, -half),
+                                                    np.arange(half, 2 * half)))
+            pos = np.concatenate((carried, flanks), axis=1)
+            dist = np.concatenate((carried_dist, self._distances(qs[live, None], flanks)), axis=1)
+            half *= 2
+        rows, pos, dist = (np.concatenate(part) for part in zip(*kept))
+        inner = dist < radius[rows]
+        # the ties at r in (row, sample index) order, the first few of each row
+        keys = rows[~inner] * n + self.order[pos[~inner]]
+        keys.sort()
+        ties = np.bincount(keys // n, minlength=m)
+        rank = np.arange(keys.shape[0]) - np.repeat(np.cumsum(ties) - ties, ties)
+        keys = keys[rank < kappa - np.bincount(rows[inner], minlength=m)[keys // n]]
+        return (np.concatenate((rows[inner], keys // n)),
+                np.concatenate((self.order[pos[inner]], keys % n)))
 
     def _batch(self, m: int, rows, cand) -> WeightBatch:
         """The selected (row, sample index) pairs as a batch, each row in
@@ -369,6 +414,24 @@ class NeighbourIndex:
         keys.sort()
         offsets = np.concatenate(([0], np.cumsum(sizes)))
         return WeightBatch(keys % n, offsets, fallback)
+
+
+def _slice_rows(lo, hi) -> np.ndarray:
+    """The row of each entry of the slices [lo, hi), one slice after another."""
+    return np.repeat(np.arange(lo.shape[0]), hi - lo)
+
+
+def _norm(gaps) -> np.ndarray:
+    """``np.linalg.norm`` over the last axis of ``np.stack(gaps, axis=-1)``,
+    bit for bit, from the k coordinate gaps kept apart.  numpy sums fewer
+    than eight squares in order, which is done here a column at a time, and
+    more by pairwise blocks, which the stacked call does itself."""
+    if len(gaps) >= 8:
+        return np.linalg.norm(np.stack(gaps, axis=-1), axis=-1)
+    total = gaps[0] * gaps[0]
+    for gap in gaps[1:]:
+        total += gap * gap
+    return np.sqrt(total, out=total)
 
 
 def _bisect(test, rows, lo, hi) -> np.ndarray:

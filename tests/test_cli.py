@@ -571,6 +571,47 @@ class TestRatesCommand:
         with open(f"{prefix}.json") as handle:
             assert handle.read() == json.dumps(payload, indent=2) + "\n"
 
+    # printed by the k-NN rate studies while k >= 2 covariates were searched
+    # by a k-d tree and the line's k-NN gathered (row, index) pairs: (exit
+    # code, verdict line, CSV rows, slope, (kappa, mean, stderr) at each n)
+    PINNED_KNN = {
+        "binary-k1-knn": (
+            0, "slope=-0.265709 stderr=none target=-0.25 verdict=pass",
+            ["512,23,0.16114332045117996,0.013324321210048836",
+             "2048,46,0.11149093145076656,0.014475860112197163"],
+            -0.2657090104073494, [(23, 0.16114332045117996, 0.013324321210048836),
+                                  (46, 0.11149093145076656, 0.014475860112197163)],
+        ),
+        "binary-k2-knn": (
+            0, "slope=-0.206035 stderr=none target=-0.25 verdict=pass",
+            ["512,23,0.17492854364277069,0.020916606079752872",
+             "2048,46,0.13146646501611212,0.0077857676595489804"],
+            -0.2060354397310182, [(23, 0.1749285436427707, 0.020916606079752872),
+                                  (46, 0.13146646501611212, 0.00778576765954898)],
+        ),
+    }
+
+    @pytest.mark.parametrize("preset", sorted(PINNED_KNN))
+    def test_knn_presets_print_pinned_bytes(self, tmp_path, capsys, preset):
+        prefix = tmp_path / preset
+        cfg = write(
+            tmp_path / "r.cfg",
+            f"preset={preset}\nseed=3\nn_grid=512,2048\nreplications=3\nout_prefix={prefix}\n",
+        )
+        code, verdict, rows, slope, points = self.PINNED_KNN[preset]
+        assert main(["rates", "--config", cfg]) == code
+        assert capsys.readouterr().out == f"{verdict}\nwrote {prefix}.csv and {prefix}.json\n"
+        with open(f"{prefix}.csv", newline="") as handle:
+            assert handle.read() == "\r\n".join(["n,param,risk_mean,risk_stderr", *rows, ""])
+        payload = {
+            "slope": slope, "slope_stderr": None, "theoretical": -0.25,
+            "tolerance": 0.08, "passed": code == 0,
+            "points": [{"n": n, "param": float(kappa), "mean": mean, "stderr": se}
+                       for n, (kappa, mean, se) in zip((512, 2048), points)],
+        }
+        with open(f"{prefix}.json") as handle:
+            assert handle.read() == json.dumps(payload, indent=2) + "\n"
+
     def test_dry_run_touches_nothing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = write(tmp_path / "r.cfg", "preset=binary-k1-kernel\n")

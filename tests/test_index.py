@@ -1,12 +1,17 @@
-"""The sorted-line and k-d tree selections against full scans over the
-sample.
+"""The sorted index's selections against full scans over the sample.
 
-The scans below are the selection rules the index replaces: a stable
-argsort of every distance for k-NN, and the closed unit-ball test on every
-point for the uniform kernel.  They stay here as the oracle, also for the
-consumers of the sparse weights (``stone_diagnostics`` and
+Every covariate dimension is indexed by sorting the first coordinate: a
+unit ball is read from the slice of that line within its radius (the ball
+itself at k = 1, a slab tested point by point at k >= 2), and k-NN from a
+window of the line that grows until it holds the slice within the kappa-th
+distance.  The scans below are the selection rules the index replaces: a
+stable argsort of every distance for k-NN, and the closed unit-ball test on
+every point for the uniform kernel.  They stay here as the oracle, also for
+the consumers of the sparse weights (``stone_diagnostics`` and
 ``pointwise_risk_bound``), checked against the scan scattered into dense
-length-n weights.
+length-n weights.  The window's distances are ``np.linalg.norm``'s, bit for
+bit, also where squared gaps overflow to inf or underflow, and the pair path
+that the line's unit balls replaced stays as ``pair_ball``.
 """
 
 import os
@@ -24,11 +29,12 @@ from distreg.measures import MeasureBatch
 from distreg._rng import stream
 from distreg.regressor import predict_distribution, predict_many
 from distreg.synth import make_preset
+from distreg import weights
 from distreg.weights import (
     _LINE_REACH,
-    _LINE_TOP,
     _RADIUS_SLACK,
     _STONE_TAG,
+    _norm,
     BandwidthPowerSchedule,
     NeighborPowerSchedule,
     NeighbourIndex,
@@ -181,7 +187,6 @@ class TestLineIndex:
         xs, queries = sample
         kappa = data.draw(st.integers(1, xs.shape[0]))
         index = NeighbourIndex(xs)
-        assert index.tree is None
         for q, w in zip(queries, index.select(KnnScheme(kappa=kappa), queries)):
             assert np.array_equal(w.indices, scan_knn(xs, q, kappa))
 
@@ -274,6 +279,94 @@ class TestLineIndex:
             assert np.array_equal(batch.offsets, [0])
 
 
+@st.composite
+def scaled_grid(draw):
+    """Covariates in k = 1-4 on a 1/8 grid, with ties and duplicates, scaled
+    so that gaps are subnormal, squared gaps underflow or overflow, or the
+    grid is plain; queries on the grid, between it and outside the sample's
+    range; at times the covariates (1e154, 0, ...) and (-1e154, 0, ...),
+    whose squared gap overflows at every scale."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-310, 1e-150, 1e150, 1e300]))
+    xs = rng.integers(-8, 9, size=(n, k)) / 8.0 * scale
+    queries = np.vstack([
+        rng.integers(-8, 9, size=(3, k)) / 8.0,
+        (rng.integers(-16, 17, size=(3, k)) + 0.5) / 16.0,
+        rng.choice([-3.0, 3.0], size=(2, k)),
+    ]) * scale
+    if n >= 2 and draw(st.booleans()):
+        xs[:2] = 0.0
+        xs[:2, 0] = (1e154, -1e154)
+    return xs, queries
+
+
+class TestSortedIndexMatchesScan:
+    @settings(max_examples=300, deadline=None)
+    @given(sample=scaled_grid(), data=st.data())
+    def test_knn_and_ball(self, sample, data):
+        xs, queries = sample
+        n, scale = xs.shape[0], np.max(np.abs(queries))
+        kappa = data.draw(st.integers(1, n))
+        h = data.draw(st.sampled_from([1 / 8, 3 / 8, 1.0, 4.0])) * scale / 3.0
+        index = NeighbourIndex(xs)
+        # selected outside errstate: an overflow in the selection would warn
+        chosen = index.select(KnnScheme(kappa=kappa), queries)
+        balls = index.select(KernelScheme(bandwidth=h), queries)
+        with np.errstate(over="ignore"):
+            for q, w, b in zip(queries, chosen, balls):
+                assert np.array_equal(w.indices, scan_knn(xs, q, kappa))
+                assert np.array_equal(b.indices, scan_ball(xs, q, h))
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_window_distances_have_the_bits_of_linalg_norm(self, k):
+        # gaps from 1e-200 to 1e200: squares that underflow to subnormals or
+        # 0 and squares that overflow to inf, alone or mixed in one row
+        rng = np.random.default_rng(k)
+        gaps = rng.normal(size=(3000, k)) * 10.0 ** rng.integers(-200, 201, size=(3000, k))
+        gaps[:50] = rng.choice([-1e-200, 1e-200], size=(50, k))
+        gaps[50:100] = rng.choice([-1e200, -1e-200, 1e-200, 1e200], size=(50, k))
+        with np.errstate(over="ignore"):
+            want = np.linalg.norm(gaps, axis=1)
+            flat = _norm([gaps[:, j] for j in range(k)])
+            dense = _norm([gaps[:, j].reshape(60, 50) for j in range(k)])
+        assert np.isinf(want).any() and (want[:50] == 0).all()
+        assert flat.tobytes() == want.tobytes()
+        assert dense.tobytes() == want.reshape(60, 50).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_blocks_of_queries_select_what_one_block_selects(self, k, monkeypatch):
+        rng = np.random.default_rng(k)
+        xs, queries = rng.integers(0, 9, size=(200, k)) / 8.0, rng.random((50, k))
+        index = NeighbourIndex(xs)
+        schemes = [KnnScheme(kappa) for kappa in (1, 7, 200)]
+        schemes += [KernelScheme(h) for h in (0.01, 0.3, 2.0)]
+        whole = [index.select(scheme, queries) for scheme in schemes]
+        # a budget below one query's entries prices one query per block
+        monkeypatch.setattr(weights, "_WINDOW_ENTRIES", 1)
+        for scheme, batch in zip(schemes, whole):
+            blocks = index.select(scheme, queries)
+            assert np.array_equal(blocks.indices, batch.indices)
+            assert np.array_equal(blocks.offsets, batch.offsets)
+            assert np.array_equal(blocks.fallback, batch.fallback)
+            for q, w in zip(queries, blocks):
+                if isinstance(scheme, KnnScheme):
+                    assert np.array_equal(w.indices, scan_knn(xs, q, scheme.kappa))
+                else:
+                    assert np.array_equal(w.indices, scan_ball(xs, q, scheme.bandwidth))
+
+    def test_window_grows_over_a_first_coordinate_that_never_changes(self):
+        # every point shares its first coordinate with the query, so the
+        # window grows to the whole line before it may stop
+        ys = np.random.default_rng(3).random(300)
+        xs = np.column_stack((np.full(300, 0.5), ys))
+        queries = np.array([[0.5, 0.0], [0.5, 0.37], [0.5, 1.0]])
+        for kappa in (1, 5, 300):
+            for q, w in zip(queries, NeighbourIndex(xs).select(KnnScheme(kappa), queries)):
+                assert np.array_equal(w.indices, scan_knn(xs, q, kappa))
+
+
 def pair_ball(xs, qs, h):
     """The unit ball on the line as the (row, index) pairs gave it: every
     pair within the widened reach of the sorted line, the norm test on
@@ -325,8 +418,9 @@ def same_bits(a, b):
 
 
 # the scales of the 1/8 grid: rounding at the ends of a ball, radii near
-# _LINE_REACH, subnormal gaps, radii near _LINE_TOP and gaps that overflow
-SCALES = [1.0, 0.1, 3.0, 1e-150, 3e-151, 1e-310, _LINE_TOP / 4, 1e300, 1e308]
+# _LINE_REACH, subnormal gaps, radii whose squares overflow (above about
+# 1.3e154) and gaps that overflow
+SCALES = [1.0, 0.1, 3.0, 1e-150, 3e-151, 1e-310, np.sqrt(np.finfo(float).max) / 8, 1e300, 1e308]
 
 
 @st.composite
@@ -628,22 +722,30 @@ def test_import_leaves_scipy_integrate_and_spatial_unloaded():
     assert run_python(code) == "[]"
 
 
-def test_line_index_leaves_scipy_spatial_unloaded():
-    # 1-d covariates are indexed by sorting; only k >= 2 builds a k-d tree
+def test_index_leaves_scipy_spatial_unloaded():
+    # every covariate dimension is indexed by sorting its first coordinate
     code = (
         "import sys\n"
         "import numpy as np\n"
         "from distreg import Dataset, KernelScheme, KnnScheme, fit, predict_many\n"
-        "xs = np.linspace(0.0, 1.0, 50)\n"
-        "for scheme in (KnnScheme(kappa=5), KernelScheme(bandwidth=0.1)):\n"
-        "    reg = fit(Dataset(xs, xs**2), scheme)\n"
-        "    predict_many(reg, xs[:7, None])\n"
-        "print(reg.index.tree, 'scipy.spatial' in sys.modules)\n"
-        "reg = fit(Dataset(np.column_stack((xs, xs)), xs), KnnScheme(kappa=5))\n"
-        "from scipy.spatial import cKDTree\n"
-        "print(isinstance(reg.index.tree, cKDTree))\n"
+        "from distreg.synth import AffineMap, BinaryModel, make_preset\n"
+        "from distreg.bounds import ClassParams\n"
+        "from distreg.weights import (BandwidthPowerSchedule, NeighborPowerSchedule,\n"
+        "                             NeighbourIndex, stone_diagnostics)\n"
+        "models = [make_preset('binary-k1'), make_preset('binary-k2'),\n"
+        "          BinaryModel('binary-k3', 2.0, AffineMap(0.5, (0.1, 0.1, 0.1)),\n"
+        "                      ClassParams(1.0, 1.0, 1.1, 3))]\n"
+        "for model in models:\n"
+        "    ds = model.sample(60, seed=1)\n"
+        "    queries = np.random.default_rng(2).random((7, model.k))\n"
+        "    for scheme in (KnnScheme(kappa=5), KernelScheme(bandwidth=0.2)):\n"
+        "        NeighbourIndex(ds.covariates).select(scheme, queries)\n"
+        "        predict_many(fit(ds, scheme), queries)\n"
+        "    for schedule in (NeighborPowerSchedule(), BandwidthPowerSchedule()):\n"
+        "        stone_diagnostics(schedule, model, [16, 32], eps=0.1, replications=2, seed=1)\n"
+        "print(sorted({m.k for m in models}), 'scipy.spatial' in sys.modules)\n"
     )
-    assert run_python(code).split("\n") == ["None False", "True"]
+    assert run_python(code) == "[1, 2, 3] False"
 
 
 def test_batch_prediction_and_cte_leave_numpy_ma_unloaded():

@@ -827,6 +827,27 @@ class TestSliced:
         with pytest.raises(ValueError, match="num_directions must be a whole number"):
             SlicedConfig(num_directions=count)
 
+    @pytest.mark.parametrize("p", [np.array([2.0]), np.array(2.0), "2", 2 + 0j, None])
+    def test_order_that_is_not_one_real_number_rejected(self, p):
+        with pytest.raises(ValueError, match="order p must be a real number"):
+            SlicedConfig(p=p)
+
+    @pytest.mark.parametrize("seed", [2.5, 2.000001, np.array([2]), "2"])
+    def test_seed_that_is_not_one_whole_number_rejected(self, seed):
+        # the plane's max-sliced scan draws no direction; d = 3 does
+        a = make_discrete([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], [0.5, 0.5])
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            sliced_wp(a, a, SlicedConfig(seed=seed))
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            max_sliced_wp(a, a, SlicedConfig(num_directions=2, seed=seed))
+
+    def test_integral_seed_estimates_as_the_int(self):
+        a = make_discrete([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
+        b = make_discrete([[0.5, 0.5], [2.0, 0.0]], [0.25, 0.75])
+        want = sliced_wp(a, b, SlicedConfig(p=2.0, num_directions=16, seed=2))
+        for seed in (2.0, np.int64(2), np.float64(2.0)):
+            assert sliced_wp(a, b, SlicedConfig(p=2.0, num_directions=16, seed=seed)) == want
+
     def test_dim_errors(self):
         a = dirac(0.0)
         cfg = SlicedConfig()

@@ -64,6 +64,19 @@ class TestSampling:
         with pytest.raises(ValueError):
             make_preset("binary-k1").sample(0, seed=1)
 
+    @pytest.mark.parametrize("seed", [2.7, 2.5, (2, 0.5), np.array([2]), "2", float("nan")])
+    def test_seed_that_is_not_whole_numbers_rejected(self, seed):
+        with pytest.raises(ValueError, match="must be a whole number"):
+            make_preset("binary-k1").sample(8, seed=seed)
+
+    @pytest.mark.parametrize("seed", [2.0, np.int64(2), np.float64(2.0), (2.0, np.int32(0))])
+    def test_integral_seed_draws_what_the_int_draws(self, seed):
+        model = make_preset("binary-k1")
+        want = model.sample(8, seed=(2, 0) if isinstance(seed, tuple) else 2)
+        got = model.sample(8, seed=seed)
+        assert np.array_equal(got.covariates, want.covariates)
+        assert np.array_equal(got.responses, want.responses)
+
 
 class TestConditionalLaw:
     def test_binary_two_point_law(self):

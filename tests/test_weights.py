@@ -117,7 +117,7 @@ class TestKnnWeights:
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("kappa", [3.0, np.int64(3), np.float32(3.0)])
     def test_integral_kappa_selects_what_the_int_selects(self, rng, k, kappa):
-        # k = 1 is the sorted line, k = 2 the tree
+        # k = 1 and k = 2 are both searched on the sorted first coordinate
         xs, queries = rng.random((30, k)), rng.random((6, k))
         index = NeighbourIndex(xs)
         scheme = KnnScheme(kappa=kappa)
