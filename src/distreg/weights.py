@@ -150,9 +150,10 @@ _RADIUS_SLACK = 1.0 + 1e-12
 # that the factor above covers.
 _LINE_REACH = 1e-150
 # k-NN windows and k >= 2 balls are priced a block of queries at a time, so
-# that the work arrays of a block hold about this many entries whatever the
-# number of queries is: 16 kappa per query for a window, the slab's points
-# for a ball
+# that the work arrays of a block hold about this many entries, or one
+# query's where those are more, whatever kappa and the number of queries
+# are: the entries a window carries and its new flanks, split again before
+# every round, or the slab's points for a ball
 _WINDOW_ENTRIES = 2**15
 
 
@@ -328,19 +329,7 @@ class NeighbourIndex:
         return self._batch(qs.shape[0], np.concatenate(rows), np.concatenate(cand))
 
     def _nearest(self, kappa: int, qs: np.ndarray) -> WeightBatch:
-        if kappa > self.n:
-            raise ValueError(f"kappa = {kappa} exceeds sample size n = {self.n}")
-        step = max(1, _WINDOW_ENTRIES // (16 * kappa))
-        rows, cand = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-        for start in range(0, qs.shape[0], step):
-            block_rows, block_cand = self._window(kappa, qs[start : start + step])
-            rows.append(block_rows + start)
-            cand.append(block_cand)
-        return self._batch(qs.shape[0], np.concatenate(rows), np.concatenate(cand))
-
-    def _window(self, kappa: int, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flat (row, sample index) pairs of the kappa nearest points to each
-        of one or more queries.
+        """The kappa nearest points to each query, from a window of the line.
 
         A row's window is the positions [c - w, c + w) of the sorted line
         around its query's insertion point c, from w = kappa.  Each round
@@ -349,30 +338,39 @@ class NeighbourIndex:
         flanks just priced, and then carries only the entries within r.
         Once the window holds the slice of the line within r (``_reach``),
         every point outside it is farther than r, so the row's entries are
-        every point within r: it keeps those strictly within r and, of those
-        at r, the smallest sample indices.  Otherwise w doubles, and the row
-        prices the new flanks [c - 2w, c - w) and [c + w, c + 2w).  Entries
-        are kept in (row, slot) arrays, padded with nan distances, which
-        ``np.partition`` puts last and no radius holds.
+        every point within r, of which it keeps the kappa nearest
+        (``_closest``).  Otherwise w doubles, and the row prices the new
+        flanks [c - 2w, c - w) and [c + w, c + 2w).  Entries are kept in
+        (row, slot) arrays, padded with nan distances, which
+        ``np.partition`` puts last and no radius holds.  Before every round
+        the rows are split into blocks (``_blocks``), so that the arrays of
+        a round hold about ``_WINDOW_ENTRIES`` entries however wide the
+        windows grow.
         """
-        n, m = self.n, qs.shape[0]
-        live, mid, half = np.arange(m), np.searchsorted(self.line, qs[:, 0]), kappa
-        pos = mid[:, None] + np.arange(-half, half)
-        dist = self._distances(qs[:, None], pos)
-        # the entries of the rows that are done, and each row's last r
-        kept, radius = [], np.empty(m)
-        while True:
+        if kappa > self.n:
+            raise ValueError(f"kappa = {kappa} exceeds sample size n = {self.n}")
+        m = qs.shape[0]
+        mid = np.searchsorted(self.line, qs[:, 0])
+        rows, cand = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        pending = _blocks(np.arange(m), 0, kappa, np.zeros((m, 0), dtype=np.intp), np.zeros((m, 0)))
+        while pending:
+            live, old, half, pos, dist = pending.pop()
+            # the new flanks [c - half, c - old) and [c + old, c + half)
+            flanks = mid[live, None] + np.concatenate((np.arange(-half, -old),
+                                                       np.arange(old, half)))
+            pos = np.concatenate((pos, flanks), axis=1)
+            dist = np.concatenate((dist, self._distances(qs[live, None], flanks)), axis=1)
             kth = np.partition(dist, kappa - 1, axis=1)[:, kappa - 1]
             bottom, top = self._reach(qs[live], kth)
-            done = (mid - half <= bottom) & (top <= mid + half)
+            done = (mid[live] - half <= bottom) & (top <= mid[live] + half)
             within = dist <= kth[:, None]
-            flat = np.flatnonzero(within & done[:, None])
-            rows = live[flat // dist.shape[1]]
-            kept.append((rows, pos.reshape(-1)[flat], dist.reshape(-1)[flat]))
-            radius[live[done]] = kth[done]
+            if done.any():
+                row, point = self._closest(kappa, kth[done], pos[done], dist[done], within[done])
+                rows.append(live[done][row])
+                cand.append(point)
             if done.all():
-                break
-            live, mid, within = live[~done], mid[~done], within[~done]
+                continue
+            live, pos, dist, within = live[~done], pos[~done], dist[~done], within[~done]
             # the entries within r, moved to the front of their rows
             flat = np.flatnonzero(within)
             count = np.count_nonzero(within, axis=1)
@@ -380,16 +378,21 @@ class NeighbourIndex:
             slot = np.arange(flat.shape[0]) + np.repeat(
                 np.arange(live.shape[0]) * carried.shape[1] - np.cumsum(count) + count, count
             )
-            carried.reshape(-1)[slot] = pos[~done].reshape(-1)[flat]
+            carried.reshape(-1)[slot] = pos.reshape(-1)[flat]
             carried_dist = np.full(carried.shape, np.nan)
-            carried_dist.reshape(-1)[slot] = dist[~done].reshape(-1)[flat]
-            flanks = mid[:, None] + np.concatenate((np.arange(-2 * half, -half),
-                                                    np.arange(half, 2 * half)))
-            pos = np.concatenate((carried, flanks), axis=1)
-            dist = np.concatenate((carried_dist, self._distances(qs[live, None], flanks)), axis=1)
-            half *= 2
-        rows, pos, dist = (np.concatenate(part) for part in zip(*kept))
-        inner = dist < radius[rows]
+            carried_dist.reshape(-1)[slot] = dist.reshape(-1)[flat]
+            pending += _blocks(live, half, 2 * half, carried, carried_dist)
+        return self._batch(m, np.concatenate(rows), np.concatenate(cand))
+
+    def _closest(self, kappa: int, kth, pos, dist, within) -> tuple[np.ndarray, np.ndarray]:
+        """Flat (row, sample index) pairs of the kappa nearest points of
+        each row, whose entries ``within`` its kappa-th distance ``kth`` are
+        every point within it: the points strictly within, and of those at
+        it, the smallest sample indices."""
+        n, m = self.n, kth.shape[0]
+        flat = np.flatnonzero(within)
+        rows, pos, dist = flat // within.shape[1], pos.reshape(-1)[flat], dist.reshape(-1)[flat]
+        inner = dist < kth[rows]
         # the ties at r in (row, sample index) order, the first few of each row
         keys = rows[~inner] * n + self.order[pos[~inner]]
         keys.sort()
@@ -419,6 +422,16 @@ class NeighbourIndex:
 def _slice_rows(lo, hi) -> np.ndarray:
     """The row of each entry of the slices [lo, hi), one slice after another."""
     return np.repeat(np.arange(lo.shape[0]), hi - lo)
+
+
+def _blocks(live, old: int, half: int, pos, dist) -> list:
+    """The next window round of the rows ``live``, which carry the entries
+    ``pos`` and ``dist`` and price the flanks from ``old`` to ``half``
+    next, as blocks of rows whose round holds about ``_WINDOW_ENTRIES``
+    entries, or one row's."""
+    step = max(1, _WINDOW_ENTRIES // (pos.shape[1] + 2 * (half - old)))
+    return [(live[s : s + step], old, half, pos[s : s + step], dist[s : s + step])
+            for s in range(0, live.shape[0], step)]
 
 
 def _norm(gaps) -> np.ndarray:

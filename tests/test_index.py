@@ -17,6 +17,7 @@ that the line's unit balls replaced stays as ``pair_ball``.
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,6 +366,23 @@ class TestSortedIndexMatchesScan:
         for kappa in (1, 5, 300):
             for q, w in zip(queries, NeighbourIndex(xs).select(KnnScheme(kappa), queries)):
                 assert np.array_equal(w.indices, scan_knn(xs, q, kappa))
+
+    def test_windows_as_wide_as_the_line_stay_within_the_block_budget(self):
+        # a first coordinate that never changes widens every window to the
+        # whole line; priced all at once, 1024 such windows take over 100 MB
+        rng = np.random.default_rng(4)
+        xs = np.column_stack((np.zeros(2048), rng.random(2048)))
+        queries = np.column_stack((np.zeros(1024), rng.random(1024)))
+        index = NeighbourIndex(xs)
+        tracemalloc.start()
+        try:
+            chosen = index.select(KnnScheme(1), queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        for i in (0, 500, 1023):
+            assert np.array_equal(chosen[i].indices, scan_knn(xs, queries[i], 1))
 
 
 def pair_ball(xs, qs, h):
