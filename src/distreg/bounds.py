@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import _whole_count, _whole_number
 from .regressor import FittedRegressor, weights_at
 from .weights import BandwidthPowerSchedule, NeighborPowerSchedule
 
@@ -31,8 +32,7 @@ class ClassParams:
             raise ValueError("holder exponent must lie in (0, 1]")
         if self.lipschitz <= 0 or self.dispersion <= 0:
             raise ValueError("lipschitz and dispersion scales must be positive")
-        if self.dim < 1:
-            raise ValueError("covariate dimension must be >= 1")
+        object.__setattr__(self, "dim", _whole_count(self.dim, "covariate dimension"))
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,10 @@ class BoundReport:
 
 
 def effective_sample_size(values) -> float:
-    """1 / sum(W_i^2) of a weight array; equals kappa for nearest-neighbor
-    weights."""
+    """1 / sum(W_i^2) of a nonempty weight array; equals kappa for
+    nearest-neighbor weights."""
+    if np.size(values) == 0:
+        raise ValueError("need at least one weight")
     return float(1.0 / np.sum(np.asarray(values, dtype=float) ** 2))
 
 
@@ -132,6 +134,7 @@ def knn_bound(
     raises ValueError; for k >= 2 the positive constant depends on the
     dimension and must be supplied by the caller (there is no safe default).
     """
+    kappa = _whole_number(kappa, "kappa")
     if not 1 <= kappa <= n:
         raise ValueError("need 1 <= kappa <= n")
     _require_constant(neighbor_const, "neighbor constant")

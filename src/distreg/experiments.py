@@ -15,11 +15,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._rng import grid_study, stream
+from ._rng import grid_study, seed_sequence, stream
 from ._table import table_text
 from .bounds import kernel_bound, knn_bound
 from .functionals import FunctionalSpec, evaluate_functional
-from .measures import MeasureBatch
+from .measures import MeasureBatch, _order, _whole_number
 from .ot import _quantile_power, w1_cdf, w1_vs_analytic
 from .regressor import fit, predict_many
 from .synth import make_preset
@@ -44,7 +44,7 @@ class ExperimentPlan:
     tolerance: float = 0.08
 
     def __post_init__(self):
-        grid = tuple(int(n) for n in self.n_grid)
+        grid = tuple(_whole_number(n, "n_grid entry") for n in self.n_grid)
         if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be strictly increasing with >= 2 points")
         # the checks of every study and of the schedule at each n, made
@@ -52,10 +52,11 @@ class ExperimentPlan:
         study_grid(self.schedule, grid, self.replications, self.test_points)
         if not self.tolerance >= 0:
             raise ValueError(f"tolerance must be nonnegative, got {self.tolerance}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 1.0 <= self.p < np.inf:
-            raise ValueError("order p must be finite and >= 1")
+        # every count is kept as an int, so 2.0 runs as 2 does
+        for name in ("replications", "test_points", "seed"):
+            object.__setattr__(self, name, _whole_number(getattr(self, name), name))
+        seed_sequence(self.seed)  # the sign check of every seed
+        object.__setattr__(self, "p", _order(self.p))
         object.__setattr__(self, "n_grid", grid)
 
 

@@ -272,6 +272,17 @@ def _whole_count(value, name: str) -> int:
     return count
 
 
+def _order(p) -> float:
+    """The order p of a distance or a moment as a float, where it is one
+    real number with 1 <= p < inf; anything else, such as nan, 0.5 or a
+    one-entry array, raises ValueError."""
+    if not isinstance(p, _REAL):
+        raise ValueError(f"order p must be a real number, got {p!r}")
+    if not 1.0 <= p <= np.finfo(float).max:
+        raise ValueError("order p must be finite and >= 1")
+    return float(p)
+
+
 def _require_finite(atoms: np.ndarray, weights: np.ndarray) -> None:
     if not np.all(np.isfinite(atoms)):
         raise ValueError("atoms must be finite")
@@ -293,6 +304,8 @@ def cdf_eval(dist: DiscreteDistribution, z):
     """Right-continuous step CDF: total weight of atoms <= z."""
     _require_dim(dist)
     z = np.asarray(z, dtype=float)
+    if np.isnan(z).any():
+        raise ValueError("the CDF is not defined at nan")
     idx = np.searchsorted(dist.xs, z, side="right")
     padded = np.concatenate(([0.0], dist.cum_weights))
     out = padded[idx]
@@ -303,7 +316,7 @@ def quantile_eval(dist: DiscreteDistribution, u):
     """Generalized inverse inf{z : F(z) >= u} for u in (0, 1)."""
     _require_dim(dist)
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
+    if not np.all((0.0 < u_arr) & (u_arr < 1.0)):
         raise ValueError("quantile level must lie strictly inside (0, 1)")
     idx = np.searchsorted(dist.cum_weights, u_arr, side="left")
     out = dist.xs[idx]
@@ -313,9 +326,7 @@ def quantile_eval(dist: DiscreteDistribution, u):
 def moment(dist: DiscreteDistribution, p: float) -> float:
     """Moment of order p >= 1: (sum_i w_i ||y_i||^p)^(1/p), of the norms
     of :func:`_norms` and summed as :func:`_power_sum` sums."""
-    if p < 1:
-        raise ValueError("moment order must be >= 1")
-    return _power_sum(dist.weights, _norms(dist.atoms), p)[1]
+    return _power_sum(dist.weights, _norms(dist.atoms), _order(p))[1]
 
 
 # The smallest normal double.  A power below it is rounded to within 2^-1075,

@@ -21,11 +21,11 @@ import numpy as np
 from ._rng import stream
 from .measures import (
     _POWER_LOW,
-    _REAL,
     AnalyticDistribution1D,
     DiscreteDistribution,
     MeasureBatch,
     _norms,
+    _order,
     _per_row,
     _power_sum,
     _row_sums,
@@ -76,10 +76,7 @@ class SlicedConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.p, _REAL):
-            raise ValueError(f"order p must be a real number, got {self.p!r}")
-        if not 1.0 <= self.p < np.inf:
-            raise ValueError("order p must be finite and >= 1")
+        object.__setattr__(self, "p", _order(self.p))
         count = _whole_count(self.num_directions, "num_directions")
         object.__setattr__(self, "num_directions", count)
 
@@ -147,9 +144,7 @@ def wp_quantile(a: DiscreteDistribution, b: DiscreteDistribution, p: float) -> f
     integral of |Fa^{-1} - Fb^{-1}|^p is evaluated exactly.
     """
     _require_pair_dim1(a, b)
-    if not 1.0 <= p < np.inf:
-        raise ValueError("order p must be finite and >= 1")
-    return _quantile_power(a.xs, a.cum_weights, b.xs, b.cum_weights, p)[1]
+    return _quantile_power(a.xs, a.cum_weights, b.xs, b.cum_weights, _order(p))[1]
 
 
 def _quantile_power(xa, ca, xb, cb, p):
@@ -261,8 +256,7 @@ def wp_exact(
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if not 1.0 <= p < np.inf:
-        raise ValueError("order p must be finite and >= 1")
+    p = _order(p)
     if a.dim == 1:
         power, root, ia, ib, lengths = _quantile_power(a.xs, a.cum_weights, b.xs, b.cum_weights, p)
         kept = lengths > 0.0
@@ -327,23 +321,22 @@ def _transport_simplex(cost, supply, demand):
     """The plan's cells, its masses on the true marginals and the number of
     pivots taken from the least-cost start."""
     m, n = cost.shape
-    cells, masses = _least_cost_start(cost, *_perturbed(supply, demand))
+    cells, mass = _least_cost_start(cost, *_perturbed(supply, demand))
     # The basis is a spanning tree over row nodes 0..m-1 and column nodes
-    # m..m+n-1, updated in place; a cell (i, j) is keyed by i * n + j, which
-    # orders cells as the (i, j) tuples do.  ``basis`` keeps each cell in
-    # the slot of the cell it replaced, the order of the returned plan.
-    basis = [i * n + j for i, j in cells]
-    basic = np.array(basis, dtype=np.intp)
-    slot_of = {cell: s for s, cell in enumerate(basis)}
-    mass_of = dict(zip(basis, masses))
-    adj: list[set[int]] = [set() for _ in range(m + n)]
-    for i, j in cells:
-        adj[i].add(m + j)
-        adj[m + j].add(i)
+    # m..m+n-1, updated in place, with one record per cell by slot: its key
+    # i * n + j in ``basic``, which orders cells as the (i, j) tuples do,
+    # and its ``mass``.  An entering cell takes the slot of the cell it
+    # replaces, so the slots are the order of the returned plan.
+    # ``adj[node]`` maps each neighbour to the slot that joins them, and
+    # ``up[node]`` is the slot of the cell to the node's parent.
+    basic = np.array([i * n + j for i, j in cells], dtype=np.intp)
+    adj: list[dict[int, int]] = [{} for _ in range(m + n)]
+    for slot, (i, j) in enumerate(cells):
+        adj[i][m + j] = adj[m + j][i] = slot
     costs = cost.ravel().tolist()
     tol = _tolerance(cost)
-    parent, depth, dual = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
-    _grow(0, adj, costs, parent, depth, dual, m, n)
+    parent, depth, dual, up = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n), [-1] * (m + n)
+    _grow(0, adj, costs, parent, depth, dual, up, m, n)
     reduced = np.empty_like(cost)
 
     for pivots in range(_PIVOTS_BASE + _PIVOTS_PER_CELL * m * n):
@@ -355,50 +348,42 @@ def _transport_simplex(cost, supply, demand):
         if reduced.flat[enter] >= -tol:
             break
         # The entering cell closes a cycle with the tree path from its column
-        # to its row, found by walking the deeper end up until the ends meet
-        # (the cell joining row node i and column node m + j is i * n + j);
-        # cells at even positions (from ``enter``) gain mass, odd ones lose it.
-        col, row = m + enter % n, enter // n
-        up_col, up_row = [], []
+        # to its row, found by walking the deeper end up until the ends meet.
+        # Each tree cell of the cycle is named by the node below it; from
+        # ``enter`` on, every other one loses mass and the rest gain it.
+        enter_col, enter_row = col, row = m + enter % n, enter // n
+        below_col, below_row = [], []
         while col != row:
             if depth[col] >= depth[row]:
-                up = parent[col]
-                up_col.append(col * n + up - m if col < m else up * n + col - m)
-                col = up
+                below_col.append(col)
+                col = parent[col]
             else:
-                up = parent[row]
-                up_row.append(row * n + up - m if row < m else up * n + row - m)
-                row = up
-        cycle = [enter] + up_col + up_row[::-1]
-        leave = min(cycle[1::2], key=lambda cell: (mass_of[cell], cell))
-        theta = mass_of[leave]
-        mass_of[enter] = theta
-        for t, cell in enumerate(cycle[1:], start=1):
-            mass_of[cell] += theta if t % 2 == 0 else -theta
-        del mass_of[leave]
-        slot = slot_of.pop(leave)
-        basis[slot] = basic[slot] = enter
-        slot_of[enter] = slot
-        for cell, update in ((leave, set.remove), (enter, set.add)):
-            i, j = divmod(cell, n)
-            update(adj[i], m + j)
-            update(adj[m + j], i)
+                below_row.append(row)
+                row = parent[row]
+        below = below_col + below_row[::-1]
+        leave = min(below[::2], key=lambda node: (mass[up[node]], basic[up[node]]))
+        slot = up[leave]
+        theta = mass[slot]
+        for t, node in enumerate(below):
+            mass[up[node]] += -theta if t % 2 == 0 else theta
+        mass[slot] = theta
+        basic[slot] = enter
+        del adj[leave][parent[leave]], adj[parent[leave]][leave]
+        adj[enter_row][enter_col] = adj[enter_col][enter_row] = slot
         # Dropping ``leave`` cuts off the subtree below it, which holds the
         # end of ``enter`` on the same side of the cycle; re-hang the subtree
         # from that end.  Only its nodes change root path, so only their
-        # parents, depths and duals are recomputed.
-        inner, outer = m + enter % n, enter // n
-        if leave in up_row:
-            inner, outer = outer, inner
-        parent[inner], depth[inner] = outer, depth[outer] + 1
+        # parents, depths, cells up and duals are recomputed.
+        inner, outer = (enter_row, enter_col) if leave in below_row else (enter_col, enter_row)
+        parent[inner], depth[inner], up[inner] = outer, depth[outer] + 1, slot
         dual[inner] = costs[enter] - dual[outer]
-        _grow(inner, adj, costs, parent, depth, dual, m, n)
+        _grow(inner, adj, costs, parent, depth, dual, up, m, n)
     else:
         raise ConvergenceError("transportation simplex failed to converge")
 
     # Re-solve the flow on the final basis with the unperturbed marginals so
     # the plan matches the inputs exactly.
-    cells = [divmod(cell, n) for cell in basis]
+    cells = [divmod(cell, n) for cell in basic.tolist()]
     exact = _tree_flow(cells, np.asarray(supply, float), np.asarray(demand, float))
     return cells, exact, pivots
 
@@ -448,9 +433,9 @@ def _least_cost_start(cost, a, b):
     return cells, masses
 
 
-def _grow(top, adj, costs, parent, depth, dual, m, n):
-    """Fill in the parents, depths and duals of the basis tree below ``top``,
-    whose own are set.
+def _grow(top, adj, costs, parent, depth, dual, up, m, n):
+    """Fill in the parents, depths, duals and slots up of the basis tree
+    below ``top``, whose own are set.
 
     The tree is rooted at row 0.  Each dual is fixed along the unique tree
     path from the root (u_0 = 0, u_i + v_j = c_ij on every basis cell), so
@@ -460,13 +445,12 @@ def _grow(top, adj, costs, parent, depth, dual, m, n):
     stack = [top]
     while stack:
         node = stack.pop()
-        up, below, reach = parent[node], depth[node] + 1, dual[node]
+        above, below, reach = parent[node], depth[node] + 1, dual[node]
         # the cell joining ``node`` to ``other`` is costs[at + step * other]
         at, step = (node * n - m, 1) if node < m else (node - m, n)
-        for other in adj[node]:
-            if other != up:
-                parent[other] = node
-                depth[other] = below
+        for other, slot in adj[node].items():
+            if other != above:
+                parent[other], depth[other], up[other] = node, below, slot
                 dual[other] = costs[at + step * other] - reach
                 stack.append(other)
 
@@ -607,10 +591,10 @@ def sliced_wp(
 
 def _golden_max(f, lo, hi, tol):
     """Golden-section maximization on [lo, hi]; returns the better of the
-    final bracket's two points and its value.  A point the caller has
-    already priced is compared by the caller, not evaluated again."""
+    final bracket's two points, the first on a tie, and its value.  A point
+    the caller has already priced is compared by the caller, not evaluated
+    again."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    best_x, best_v = None, -np.inf
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = f(x1), f(x2)
@@ -623,10 +607,7 @@ def _golden_max(f, lo, hi, tol):
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
             f1 = f(x1)
-    for x, v in ((x1, f1), (x2, f2)):
-        if v > best_v:
-            best_x, best_v = x, v
-    return best_x, best_v
+    return (x2, f2) if f2 > f1 else (x1, f1)
 
 
 def max_sliced_wp(
@@ -646,16 +627,16 @@ def max_sliced_wp(
     def value(u):
         return _quantile_power(*_projected(a, u), *_projected(b, u), cfg.p)[1]
 
+    def at_angle(t):
+        return value(np.array([np.cos(t), np.sin(t)]))
+
     if d == 2:
         k = max(cfg.num_directions, 2)
         thetas = np.arange(k) * np.pi / k
-        vals = [value(np.array([np.cos(t), np.sin(t)])) for t in thetas]
+        vals = [at_angle(t) for t in thetas]
         best = int(np.argmax(vals))
-        lo = thetas[best] - np.pi / k
-        hi = thetas[best] + np.pi / k
-        _, refined = _golden_max(
-            lambda t: value(np.array([np.cos(t), np.sin(t)])), lo, hi, _REFINE_TOL
-        )
+        bracket = thetas[best] - np.pi / k, thetas[best] + np.pi / k
+        _, refined = _golden_max(at_angle, *bracket, _REFINE_TOL)
         return float(max(refined, vals[best]))
 
     rng = stream(cfg.seed, _STREAM_TAG, 1)

@@ -25,6 +25,7 @@ from .measures import (
     AnalyticDistribution1D,
     DiscreteDistribution,
     MeasureBatch,
+    _whole_number,
     dispersion,
     gaussian_law,
     uniform_law,
@@ -341,6 +342,7 @@ def certify_class(model, resolution: int = 64) -> CertificationReport:
     params = model.params
     if params is None:
         raise ValueError("model declares no smoothness class")
+    resolution = _whole_number(resolution, "resolution")
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     # checked before the grid is built, which a huge resolution would not survive

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import grid_study, stream
-from .measures import _REAL, _row_sums, _whole_count
+from .measures import _REAL, _row_sums, _whole_count, _whole_number
 
 _STONE_TAG = 83
 
@@ -117,13 +117,14 @@ class NeighborPowerSchedule:
 
 def study_grid(schedule, n_grid, replications: int, test_points: int) -> list:
     """The ``(n_index, n, scheme)`` points of a study of ``schedule`` along
-    ``n_grid``, after the checks that every study makes before it samples."""
-    sizes = [int(n) for n in n_grid]
+    ``n_grid``, after the checks that every study makes before it samples.
+    Each sample size and both counts must be one whole number."""
+    sizes = [_whole_number(n, "n_grid entry") for n in n_grid]
     if not sizes:
         raise ValueError("n_grid must be nonempty")
-    if replications < 2:
+    if _whole_number(replications, "replications") < 2:
         raise ValueError("need at least 2 replications for standard errors")
-    if test_points < 1:
+    if _whole_number(test_points, "test_points") < 1:
         raise ValueError(f"need at least 1 test point, got {test_points}")
     return [(n_index, n, schedule.scheme(n)) for n_index, n in enumerate(sizes)]
 
@@ -237,9 +238,6 @@ class NeighbourIndex:
         if isinstance(scheme, KnnScheme):
             return self._nearest(scheme.kappa, qs)
         if isinstance(scheme, KernelScheme):
-            if qs.shape[1] == 1:
-                lo, hi = self.ball_slices(scheme.bandwidth, qs)
-                return self._batch(qs.shape[0], _slice_rows(lo, hi), self.slice_indices(lo, hi))
             return self._ball(scheme.bandwidth, qs)
         raise TypeError(f"unsupported scheme type: {type(scheme).__name__}")
 
@@ -310,9 +308,9 @@ class NeighbourIndex:
         return dist
 
     def _ball(self, h: float, qs: np.ndarray) -> WeightBatch:
-        """The unit ball at k >= 2: the exact test on every point of the
-        slab within h along the first coordinate, a block of queries at a
-        time whose slabs hold about ``_WINDOW_ENTRIES`` points together."""
+        """The unit ball: the exact test on every point of the slab within
+        h along the first coordinate, a block of queries at a time whose
+        slabs hold about ``_WINDOW_ENTRIES`` points together."""
         lo, hi = self._reach(qs, h)
         total = np.concatenate(([0], np.cumsum(hi - lo)))
         rows, cand = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]

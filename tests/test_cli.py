@@ -571,9 +571,9 @@ class TestRatesCommand:
         with open(f"{prefix}.json") as handle:
             assert handle.read() == json.dumps(payload, indent=2) + "\n"
 
-    # printed by the k-NN rate studies while k >= 2 covariates were searched
-    # by a k-d tree and the line's k-NN gathered (row, index) pairs: (exit
-    # code, verdict line, CSV rows, slope, (kappa, mean, stderr) at each n)
+    # printed by the k-NN rate studies, whose neighbours the sorted index
+    # finds at every k from a growing window of the line: (exit code,
+    # verdict line, CSV rows, slope, (kappa, mean, stderr) at each n)
     PINNED_KNN = {
         "binary-k1-knn": (
             0, "slope=-0.265709 stderr=none target=-0.25 verdict=pass",

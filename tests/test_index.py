@@ -136,9 +136,9 @@ class TestSelectionMatchesScan:
     @pytest.mark.parametrize("n", [2, 3, 40])
     @pytest.mark.parametrize("k", [2, 3])
     def test_box_whose_squared_diameter_overflows(self, k, n):
-        # the k-d tree sums squared gaps, which overflow between (1e154, 0)
-        # and (-1e154, 0): every point is a candidate, and the scan's
-        # distances, inf where their squares overflow, decide
+        # the sorted index sums squared gaps, which overflow between
+        # (1e154, 0) and (-1e154, 0): every point is a candidate, and the
+        # scan's distances, inf where their squares overflow, decide
         rng = np.random.default_rng([k, n])
         xs = rng.random((n, k))
         xs[:2, 0] = (1e154, -1e154)
