@@ -39,17 +39,23 @@ def stream(seed, *path: int) -> np.random.Generator:
 
 def grid_study(worker, model, grid, replications, test_points, seed, extra, workers=1):
     """Run ``worker`` on the payload ``(model, scheme, n, test_points, seed,
-    n_index, rep, extra)`` of every replication at every ``(n_index, n,
-    scheme)`` of ``grid``, in a pool of ``workers`` processes if above 1.
+    n_index, reps, extra)`` of every ``(n_index, n, scheme)`` of ``grid``,
+    with ``reps`` the grid point's replication indices ``range(replications)``,
+    in a pool of ``workers`` processes if above 1.
 
-    Payloads are built and results reduced in key order, so the result does
-    not depend on ``workers``: per grid point, the (mean, stderr) of each
-    value the worker returns (one float or a tuple), one pair after another.
+    The worker returns one value (one float or a tuple) per replication, in
+    the order of ``reps``.  It may work through them in blocks, as the risk
+    and functional workers do, joining the predictions of replications
+    that come to about ``experiments._BLOCK_ATOMS`` atoms into one batch;
+    every formula applied to a block works row by row, so a replication's
+    value does not depend on its block.  Payloads are built and results
+    reduced in key order, so the result does not depend on ``workers``:
+    per grid point, the (mean, stderr) of each value the worker returns,
+    one pair after another.
     """
     payloads = [
-        (model, scheme, n, test_points, seed, n_index, rep, extra)
+        (model, scheme, n, test_points, seed, n_index, range(replications), extra)
         for n_index, n, scheme in grid
-        for rep in range(replications)
     ]
     if workers <= 1:
         values = [worker(pl) for pl in payloads]

@@ -32,6 +32,8 @@ class ClassParams:
             raise ValueError("holder exponent must lie in (0, 1]")
         if self.lipschitz <= 0 or self.dispersion <= 0:
             raise ValueError("lipschitz and dispersion scales must be positive")
+        if not (self.lipschitz < math.inf and self.dispersion < math.inf):  # nan too
+            raise ValueError("lipschitz and dispersion scales must be finite")
         object.__setattr__(self, "dim", _whole_count(self.dim, "covariate dimension"))
 
 
@@ -55,10 +57,14 @@ class BoundReport:
 
 def effective_sample_size(values) -> float:
     """1 / sum(W_i^2) of a nonempty weight array; equals kappa for
-    nearest-neighbor weights."""
+    nearest-neighbor weights.  Squares that sum to 0, to inf or to nan
+    raise ValueError."""
     if np.size(values) == 0:
         raise ValueError("need at least one weight")
-    return float(1.0 / np.sum(np.asarray(values, dtype=float) ** 2))
+    squares = float(np.sum(np.asarray(values, dtype=float) ** 2))
+    if not 0.0 < squares < math.inf:
+        raise ValueError(f"the squared weights sum to {squares:g}, not to a finite number > 0")
+    return 1.0 / squares
 
 
 def pointwise_risk_bound(model: FittedRegressor, true_model, x) -> BoundReport:
@@ -109,6 +115,7 @@ def kernel_bound(
     covering constant defaults to k^(k/2) and may be overridden by a
     positive one.  A term beyond the double range raises ValueError.
     """
+    n = _whole_number(n, "n")
     if n < 1 or h <= 0:
         raise ValueError("need n >= 1 and h > 0")
     _require_constant(covering_const, "covering constant")
@@ -134,7 +141,7 @@ def knn_bound(
     raises ValueError; for k >= 2 the positive constant depends on the
     dimension and must be supplied by the caller (there is no safe default).
     """
-    kappa = _whole_number(kappa, "kappa")
+    n, kappa = _whole_number(n, "n"), _whole_number(kappa, "kappa")
     if not 1 <= kappa <= n:
         raise ValueError("need 1 <= kappa <= n")
     _require_constant(neighbor_const, "neighbor constant")

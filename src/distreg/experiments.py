@@ -19,9 +19,9 @@ from ._rng import grid_study, seed_sequence, stream
 from ._table import table_text
 from .bounds import kernel_bound, knn_bound
 from .functionals import FunctionalSpec, evaluate_functional
-from .measures import MeasureBatch, _order, _whole_number
+from .measures import _REAL, MeasureBatch, _order, _whole_number
 from .ot import _quantile_power, w1_cdf, w1_vs_analytic
-from .regressor import fit, predict_many
+from .regressor import _predicted_rows, fit
 from .synth import make_preset
 from .weights import BandwidthPowerSchedule, NeighborPowerSchedule, study_grid
 
@@ -50,8 +50,9 @@ class ExperimentPlan:
         # the checks of every study and of the schedule at each n, made
         # before anything is sampled
         study_grid(self.schedule, grid, self.replications, self.test_points)
-        if not self.tolerance >= 0:
-            raise ValueError(f"tolerance must be nonnegative, got {self.tolerance}")
+        if not (isinstance(self.tolerance, _REAL) and 0 <= self.tolerance < math.inf):
+            raise ValueError(f"tolerance must be one finite number >= 0, got {self.tolerance!r}")
+        object.__setattr__(self, "tolerance", float(self.tolerance))
         # every count is kept as an int, so 2.0 runs as 2 does
         for name in ("replications", "test_points", "seed"):
             object.__setattr__(self, name, _whole_number(getattr(self, name), name))
@@ -112,12 +113,46 @@ class RateReport:
 # Replication workers (module level so they pickle)
 
 
+# predicted atoms per block of replications that the risk and functional
+# workers join into one batch; the laws, the errors and the checks of the
+# batch are then paid once per block, not once per replication
+_BLOCK_ATOMS = 2**13
+
+
 def _fit_and_predict(model, scheme, n, test_points, seed, n_index, rep):
     """One replication's fresh training sample, fit and predictions at fresh
-    test covariates; returns the covariates and the predictions."""
+    test covariates; returns the covariates and the flat arrays
+    ``(atoms, weights, offsets)`` of the predictions."""
     ds = model.sample(n, seed=(seed, _TAG_TRAIN, n_index, rep))
     queries = stream(seed, _TAG_TEST, n_index, rep).random((test_points, model.k))
-    return queries, predict_many(fit(ds, scheme), queries)
+    return queries, _predicted_rows(fit(ds, scheme), queries)
+
+
+def _blocks(model, scheme, n, test_points, seed, n_index, reps):
+    """The replications ``reps`` of one grid point in blocks of about
+    ``_BLOCK_ATOMS`` predicted atoms: per block, the test covariates of its
+    replications stacked and their predictions as one checked batch, whose
+    rows run replication by replication."""
+    queries, rows, atoms = [], [], 0
+    for rep in reps:
+        covariates, flat = _fit_and_predict(model, scheme, n, test_points, seed, n_index, rep)
+        queries.append(covariates)
+        rows.append(flat)
+        atoms += flat[1].shape[0]
+        if atoms >= _BLOCK_ATOMS or rep == reps[-1]:
+            points, weights, offsets = zip(*rows)
+            starts = np.cumsum([0] + [w.shape[0] for w in weights])
+            offsets = np.concatenate([[0]] + [o[1:] + a for o, a in zip(offsets, starts)])
+            yield np.concatenate(queries), MeasureBatch(
+                np.concatenate(points), np.concatenate(weights), offsets
+            )
+            queries, rows, atoms = [], [], 0
+
+
+def _per_replication(errors, test_points) -> list[float]:
+    """The mean of each replication's ``test_points`` consecutive errors; a
+    row of the 2-d view is summed as the replication's own 1-d array is."""
+    return np.asarray(errors).reshape(-1, test_points).mean(axis=1).tolist()
 
 
 def _risk_laws(model, queries, p):
@@ -132,27 +167,37 @@ def _risk_laws(model, queries, p):
     return laws
 
 
-def _risk_replication(payload) -> float:
+def _risk_replication(payload) -> list[float]:
+    """The mean error over the test points of each replication of the
+    payload's grid point, with one law and one distance call per block."""
     *setting, p = payload
-    queries, preds = _fit_and_predict(*setting)
-    laws = _risk_laws(setting[0], queries, p)
-    if not isinstance(laws, MeasureBatch):
-        return float(np.mean(w1_vs_analytic(preds, *laws)))
-    if p != 1.0:  # no preset uses it: one pair of rows at a time
-        errs = [
-            _quantile_power(pred.xs, pred.cum_weights, law.xs, law.cum_weights, p)[0]
-            for pred, law in zip(preds, laws)
-        ]
-        return float(np.mean(errs))
-    return float(np.mean(w1_cdf(preds, laws)))
+    model, test_points = setting[0], setting[3]
+    values = []
+    for queries, preds in _blocks(*setting):
+        laws = _risk_laws(model, queries, p)
+        if not isinstance(laws, MeasureBatch):
+            errs = w1_vs_analytic(preds, *laws)
+        elif p != 1.0:  # no preset uses it: one pair of rows at a time
+            errs = [
+                _quantile_power(pred.xs, pred.cum_weights, law.xs, law.cum_weights, p)[0]
+                for pred, law in zip(preds, laws)
+            ]
+        else:
+            errs = w1_cdf(preds, laws)
+        values += _per_replication(errs, test_points)
+    return values
 
 
-def _functional_replication(payload) -> float:
+def _functional_replication(payload) -> list[float]:
+    """The mean absolute error over the test points of each replication of
+    the payload's grid point, with one evaluation per block."""
     *setting, spec = payload
-    model = setting[0]
-    queries, preds = _fit_and_predict(*setting)
-    estimates = evaluate_functional(preds, spec)
-    return float(np.mean(np.abs(estimates - model.true_functional(spec, queries))))
+    model, test_points = setting[0], setting[3]
+    values = []
+    for queries, preds in _blocks(*setting):
+        errs = np.abs(evaluate_functional(preds, spec) - model.true_functional(spec, queries))
+        values += _per_replication(errs, test_points)
+    return values
 
 
 def _plan_study(plan: ExperimentPlan, worker, extra, workers: int):

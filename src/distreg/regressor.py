@@ -106,6 +106,13 @@ def predict_many(model: FittedRegressor, queries) -> MeasureBatch:
     response, in ascending order; a d-dimensional one keeps every selected
     response as an atom.
     """
+    return MeasureBatch(*_predicted_rows(model, queries))
+
+
+def _predicted_rows(model: FittedRegressor, queries):
+    """The flat ``(atoms, weights, offsets)`` of :func:`predict_many`'s
+    batch, not yet built or checked, so that several predictions can be
+    joined into one batch and checked once."""
     index, scheme = model.index, model.scheme
     if model.groups is not None and model.dataset.k == 1 and isinstance(scheme, KernelScheme):
         lo, hi = index.ball_slices(scheme.bandwidth, queries)
@@ -128,7 +135,7 @@ def predict_many(model: FittedRegressor, queries) -> MeasureBatch:
         # is dropped, or overwritten in place, once it is used up
         del selected
         if model.groups is None:
-            return MeasureBatch(model.dataset.responses[idx], np.repeat(1.0 / sizes, sizes), offsets)
+            return model.dataset.responses[idx], np.repeat(1.0 / sizes, sizes), offsets
     # one key per (query, distinct response), row * width + rank: sorted
     # keys put the batch in row order with each row's responses ascending;
     # both counting routes give the distinct keys and the count of each
@@ -150,7 +157,7 @@ def predict_many(model: FittedRegressor, queries) -> MeasureBatch:
     offsets = np.searchsorted(keys, np.arange(sizes.shape[0] + 1) * width)
     atoms = model.levels[keys % width]
     del keys
-    return MeasureBatch(atoms, counts / np.repeat(sizes, np.diff(offsets)), offsets)
+    return atoms, counts / np.repeat(sizes, np.diff(offsets)), offsets
 
 
 def _prefix_counts(model: FittedRegressor, lo, hi) -> tuple[np.ndarray, np.ndarray]:

@@ -516,20 +516,24 @@ def stone_diagnostics(
     return [DiagnosticsRow(n, *row) for (_, n, _), row in zip(grid, stats)]
 
 
-def _stone_replication(payload) -> tuple[float, float]:
-    """One replication's mean largest weight and mean weight beyond eps over
-    fresh test points, from a fresh sample keyed under ``_STONE_TAG``."""
-    model, scheme, n, test_points, seed, n_idx, rep, eps = payload
-    ds = model.sample(n, seed=(seed, _STONE_TAG, n_idx, rep, 0))
-    queries = stream(seed, _STONE_TAG, n_idx, rep, 1).random((test_points, model.k))
-    selected = NeighbourIndex(ds.covariates).select(scheme, queries)
-    values, offsets = selected.values, selected.offsets
-    row_of = np.repeat(np.arange(test_points), np.diff(offsets))
-    gaps = ds.covariates[selected.indices] - queries[row_of]
-    far = np.linalg.norm(gaps, axis=1) > eps
-    far_offsets = np.concatenate(([0], np.cumsum(far)))[offsets]
-    # each of a row's m weights is 1/m, so 1/m is also the largest
-    return (
-        float(np.mean(1.0 / np.diff(offsets))),
-        float(np.mean(_row_sums(values[far], far_offsets))),
-    )
+def _stone_replication(payload) -> list[tuple[float, float]]:
+    """Each replication's mean largest weight and mean weight beyond eps
+    over fresh test points, from a fresh sample keyed under ``_STONE_TAG``,
+    one replication of the payload's grid point at a time."""
+    model, scheme, n, test_points, seed, n_idx, reps, eps = payload
+    values = []
+    for rep in reps:
+        ds = model.sample(n, seed=(seed, _STONE_TAG, n_idx, rep, 0))
+        queries = stream(seed, _STONE_TAG, n_idx, rep, 1).random((test_points, model.k))
+        selected = NeighbourIndex(ds.covariates).select(scheme, queries)
+        offsets = selected.offsets
+        row_of = np.repeat(np.arange(test_points), np.diff(offsets))
+        gaps = ds.covariates[selected.indices] - queries[row_of]
+        far = np.linalg.norm(gaps, axis=1) > eps
+        far_offsets = np.concatenate(([0], np.cumsum(far)))[offsets]
+        # each of a row's m weights is 1/m, so 1/m is also the largest
+        values.append((
+            float(np.mean(1.0 / np.diff(offsets))),
+            float(np.mean(_row_sums(selected.values[far], far_offsets))),
+        ))
+    return values

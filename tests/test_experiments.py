@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from distreg.experiments import (
     ExperimentPlan,
     NeighborPowerSchedule,
     _fit_and_predict,
+    _functional_replication,
     _risk_replication,
     bound_rows_csv,
     bound_vs_risk,
@@ -24,6 +26,7 @@ from distreg.experiments import (
     rate_study,
     risk_estimate,
 )
+from distreg.measures import MeasureBatch
 from distreg.weights import KernelScheme, KnnScheme
 
 
@@ -63,15 +66,25 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="test point"):
             tiny_plan(test_points=test_points)
 
-    @pytest.mark.parametrize("tolerance", [-1.0, -1e-12, float("nan")])
+    # inf, an array, a string and None once passed, ran the whole study
+    # and failed in write
+    @pytest.mark.parametrize("tolerance", [-1.0, -1e-12, float("nan"), float("inf"),
+                                           np.array([0.1]), "0.1", None], ids=repr)
     def test_tolerance_nonnegative(self, tolerance):
-        with pytest.raises(ValueError, match="tolerance"):
+        with pytest.raises(ValueError, match="tolerance must be one finite number >= 0"):
             tiny_plan(tolerance=tolerance)
 
     @pytest.mark.parametrize("p", [0.5, 0.0, -1.0, float("nan"), float("inf")])
     def test_order_below_one_rejected(self, p):
         with pytest.raises(ValueError, match="order p must be finite and >= 1"):
             tiny_plan(p=p)
+
+    def test_tolerance_is_kept_as_a_float(self, tmp_path):
+        plans = [tiny_plan(tolerance=t, n_grid=(16, 32), replications=2, test_points=2)
+                 for t in (1, np.float32(0.5), np.int64(0))]
+        assert [type(plan.tolerance) for plan in plans] == [float] * 3
+        for i, plan in enumerate(plans):
+            rate_study(plan).write(str(tmp_path / f"out{i}"))
 
     def test_zero_tolerance_allowed(self):
         assert tiny_plan(tolerance=0.0, test_points=1).tolerance == 0.0
@@ -147,7 +160,8 @@ class TestRiskEstimate:
         mean, _ = risk_estimate(model, scheme, n=64, replications=3, test_points=5, seed=7)
         gaps = []
         for rep in range(3):
-            queries, preds = _fit_and_predict(model, scheme, 64, 5, 7, 0, rep)
+            queries, flat = _fit_and_predict(model, scheme, 64, 5, 7, 0, rep)
+            preds = MeasureBatch(*flat)
             p_hat = np.array([pred.weights[pred.xs == 2.0].sum() for pred in preds])
             gaps.append(np.mean(2.0 * np.abs(p_hat - model.param_profile(queries))))
         assert mean == pytest.approx(np.mean(gaps), abs=1e-12)
@@ -167,14 +181,15 @@ class TestRiskEstimate:
         # the p-th power comes from the quantile merge as it sums it, not
         # from its p-th root raised to the power p again
         model, scheme = make_preset("binary-k2"), KnnScheme(kappa=5)
-        setting = (model, scheme, 64, 9, 2, 0, 1)
-        queries, preds = _fit_and_predict(*setting)
+        setting = (model, scheme, 64, 9, 2, 0)
+        queries, flat = _fit_and_predict(*setting, 1)
+        preds = MeasureBatch(*flat)
         laws = model.conditional_laws(queries)
         powers = [
             ot._quantile_power(pred.xs, pred.cum_weights, law.xs, law.cum_weights, 2.0)[0]
             for pred, law in zip(preds, laws)
         ]
-        assert _risk_replication((*setting, 2.0)) == float(np.mean(powers))
+        assert _risk_replication((*setting, range(1, 2), 2.0)) == [float(np.mean(powers))]
         roots = [ot.wp_quantile(pred, law, 2.0) for pred, law in zip(preds, laws)]
         assert powers == pytest.approx(np.square(roots), rel=1e-14)
 
@@ -196,6 +211,86 @@ class TestRiskEstimate:
             risk_estimate(
                 model, KnnScheme(kappa=4), n=32, replications=2, test_points=2, p=2.0
             )
+
+
+def one_replication_risk(model, scheme, n, test_points, seed, n_index, rep, p):
+    """The mean error of one replication as the loop once computed it: its
+    own prediction batch, its own laws and its own distance call."""
+    queries, flat = _fit_and_predict(model, scheme, n, test_points, seed, n_index, rep)
+    preds = MeasureBatch(*flat)
+    laws = model.conditional_laws(queries)
+    if not isinstance(laws, MeasureBatch):
+        return float(np.mean(ot.w1_vs_analytic(preds, *laws)))
+    if p != 1.0:
+        return float(np.mean([
+            ot._quantile_power(pred.xs, pred.cum_weights, law.xs, law.cum_weights, p)[0]
+            for pred, law in zip(preds, laws)
+        ]))
+    return float(np.mean(ot.w1_cdf(preds, laws)))
+
+
+def one_replication_functional(model, scheme, n, test_points, seed, n_index, rep, spec):
+    queries, flat = _fit_and_predict(model, scheme, n, test_points, seed, n_index, rep)
+    estimates = experiments.evaluate_functional(MeasureBatch(*flat), spec)
+    return float(np.mean(np.abs(estimates - model.true_functional(spec, queries))))
+
+
+KERNEL, KNN = BandwidthPowerSchedule(1.0, -1.0 / 3.0), NeighborPowerSchedule(1.0, 0.5)
+
+
+class TestBlocksOfReplications:
+    """A block worker's value for each replication has the bits of the same
+    replication computed on its own, whatever the block budget."""
+
+    @pytest.mark.parametrize("budget", [1, 2**62], ids=["one-per-block", "one-block"])
+    @pytest.mark.parametrize(
+        "model_name, schedule, n, test_points, p",
+        [("binary-k1", KERNEL, 512, 32, 1.0),
+         ("gaussian-k1", KERNEL, 1024, 16, 1.0),
+         ("binary-k2", KNN, 512, 32, 1.0),
+         ("uniform-k1", KNN, 512, 16, 1.0),
+         ("binary-k2", KNN, 256, 8, 2.0)],
+        ids=["binary-k1-kernel", "gaussian-k1-kernel", "binary-k2-knn", "uniform-k1-knn",
+             "binary-k2-knn-p2"],
+    )
+    def test_risk_values_equal_one_replication_at_a_time(
+        self, monkeypatch, budget, model_name, schedule, n, test_points, p
+    ):
+        monkeypatch.setattr(experiments, "_BLOCK_ATOMS", budget)
+        setting = (make_preset(model_name), schedule.scheme(n), n, test_points, 5, 2)
+        values = _risk_replication((*setting, range(1, 8), p))
+        expected = [one_replication_risk(*setting, rep, p) for rep in range(1, 8)]
+        assert [v.hex() for v in values] == [v.hex() for v in expected]
+
+    @pytest.mark.parametrize("budget", [1, 2**62], ids=["one-per-block", "one-block"])
+    @pytest.mark.parametrize(
+        "model_name, spec",
+        [("gaussian-k1", "pwm:1:2"), ("binary-k1", "cte:0.9"), ("uniform-k1", "quantile:0.5"),
+         ("gaussian-pair-k1", "cov")],
+    )
+    def test_functional_values_equal_one_replication_at_a_time(
+        self, monkeypatch, budget, model_name, spec
+    ):
+        monkeypatch.setattr(experiments, "_BLOCK_ATOMS", budget)
+        setting = (make_preset(model_name), KNN.scheme(512), 512, 16, 3, 1)
+        spec = FunctionalSpec.parse(spec)
+        values = _functional_replication((*setting, range(6), spec))
+        expected = [one_replication_functional(*setting, rep, spec) for rep in range(6)]
+        assert [v.hex() for v in values] == [v.hex() for v in expected]
+
+    def test_a_gaussian_block_stays_within_its_budget(self):
+        # at n = 8192 a replication predicts about 13 000 atoms, a block of
+        # its own; the 8 replications in one block take about 13 MB
+        model, n = make_preset("gaussian-k1"), 8192
+        setting = (model, KERNEL.scheme(n), n, 16, 5, 5)
+        _risk_replication((*setting, range(1), 1.0))  # imports and caches
+        tracemalloc.start()
+        try:
+            _risk_replication((*setting, range(8), 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestDeterminism:

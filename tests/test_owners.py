@@ -13,6 +13,7 @@ from distreg import (
     certify_class,
     cdf_eval,
     effective_sample_size,
+    kernel_bound,
     knn_bound,
     make_discrete,
     make_preset,
@@ -68,7 +69,7 @@ ORDER_CALLERS = {
     "ExperimentPlan": plan_result,
 }
 
-# each whole count of ``study_grid``, ``ExperimentPlan`` and ``knn_bound``,
+# each whole count of ``study_grid``, ``ExperimentPlan`` and the bounds,
 # as a function of the count alone, with the name its message gives
 COUNT_CALLERS = {
     "study_grid-n_grid": ("n_grid entry", lambda v: study_grid(SCHEDULE, [v, 32], 2, 2)),
@@ -79,6 +80,8 @@ COUNT_CALLERS = {
     "ExperimentPlan-test_points": ("test_points", lambda v: rate_study(plan(test_points=v))),
     "ExperimentPlan-seed": ("seed", lambda v: rate_study(plan(seed=v))),
     "knn_bound": ("kappa", lambda v: knn_bound(ClassParams(1.0, 1.0, 1.0, 1), 10, v)),
+    "knn_bound-n": ("n", lambda v: knn_bound(ClassParams(1.0, 1.0, 1.0, 1), v, 2)),
+    "kernel_bound-n": ("n", lambda v: kernel_bound(ClassParams(1.0, 1.0, 1.0, 1), v, 0.3)),
 }
 
 NOT_ONE_REAL = ["2", np.array([2.0])]
@@ -152,3 +155,26 @@ class TestEndsThatWereBad:
     def test_effective_sample_size_of_no_weights_rejected(self):
         with pytest.raises(ValueError, match="at least one weight"):
             effective_sample_size([])
+
+    @pytest.mark.parametrize("weights", [[0.0], [0.0, 0.0], [math.nan, 1.0], [math.inf]],
+                             ids=repr)
+    def test_effective_sample_size_of_squares_that_are_not_positive_rejected(self, weights):
+        with pytest.raises(ValueError, match="squared weights sum to"):
+            effective_sample_size(weights)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf], ids=repr)
+    @pytest.mark.parametrize("field", ["lipschitz", "dispersion"])
+    def test_class_scales_that_are_not_finite_rejected(self, field, scale):
+        scales = dict(holder=1.0, lipschitz=1.0, dispersion=1.0, dim=1) | {field: scale}
+        with pytest.raises(ValueError, match="scales must be finite"):
+            ClassParams(**scales)
+
+    def test_bounds_below_one_keep_their_messages(self):
+        # the messages ``distreg bounds`` prints
+        params = ClassParams(1.0, 1.0, 1.0, 1)
+        with pytest.raises(ValueError, match=r"need 1 <= kappa <= n"):
+            knn_bound(params, 0, 2)
+        with pytest.raises(ValueError, match=r"need n >= 1 and h > 0"):
+            kernel_bound(params, 0, 0.3)
+        with pytest.raises(ValueError, match="lipschitz and dispersion scales must be positive"):
+            ClassParams(1.0, 0.0, 1.0, 1)
